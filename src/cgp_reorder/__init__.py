@@ -18,6 +18,7 @@ from .genome import (
     GraphParams,
     Genotype,
     NodeGene,
+    SubexpressionCache,
     decode_active,
     evaluate,
     random_genome,
@@ -48,6 +49,7 @@ __all__ = [
     "RegressionBenchmark",
     "ReorderStrategy",
     "RunResult",
+    "SubexpressionCache",
     "boolean_fitness",
     "build_boolean",
     "build_regression",

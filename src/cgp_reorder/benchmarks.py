@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .genome import ActiveSet, GraphParams, Genotype, evaluate_batch, evaluate_packed
+from .genome import (
+    ActiveSet,
+    GraphParams,
+    Genotype,
+    SubexpressionCache,
+    evaluate_batch,
+    evaluate_packed,
+)
 
 BOOLEAN_NAMES = ("parity3", "encode16_4", "decode4_16", "multiply3")
 REGRESSION_NAMES = ("nguyen7", "koza3", "pagie1", "keijzer6")
@@ -239,14 +246,20 @@ def boolean_fitness(
 
 
 def mae_fitness(
-    genome: Genotype, data: DataSplit, active: ActiveSet | None = None
+    genome: Genotype,
+    data: DataSplit,
+    active: ActiveSet | None = None,
+    cache: SubexpressionCache | None = None,
 ) -> float:
-    """Mean absolute error of the genome's single output over the split."""
+    """Mean absolute error of the genome's single output over the split.
+
+    ``cache``, when given, must have been built for ``data.xs``.
+    """
     if len(data) == 0:
         raise ConfigError("cannot score an empty dataset split")
     if genome.params.num_outputs != 1:
         raise ConfigError("mean-absolute-error scoring expects a single output")
-    preds = evaluate_batch(genome, data.xs, active)[:, 0]
+    preds = evaluate_batch(genome, data.xs, active, cache)[:, 0]
     return float(np.mean(np.abs(data.ys - preds)))
 
 

@@ -282,14 +282,20 @@ def _run_seed(seed: int) -> RunResult:
     return run_es(config, _WORKER_STATE["bench"], run_rng(settings.master_seed, seed))
 
 
+def effective_workers(settings: Settings) -> int:
+    """Worker processes a batch runs on: the requested count (0 means one
+    per CPU), but never more than there are seeds."""
+    workers = settings.workers if settings.workers > 0 else (os.cpu_count() or 1)
+    return min(workers, len(settings.seeds))
+
+
 def execute_batch(settings: Settings, cache_dir: str | None = None) -> list[RunResult]:
     """Run every seed of a finalized settings object, in parallel when asked."""
     if cache_dir is not None:
         # materialize any dataset cache before workers start reading it
         _build_bench(settings, cache_dir)
     payload = {"settings": settings.__dict__.copy(), "cache_dir": cache_dir}
-    workers = settings.workers if settings.workers > 0 else (os.cpu_count() or 1)
-    workers = min(workers, len(settings.seeds))
+    workers = effective_workers(settings)
     if workers <= 1:
         _init_worker(payload)
         results = [_run_seed(seed) for seed in settings.seeds]
@@ -414,7 +420,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cache_dir = os.path.join(settings.out, "datasets")
     results = execute_batch(settings, cache_dir)
     summary = _write_run_outputs(settings.out, settings, results)
-    _write_meta(settings.out, started, settings.workers)
+    _write_meta(settings.out, started, effective_workers(settings))
     print(summary.format_line())
     return EXIT_OK
 
@@ -474,7 +480,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         )
     os.makedirs(settings.out, exist_ok=True)
     write_summary_jsonl(os.path.join(settings.out, "grid_summary.jsonl"), rows)
-    _write_meta(settings.out, started, settings.workers)
+    workers = effective_workers(replace(settings, seeds=cell_seeds))
+    _write_meta(settings.out, started, workers)
     for row in rows:
         print(row.format_line())
     return EXIT_OK
@@ -503,22 +510,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for path in jsonl_files:
         for record in _load_records(path):
             cfg = record["config"]
-            key = (cfg["benchmark"], cfg["variant"], cfg["p_reorder"])
-            group = groups.setdefault(key, {"records": [], "files": [], "config": cfg})
+            key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
+            group = groups.setdefault(key, {"records": [], "config": cfg})
             group["records"].append((record, path))
-            if path not in group["files"]:
-                group["files"].append(path)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for key in sorted(groups):
         group = groups[key]
-        nodes_seen = {rec["config"]["nodes"] for rec, _ in group["records"]}
-        if len(nodes_seen) > 1:
-            raise AggregationError(
-                f"group {key} mixes node counts {sorted(nodes_seen)} "
-                f"across files {group['files']}"
-            )
         results = []
         for record, path in group["records"]:
             trace_path = os.path.join(
@@ -535,8 +534,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 result.active_bitmap = result.union_active_bitmap
             results.append(result)
 
-        benchmark, variant, p = key
-        tag = f"{benchmark}_{variant}_p{_format_p(p)}"
+        benchmark, variant, nodes, p = key
+        tag = f"{benchmark}_{variant}_N{nodes}_p{_format_p(p)}"
         config = group["config"]
         hist = active_distribution(results)
         write_histogram_csv(os.path.join(out_dir, f"histogram_{tag}.csv"), hist, config)
@@ -547,7 +546,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 os.path.join(out_dir, f"convergence_{tag}.csv"), curve, config
             )
         rows.append(
-            summarize(results, variant, benchmark, next(iter(nodes_seen)), p, config)
+            summarize(results, variant, benchmark, nodes, p, config)
         )
 
     write_summary_jsonl(os.path.join(out_dir, "summary.jsonl"), rows)

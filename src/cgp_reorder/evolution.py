@@ -6,6 +6,11 @@ mutant whenever it is at least as fit as the parent; the equal-fitness
 replacement is what lets inactive genes drift.  Reordering never changes
 the parent's phenotype, so its fitness carries over without re-evaluation.
 
+On a regression benchmark the run keeps one subexpression cache over the
+training points.  A mutant then computes only the nodes its mutation
+changed, and after selection the cache is pruned to the survivor's active
+graph.
+
 Iterations-to-solution is the number of iterations run; a run that exhausts
 its budget reports the budget itself as its iteration count.  Exactly four
 fitness evaluations are spent per iteration.
@@ -25,7 +30,7 @@ from .benchmarks import (
     mae_fitness,
 )
 from .errors import ConfigError
-from .genome import Genotype, decode_active, random_genome
+from .genome import Genotype, SubexpressionCache, decode_active, random_genome
 from .mutation import single_mutation
 from .reorder import ReorderStrategy, maybe_reorder
 
@@ -115,13 +120,15 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     if rng is None:
         rng = run_rng(config.master_seed, config.seed)
 
+    cache = None
     if isinstance(bench, BooleanBenchmark):
         maximize = True
         fitness = lambda g, a: boolean_fitness(g, bench, a)
         is_converged = lambda f: f >= config.convergence_threshold
     elif isinstance(bench, RegressionBenchmark):
         maximize = False
-        fitness = lambda g, a: mae_fitness(g, bench.train, a)
+        cache = SubexpressionCache(bench.train.xs)
+        fitness = lambda g, a: mae_fitness(g, bench.train, a, cache)
         is_converged = lambda f: f < config.convergence_threshold
     else:
         raise ConfigError(f"unsupported benchmark type {type(bench).__name__}")
@@ -169,6 +176,8 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
             parent = offspring[choice]
             parent_active = offspring_active[choice]
             parent_fitness = offspring_fitness[choice]
+        if cache is not None:
+            cache.prune(parent, parent_active)
 
         if union_active is not None:
             for i, flag in enumerate(parent_active.bitmap):

@@ -191,46 +191,112 @@ def evaluate_packed(
     return [values[c] for c in genome.output_connections]
 
 
+class SubexpressionCache:
+    """Values of regression subexpressions over one batch of points.
+
+    A subexpression is keyed by its structure, not by where it sits in a
+    genome: an input column is keyed by its index, and a node by its function
+    id plus the keys of the inputs its function consumes.  Keys are
+    hash-consed to small ints, so a key is a flat tuple at every depth.  Two
+    genomes that share a subexpression (a parent and its mutant, or a genome
+    before and after a reorder) share its value, and evaluating the second
+    computes only the nodes the first did not have.  Values are read-only
+    float64 arrays, computed by the same ufuncs on the same arrays whichever
+    genome first needs them, so a hit is bit-identical to a recomputation.
+
+    The cache only grows while genomes are evaluated; :meth:`prune` drops
+    every entry one genome's active graph does not use.
+    """
+
+    def __init__(self, xs: np.ndarray) -> None:
+        self.xs = xs
+        # structure (function id, consumed input keys...) -> key
+        self._keys: dict[tuple, int] = {}
+        # key -> value; the keys below the input count are the input columns
+        self._values: dict[int, np.ndarray] = {}
+        for i in range(xs.shape[1]):
+            column = xs[:, i].astype(np.float64)
+            column.flags.writeable = False
+            self._values[i] = column
+        self._next_key = xs.shape[1]
+
+    def __len__(self) -> int:
+        """Cached values, input columns included."""
+        return len(self._values)
+
+    def _resolve(self, genome: Genotype, active: ActiveSet) -> list:
+        """Key of every input and active node, by global position (None for
+        inactive nodes), computing the values of keys not yet cached."""
+        params = genome.params
+        start = params.comp_start
+        entries = params.functions().entries
+        nodes = genome.computational
+        bitmap = active.bitmap
+        keys: list = list(range(start)) + [None] * params.num_computational
+        structures = self._keys
+        values = self._values
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for idx in range(params.num_computational):
+                if not bitmap[idx]:
+                    continue
+                node = nodes[idx]
+                fid = node.function_id
+                spec = entries[fid]
+                conns = node.connections
+                if spec.arity == 1:
+                    structure = (fid, keys[conns[0]])
+                else:
+                    structure = (fid, keys[conns[0]], keys[conns[1]])
+                key = structures.get(structure)
+                if key is None:
+                    args = [values[k] for k in structure[1:]]
+                    value = np.asarray(spec.fn(*args), dtype=np.float64)
+                    value.flags.writeable = False
+                    key = self._next_key
+                    self._next_key += 1
+                    structures[structure] = key
+                    values[key] = value
+                keys[start + idx] = key
+        return keys
+
+    def prune(self, genome: Genotype, active: ActiveSet) -> None:
+        """Keep only the input columns and the subexpressions of ``genome``'s
+        active graph, computing any of those that are missing."""
+        live = set(self._resolve(genome, active))
+        live.discard(None)
+        self._keys = {s: k for s, k in self._keys.items() if k in live}
+        self._values = {k: self._values[k] for k in live}
+
+
 def evaluate_batch(
     genome: Genotype,
     xs: np.ndarray,
     active: ActiveSet | None = None,
+    cache: SubexpressionCache | None = None,
 ) -> np.ndarray:
     """Evaluate a regression genome on a batch of points.
 
     ``xs`` has shape (n_points, num_inputs); the result has shape
-    (n_points, num_outputs).
+    (n_points, num_outputs) and may be a read-only view of cached values.
+    Node values are read from and added to ``cache``, which must have been
+    built for this same ``xs``; a call without one uses a fresh cache.
     """
     params = genome.params
-    fset = params.functions()
-    if fset.is_boolean:
+    if params.functions().is_boolean:
         raise ConfigError("batch evaluation is defined for the regression set only")
     if xs.ndim != 2 or xs.shape[1] != params.num_inputs:
         raise ConfigError(f"expected shape (n, {params.num_inputs}), got {xs.shape}")
-    start = params.comp_start
+    if cache is None:
+        cache = SubexpressionCache(xs)
+    elif cache.xs is not xs:
+        raise ConfigError("the subexpression cache was built for a different batch")
     if active is None:
         active = decode_active(genome)
-    values: list = [None] * params.num_connectable
-    for i in range(params.num_inputs):
-        values[i] = xs[:, i].astype(np.float64)
-    entries = fset.entries
-    nodes = genome.computational
-    bitmap = active.bitmap
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for idx in range(params.num_computational):
-            if not bitmap[idx]:
-                continue
-            node = nodes[idx]
-            spec = entries[node.function_id]
-            conns = node.connections
-            if spec.arity == 1:
-                result = spec.fn(values[conns[0]])
-            else:
-                result = spec.fn(values[conns[0]], values[conns[1]])
-            values[start + idx] = np.asarray(result, dtype=np.float64)
-    if len(genome.output_connections) == 1:
-        return values[genome.output_connections[0]][:, None]
-    return np.column_stack([values[c] for c in genome.output_connections])
+    keys = cache._resolve(genome, active)
+    outputs = [cache._values[keys[c]] for c in genome.output_connections]
+    if len(outputs) == 1:
+        return outputs[0][:, None]
+    return np.column_stack(outputs)
 
 
 def validate(genome: Genotype) -> list[str]:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cgp_reorder.genome import GraphParams, Genotype, NodeGene, random_genome
+from cgp_reorder.genome import (
+    ActiveSet,
+    GraphParams,
+    Genotype,
+    NodeGene,
+    decode_active,
+    random_genome,
+)
 
 settings.register_profile("cgp", max_examples=50, deadline=None)
 settings.load_profile("cgp")
@@ -50,6 +57,28 @@ def parity3_xor_genome() -> Genotype:
 
     nodes = xor_nodes(0, 1, 3) + xor_nodes(6, 2, 7)
     return Genotype(params, nodes, (10,))
+
+
+def oracle_evaluate_batch(
+    genome: Genotype, xs: np.ndarray, active: ActiveSet | None = None
+) -> np.ndarray:
+    """Cache-free batched regression evaluation: every active node computed
+    from its inputs' values, in position order."""
+    params = genome.params
+    start = params.comp_start
+    if active is None:
+        active = decode_active(genome)
+    values: list = [None] * params.num_connectable
+    for i in range(params.num_inputs):
+        values[i] = xs[:, i].astype(np.float64)
+    entries = params.functions().entries
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for idx in active.positions():
+            node = genome.computational[idx]
+            spec = entries[node.function_id]
+            args = [values[c] for c in node.connections[: spec.arity]]
+            values[start + idx] = np.asarray(spec.fn(*args), dtype=np.float64)
+    return np.column_stack([values[c] for c in genome.output_connections])
 
 
 def random_genomes(params: GraphParams, count: int, seed: int = 0):

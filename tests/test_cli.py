@@ -162,6 +162,17 @@ class TestRunCommand:
         assert (out / "datasets" / "keijzer6_s1_train.csv").exists()
         assert (out / "datasets" / "keijzer6_s1_test.csv").exists()
 
+    def test_meta_records_workers_used(self, tmp_path):
+        # 0 asks for one worker per CPU, but a single seed runs on one
+        out = tmp_path / "auto"
+        code = run_cli(
+            "run", "--bench", "parity3", "--nodes", "12", "--seeds", "0",
+            "--workers", "0", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["workers"] == 1
+
     def test_unknown_benchmark_exits_config_error(self, tmp_path, capsys):
         code = run_cli("run", "--bench", "sudoku", "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
@@ -217,8 +228,8 @@ class TestAnalyzeCommand:
         code = run_cli("analyze", str(out), "--out", str(tmp_path / "analysis"))
         assert code == EXIT_OK
         files = os.listdir(tmp_path / "analysis")
-        assert "histogram_parity3_none_p1.csv" in files
-        assert "convergence_parity3_none_p1.csv" in files
+        assert "histogram_parity3_none_N20_p1.csv" in files
+        assert "convergence_parity3_none_N20_p1.csv" in files
         assert "summary.jsonl" in files
         rows = _read_records(tmp_path / "analysis" / "summary.jsonl")
         assert rows[0]["runs"] == 3
@@ -233,7 +244,7 @@ class TestAnalyzeCommand:
         run_cli("analyze", str(out), "--out", str(tmp_path / "analysis"))
         hist_lines = [
             line
-            for line in (tmp_path / "analysis" / "histogram_parity3_none_p1.csv")
+            for line in (tmp_path / "analysis" / "histogram_parity3_none_N12_p1.csv")
             .read_text()
             .splitlines()
             if line and not line.startswith(("#", "position"))
@@ -273,7 +284,7 @@ class TestAnalyzeCommand:
         code = run_cli("analyze", str(tmp_path / "nothing"))
         assert code == EXIT_CONFIG
 
-    def test_mixed_node_counts_in_group_rejected(self, tmp_path, capsys):
+    def test_node_counts_summarised_apart(self, tmp_path, capsys):
         out = tmp_path / "runs"
         for nodes, sub in ((16, "a"), (24, "b")):
             run_cli(
@@ -281,9 +292,26 @@ class TestAnalyzeCommand:
                 "--workers", "1", "--out", str(out / sub),
             )
         code = run_cli("analyze", str(out), "--out", str(tmp_path / "x"))
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "aggregation error" in err and "results.jsonl" in err
+        assert code == EXIT_OK
+        rows = _read_records(tmp_path / "x" / "summary.jsonl")
+        assert sorted(r["nodes"] for r in rows) == [16, 24]
+        assert all(r["runs"] == 1 for r in rows)
+
+    def test_analyze_multi_node_grid(self, tmp_path, capsys):
+        grid = tmp_path / "grid"
+        code = run_cli(
+            "grid", "--bench", "parity3", "--nodes-grid", "20,30",
+            "--seeds-per-cell", "2", "--workers", "1", "--out", str(grid),
+        )
+        assert code == EXIT_OK
+        code = run_cli("analyze", str(grid), "--out", str(tmp_path / "analysis"))
+        assert code == EXIT_OK
+        files = os.listdir(tmp_path / "analysis")
+        for nodes in (20, 30):
+            assert f"histogram_parity3_none_N{nodes}_p1.csv" in files
+            assert f"convergence_parity3_none_N{nodes}_p1.csv" in files
+        rows = _read_records(tmp_path / "analysis" / "summary.jsonl")
+        assert sorted((r["nodes"], r["runs"]) for r in rows) == [(20, 2), (30, 2)]
 
 
 class TestDumpGenomeCommand:
