@@ -325,10 +325,28 @@ def result_record(result: RunResult, config: dict) -> dict:
     }
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then move it over ``path``,
+    so a killed run leaves either the old file or the new one, never a
+    truncated one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_results_jsonl(path: str, results: list[RunResult], config: dict) -> None:
-    with open(path, "w") as fh:
-        for result in results:
-            fh.write(json.dumps(result_record(result, config), sort_keys=True) + "\n")
+    write_atomic(
+        path,
+        "".join(
+            json.dumps(result_record(result, config), sort_keys=True) + "\n"
+            for result in results
+        ),
+    )
 
 
 def write_trace_csv(path: str, trace: ConvergenceTrace, config: dict) -> None:
@@ -336,8 +354,7 @@ def write_trace_csv(path: str, trace: ConvergenceTrace, config: dict) -> None:
     lines.append("iteration,best_fitness")
     for iteration, fitness in trace.samples:
         lines.append(f"{iteration},{fitness!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str) -> ConvergenceTrace:
@@ -384,10 +401,10 @@ def _write_run_outputs(outdir: str, settings: Settings, results: list[RunResult]
         os.makedirs(genomes_dir, exist_ok=True)
         for result in results:
             if result.final_genome is not None:
-                with open(
-                    os.path.join(genomes_dir, f"genome_seed{result.seed}.txt"), "w"
-                ) as fh:
-                    fh.write(to_flat_text(result.final_genome))
+                write_atomic(
+                    os.path.join(genomes_dir, f"genome_seed{result.seed}.txt"),
+                    to_flat_text(result.final_genome),
+                )
     return summarize(
         results,
         settings.variant,
@@ -406,9 +423,10 @@ def _write_meta(outdir: str, started: float, workers: int) -> None:
         "workers": workers,
         "version": __version__,
     }
-    with open(os.path.join(outdir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(
+        os.path.join(outdir, "run_meta.json"),
+        json.dumps(meta, indent=2, sort_keys=True) + "\n",
+    )
 
 
 # ---------------------------------------------------------------------------

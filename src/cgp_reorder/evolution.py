@@ -6,6 +6,10 @@ mutant whenever it is at least as fit as the parent; the equal-fitness
 replacement is what lets inactive genes drift.  Reordering never changes
 the parent's phenotype, so its fitness carries over without re-evaluation.
 
+Only the first genome of a run is decoded in full.  A reorder carries the
+parent's active set over to the new positions, and a mutant's active set is
+derived from its parent's by the genes the mutation changed.
+
 On a regression benchmark the run keeps one subexpression cache over the
 training points.  A mutant then computes only the nodes its mutation
 changed, and after selection the cache is pruned to the survivor's active
@@ -147,7 +151,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     while iteration < config.max_iterations:
         iteration += 1
 
-        reordered = maybe_reorder(parent, config.strategy, rng)
+        reordered = maybe_reorder(parent, config.strategy, rng, parent_active)
         if reordered is not parent:
             if config.verify_reorder:
                 check = fitness(reordered, None)
@@ -156,15 +160,20 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
                         f"reorder changed fitness {parent_fitness} -> {check} "
                         f"at iteration {iteration}"
                     )
+                if reordered.active != decode_active(reordered):
+                    raise AssertionError(
+                        "reorder carried an active set that differs from a "
+                        f"fresh decode at iteration {iteration}"
+                    )
             parent = reordered
-            parent_active = decode_active(parent)
+            parent_active = reordered.active
 
         offspring = []
         offspring_active = []
         offspring_fitness = []
         for _ in range(OFFSPRING_PER_ITERATION):
             child = single_mutation(parent, parent_active, rng)
-            child_active = decode_active(child)
+            child_active = decode_active(child, parent, parent_active)
             offspring.append(child)
             offspring_active.append(child_active)
             offspring_fitness.append(fitness(child, child_active))

@@ -15,7 +15,8 @@ parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -72,21 +73,37 @@ class Genotype:
     params: GraphParams
     computational: list[NodeGene]
     output_connections: tuple[int, ...]
+    # the active set of a genome a reorder operator built, carried over
+    # from its source genome instead of decoded; None otherwise
+    active: ActiveSet | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ActiveSet:
     """Which computational nodes lie on a path to an output.
 
-    ``bitmap[i]`` is indexed by computational position (0-based, not global).
+    ``bitmap[i]`` is indexed by computational position (0-based, not global),
+    and so is ``consumers[i]``: the number of output genes and consumed
+    connection genes of active nodes that reference node i.  A node is
+    active exactly when it has a consumer.  An active set is never mutated
+    after construction, so sets may share their lists.
     """
 
     bitmap: list[bool]
     count: int
+    consumers: list[int]
+    _positions: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def positions(self) -> list[int]:
-        """Ascending computational indices of the active nodes."""
-        return [i for i, a in enumerate(self.bitmap) if a]
+        """Ascending computational indices of the active nodes.
+
+        Computed on first use and shared by later calls: do not mutate it.
+        """
+        if self._positions is None:
+            self._positions = list(compress(range(len(self.bitmap)), self.bitmap))
+        return self._positions
 
 
 def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
@@ -104,30 +121,111 @@ def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
     return Genotype(params, nodes, outputs)
 
 
-def decode_active(genome: Genotype) -> ActiveSet:
-    """Backward reachability from the output connections.
+def _consumed(node: NodeGene, arities: Sequence[int], start: int, into: list) -> None:
+    """Append the computational indices ``node``'s function reads to ``into``."""
+    for conn in node.connections[: arities[node.function_id]]:
+        if conn >= start:
+            into.append(conn - start)
 
-    Only the connection genes a node's function actually consumes are
-    followed; the unused genes of sub-arity functions never activate a node.
-    """
-    params = genome.params
-    arities = params.functions().arities
-    start = params.comp_start
-    nodes = genome.computational
-    bitmap = [False] * params.num_computational
-    stack = [c - start for c in genome.output_connections if c >= start]
-    count = 0
+
+def _activate(nodes, arities, start, bitmap, consumers, stack) -> int:
+    """Mark active every node on ``stack`` and, depth first, every node they
+    consume, counting each consumed gene of a newly active node; returns
+    how many nodes became active."""
+    added = 0
     while stack:
         idx = stack.pop()
         if bitmap[idx]:
             continue
         bitmap[idx] = True
-        count += 1
+        added += 1
         node = nodes[idx]
         for conn in node.connections[: arities[node.function_id]]:
             if conn >= start:
+                consumers[conn - start] += 1
                 stack.append(conn - start)
-    return ActiveSet(bitmap, count)
+    return added
+
+
+def _deactivate(nodes, arities, start, bitmap, consumers, stack) -> int:
+    """Mark inactive every active node on ``stack`` left without a consumer,
+    releasing its consumed genes in turn; returns how many became inactive."""
+    removed = 0
+    while stack:
+        idx = stack.pop()
+        if not bitmap[idx] or consumers[idx]:
+            continue
+        bitmap[idx] = False
+        removed += 1
+        node = nodes[idx]
+        for conn in node.connections[: arities[node.function_id]]:
+            if conn >= start:
+                consumers[conn - start] -= 1
+                stack.append(conn - start)
+    return removed
+
+
+def decode_active(
+    genome: Genotype,
+    parent: Genotype | None = None,
+    parent_active: ActiveSet | None = None,
+) -> ActiveSet:
+    """Backward reachability from the output connections.
+
+    Only the connection genes a node's function actually consumes are
+    followed; the unused genes of sub-arity functions never activate a node.
+
+    Given a ``parent`` of the same shape and its active set, the result is
+    derived from that set instead of a full walk.  Nodes are compared by
+    identity, so the work is proportional to the parent's active count plus
+    what changed when ``genome`` shares its untouched nodes with ``parent``,
+    as a mutant does.  The genes of changed parent-active nodes and the
+    changed output genes move consumer counts; a node that gains its first
+    consumer is activated depth first, and one that loses its last is
+    released, cascading.
+    """
+    params = genome.params
+    arities = params.functions().arities
+    start = params.comp_start
+    nodes = genome.computational
+    if parent is None or parent_active is None:
+        bitmap = [False] * params.num_computational
+        consumers = [0] * params.num_computational
+        stack: list[int] = []
+        for conn in genome.output_connections:
+            if conn >= start:
+                consumers[conn - start] += 1
+                stack.append(conn - start)
+        count = _activate(nodes, arities, start, bitmap, consumers, stack)
+        return ActiveSet(bitmap, count, consumers)
+
+    old_nodes = parent.computational
+    released: list[int] = []
+    gained: list[int] = []
+    for idx in parent_active.positions():
+        if old_nodes[idx] is not nodes[idx]:
+            _consumed(old_nodes[idx], arities, start, released)
+            _consumed(nodes[idx], arities, start, gained)
+    if parent.output_connections != genome.output_connections:
+        for old, new in zip(parent.output_connections, genome.output_connections):
+            if old != new:
+                if old >= start:
+                    released.append(old - start)
+                if new >= start:
+                    gained.append(new - start)
+    if not released and not gained:
+        return parent_active
+
+    bitmap = parent_active.bitmap.copy()
+    consumers = parent_active.consumers.copy()
+    for idx in gained:
+        consumers[idx] += 1
+    for idx in released:
+        consumers[idx] -= 1
+    count = parent_active.count
+    count += _activate(nodes, arities, start, bitmap, consumers, gained)
+    count -= _deactivate(nodes, arities, start, bitmap, consumers, released)
+    return ActiveSet(bitmap, count, consumers)
 
 
 def evaluate(genome: Genotype, inputs: Sequence) -> list:
@@ -179,10 +277,7 @@ def evaluate_packed(
         values[i] = int(input_masks[i])
     entries = fset.entries
     nodes = genome.computational
-    bitmap = active.bitmap
-    for idx in range(params.num_computational):
-        if not bitmap[idx]:
-            continue
+    for idx in active.positions():
         node = nodes[idx]
         conns = node.connections
         values[start + idx] = entries[node.function_id].fn(
@@ -231,14 +326,11 @@ class SubexpressionCache:
         start = params.comp_start
         entries = params.functions().entries
         nodes = genome.computational
-        bitmap = active.bitmap
         keys: list = list(range(start)) + [None] * params.num_computational
         structures = self._keys
         values = self._values
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for idx in range(params.num_computational):
-                if not bitmap[idx]:
-                    continue
+            for idx in active.positions():
                 node = nodes[idx]
                 fid = node.function_id
                 spec = entries[fid]

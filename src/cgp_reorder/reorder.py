@@ -20,12 +20,18 @@ The four placement-based operators keep the relative order of active nodes
 semantics.  Inactive nodes can end up with connection genes that point
 forward afterwards; those genes are resampled by
 :func:`repair_forward_connections`.
+
+Every operator builds one ``position_map`` from old to new global positions
+and shares one remap path: all connection genes are remapped at once as an
+``(N, arity)`` array, and the source genome's active set is permuted along
+with the nodes and returned in the new genome's ``active`` field instead of
+being decoded again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,39 +66,36 @@ class ReorderStrategy:
 class PlacementSets:
     """Target positions for active and inactive nodes over one reorder.
 
-    Both lists are strictly increasing, disjoint, and together cover exactly
+    Both arrays are strictly increasing, disjoint, and together cover exactly
     the computational range [start, end].
     """
 
-    active_positions: list[int]
-    inactive_positions: list[int]
+    active_positions: np.ndarray
+    inactive_positions: np.ndarray
     start: int
     end: int
 
     @classmethod
-    def from_active(
-        cls, start: int, end: int, active_positions: list[int]
-    ) -> "PlacementSets":
+    def from_active(cls, start: int, end: int, active_positions) -> "PlacementSets":
+        positions = np.asarray(active_positions, dtype=np.intp)
         span = end - start + 1
-        if len(active_positions) > span:
+        if len(positions) > span:
             raise InvariantViolation(
-                f"{len(active_positions)} active positions do not fit in [{start}, {end}]"
+                f"{len(positions)} active positions do not fit in [{start}, {end}]"
             )
-        taken = set(active_positions)
-        if len(taken) != len(active_positions):
+        steps = np.diff(positions)
+        if np.any(steps == 0):
             raise InvariantViolation("active positions must be distinct")
-        for prev, cur in zip(active_positions, active_positions[1:]):
-            if cur <= prev:
-                raise InvariantViolation("active positions must be ascending")
-        if active_positions and not (
-            start <= active_positions[0] and active_positions[-1] <= end
-        ):
+        if np.any(steps < 0):
+            raise InvariantViolation("active positions must be ascending")
+        if len(positions) and not (start <= positions[0] and positions[-1] <= end):
             raise InvariantViolation(
-                f"active positions {active_positions[0]}..{active_positions[-1]} "
+                f"active positions {positions[0]}..{positions[-1]} "
                 f"outside [{start}, {end}]"
             )
-        inactive = [p for p in range(start, end + 1) if p not in taken]
-        return cls(active_positions, inactive, start, end)
+        free = np.ones(span, dtype=bool)
+        free[positions - start] = False
+        return cls(positions, np.flatnonzero(free) + start, start, end)
 
 
 def lin_space(start: int, end: int, count: int) -> list[int]:
@@ -121,25 +124,31 @@ def sample_beta61(rng: np.random.Generator) -> float:
     return float(beta61_from_uniform(rng.random()))
 
 
-def _distinct_positions(sorted_values, start: int, end: int) -> list[int]:
+def _distinct_positions(sorted_values, start: int, end: int) -> np.ndarray:
     """Map ascending continuous samples onto distinct integers in [start, end].
 
     Each sample is floored; collisions advance to the next free slot to the
     right, and any overflow past ``end`` is swept back leftward from the end.
     The sample order is preserved, so active nodes are never permuted.
+
+    Both sweeps are running extrema: with ``i`` the sample's rank, the
+    rightward one is ``i + cummax(floor(v) - i)`` and the leftward one
+    ``i + reversed cummin(p - i)``, capped at ``end - (n - 1)``.
     """
-    positions: list[int] = []
-    prev = start - 1
-    for value in sorted_values:
-        pos = max(int(math.floor(value)), prev + 1)
-        positions.append(pos)
-        prev = pos
-    limit = end
-    for i in range(len(positions) - 1, -1, -1):
-        if positions[i] > limit:
-            positions[i] = limit
-        limit = positions[i] - 1
-    return positions
+    ranks = np.arange(len(sorted_values))
+    floors = np.floor(sorted_values).astype(np.intp) - ranks
+    floors[0] = max(floors[0], start)
+    pushed = np.maximum.accumulate(floors)
+    pushed[-1] = min(pushed[-1], end - ranks[-1])
+    return ranks + np.minimum.accumulate(pushed[::-1])[::-1]
+
+
+def _connection_array(genome: Genotype) -> np.ndarray:
+    """The connection genes as an (N, arity) int array, one row per node."""
+    nodes = genome.computational
+    arity = genome.params.arity
+    genes = chain.from_iterable([node.connections for node in nodes])
+    return np.fromiter(genes, np.intp, len(nodes) * arity).reshape(len(nodes), arity)
 
 
 def repair_forward_connections(
@@ -150,74 +159,99 @@ def repair_forward_connections(
     Mutates ``genome`` in place and returns the number of repaired genes.
     A forward gene that an active node's function actually consumes would
     change the phenotype, so that case raises instead of repairing: it means
-    an operator mixed up the active ordering.
+    an operator mixed up the active ordering.  The forward genes are drawn
+    in one call, in node-then-gene order, which yields the same values as
+    one draw per gene in that order.
     """
     params = genome.params
-    fset = params.functions()
     start = params.comp_start
+    conn = _connection_array(genome)
+    positions = np.arange(start, start + params.num_computational)
+    rows, cols = np.nonzero(conn >= positions[:, None])
+    if not len(rows):
+        return 0
     if active is None:
         active = decode_active(genome)
-    repaired = 0
-    for idx, node in enumerate(genome.computational):
-        position = start + idx
-        if all(conn < position for conn in node.connections):
-            continue
-        consumed = fset.arity_of(node.function_id)
-        conns = list(node.connections)
-        for k, conn in enumerate(conns):
-            if conn < position:
-                continue
-            if active.bitmap[idx] and k < consumed:
-                raise InvariantViolation(
-                    f"active node at position {position} consumes a forward "
-                    f"connection to {conn}"
-                )
-            conns[k] = int(rng.integers(position))
-            repaired += 1
-        genome.computational[idx] = NodeGene(node.function_id, tuple(conns))
-    return repaired
+    arities = params.functions().arities
+    nodes = genome.computational
+    rows_list = rows.tolist()
+    for idx, k in zip(rows_list, cols.tolist()):
+        if active.bitmap[idx] and k < arities[nodes[idx].function_id]:
+            raise InvariantViolation(
+                f"active node at position {start + idx} consumes a forward "
+                f"connection to {conn[idx, k]}"
+            )
+    conn[rows, cols] = rng.integers(positions[rows])
+    for idx in dict.fromkeys(rows_list):
+        nodes[idx] = NodeGene(nodes[idx].function_id, tuple(conn[idx].tolist()))
+    return len(rows_list)
 
 
-def _apply_placement(
-    genome: Genotype,
-    active: ActiveSet,
-    target_positions: list[int],
-    rng: np.random.Generator,
+def _remap(
+    genome: Genotype, active: ActiveSet, conn: np.ndarray, position_map: np.ndarray
 ) -> Genotype:
-    """Move active nodes to ``target_positions``, pack inactive nodes into the
-    remaining slots (old order kept on both sides), remap all genes, repair."""
+    """Move every node to the position ``position_map`` gives it (inputs map
+    to themselves), remap every connection and output gene through the same
+    map, and carry the active set over to the new positions.
+
+    ``conn`` is ``genome``'s connection array.  A node that keeps its
+    position and its genes is shared with ``genome``, as mutation shares
+    untouched nodes.
+    """
     params = genome.params
     start = params.comp_start
-    num = params.num_computational
-    placement = PlacementSets.from_active(start, start + num - 1, target_positions)
-
-    position_map = list(range(start + num))
-    active_indices = active.positions()
-    inactive_indices = [i for i in range(num) if not active.bitmap[i]]
-    for old_idx, new_pos in zip(active_indices, placement.active_positions):
-        position_map[start + old_idx] = new_pos
-    for old_idx, new_pos in zip(inactive_indices, placement.inactive_positions):
-        position_map[start + old_idx] = new_pos
-
-    new_nodes: list[NodeGene | None] = [None] * num
-    for old_idx, node in enumerate(genome.computational):
-        new_idx = position_map[start + old_idx] - start
-        new_nodes[new_idx] = NodeGene(
-            node.function_id, tuple(position_map[c] for c in node.connections)
-        )
-    new_outputs = tuple(position_map[c] for c in genome.output_connections)
-    placed = Genotype(params, new_nodes, new_outputs)
-
-    new_bitmap = [False] * num
-    for pos in placement.active_positions:
-        new_bitmap[pos - start] = True
-    repair_forward_connections(
-        placed, rng, active=ActiveSet(new_bitmap, len(placement.active_positions))
+    index = np.arange(params.num_computational)
+    order = np.empty_like(index)
+    order[position_map[start:] - start] = index
+    remapped = position_map[conn[order]]
+    changed = np.flatnonzero((order != index) | (remapped != conn).any(axis=1))
+    nodes = genome.computational
+    new_nodes = list(nodes)
+    for idx, old_idx, genes in zip(
+        changed.tolist(), order[changed].tolist(), remapped[changed].tolist()
+    ):
+        new_nodes[idx] = NodeGene(nodes[old_idx].function_id, tuple(genes))
+    outputs = tuple(position_map[list(genome.output_connections)].tolist())
+    order_list = order.tolist()
+    bitmap, consumers = active.bitmap, active.consumers
+    carried = ActiveSet(
+        [bitmap[i] for i in order_list],
+        active.count,
+        [consumers[i] for i in order_list],
     )
+    return Genotype(params, new_nodes, outputs, carried)
+
+
+def _place(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None, targets
+) -> Genotype:
+    """Shared body of the placement operators.
+
+    ``targets(start, end, count, rng)`` gives the ascending positions of the
+    active nodes.  Inactive nodes fill the remaining slots in their old
+    order, every gene is remapped, and forward genes are repaired.
+    """
+    if active is None:
+        active = decode_active(genome)
+    if active.count == 0:
+        return genome
+    params = genome.params
+    start, end = params.comp_start, params.comp_end
+    placement = PlacementSets.from_active(
+        start, end, targets(start, end, active.count, rng)
+    )
+    is_active = np.fromiter(active.bitmap, bool, params.num_computational)
+    position_map = np.arange(start + params.num_computational)
+    position_map[start + np.flatnonzero(is_active)] = placement.active_positions
+    position_map[start + np.flatnonzero(~is_active)] = placement.inactive_positions
+    placed = _remap(genome, active, _connection_array(genome), position_map)
+    repair_forward_connections(placed, rng, placed.active)
     return placed
 
 
-def reorder_original(genome: Genotype, rng: np.random.Generator) -> Genotype:
+def reorder_original(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
     """Topological shuffle over the literal connection graph.
 
     Every node whose referenced nodes are all placed (or are inputs) is a
@@ -226,102 +260,99 @@ def reorder_original(genome: Genotype, rng: np.random.Generator) -> Genotype:
     active and inactive nodes are respected, no connection can point forward
     afterwards and no repair is needed.
     """
-    if decode_active(genome).count == 0:
+    if active is None:
+        active = decode_active(genome)
+    if active.count == 0:
         return genome
     params = genome.params
     start = params.comp_start
     num = params.num_computational
 
-    unresolved = [0] * num
-    dependents: list[list[int]] = [[] for _ in range(num)]
-    for idx, node in enumerate(genome.computational):
-        for conn in node.connections:
-            if conn >= start:
-                unresolved[idx] += 1
-                dependents[conn - start].append(idx)
+    conn = _connection_array(genome)
+    # every gene that references a node, grouped by the referenced node and
+    # in (node, gene) order within a group
+    referenced = conn - start
+    is_node = referenced >= 0
+    sources, _ = np.nonzero(is_node)
+    targets = referenced[is_node]
+    by_target = np.argsort(targets, kind="stable")
+    dependents = sources[by_target].tolist()
+    bounds = np.searchsorted(targets[by_target], np.arange(num + 1)).tolist()
+    unresolved = np.count_nonzero(is_node, axis=1).tolist()
 
     ready = [i for i in range(num) if unresolved[i] == 0]
     order: list[int] = []
     # one batched draw covers the whole shuffle; int(u * len) keeps each
     # pick uniform over the current candidate set
-    draws = rng.random(num)
-    for u in draws:
+    for u in rng.random(num).tolist():
         if not ready:
             break
         pick = int(u * len(ready))
         ready[pick], ready[-1] = ready[-1], ready[pick]
         old_idx = ready.pop()
         order.append(old_idx)
-        for dep in dependents[old_idx]:
+        for dep in dependents[bounds[old_idx] : bounds[old_idx + 1]]:
             unresolved[dep] -= 1
             if unresolved[dep] == 0:
                 ready.append(dep)
     if len(order) != num:
         raise InvariantViolation("feed-forward genome has no topological completion")
 
-    position_map = list(range(start + num))
-    for rank, old_idx in enumerate(order):
-        position_map[start + old_idx] = start + rank
-    new_nodes: list[NodeGene | None] = [None] * num
-    for old_idx, node in enumerate(genome.computational):
-        new_idx = position_map[start + old_idx] - start
-        new_nodes[new_idx] = NodeGene(
-            node.function_id, tuple(position_map[c] for c in node.connections)
-        )
-    new_outputs = tuple(position_map[c] for c in genome.output_connections)
-    return Genotype(params, new_nodes, new_outputs)
+    position_map = np.arange(start + num)
+    position_map[start + np.array(order)] = np.arange(start, start + num)
+    return _remap(genome, active, conn, position_map)
 
 
-def reorder_equidistant(genome: Genotype, rng: np.random.Generator) -> Genotype:
+def _equidistant_targets(start, end, count, rng):
+    return lin_space(start, end, count)
+
+
+def _uniform_targets(start, end, count, rng):
+    width = end - start + 1
+    return _distinct_positions(np.sort(start + width * rng.random(count)), start, end)
+
+
+def _negbias_targets(start, end, count, rng):
+    return np.arange(end - count + 1, end + 1)
+
+
+def _leftskew_targets(start, end, count, rng):
+    width = end - start + 1
+    samples = np.sort(start + width * beta61_from_uniform(rng.random(count)))
+    return _distinct_positions(samples, start, end)
+
+
+def reorder_equidistant(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
     """Spread the active nodes evenly across the computational range."""
-    active = decode_active(genome)
-    if active.count == 0:
-        return genome
-    params = genome.params
-    targets = lin_space(params.comp_start, params.comp_end, active.count)
-    return _apply_placement(genome, active, targets, rng)
+    return _place(genome, rng, active, _equidistant_targets)
 
 
-def reorder_uniform(genome: Genotype, rng: np.random.Generator) -> Genotype:
+def reorder_uniform(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
     """Place active nodes at positions drawn uniformly over the range.
 
     Each of the n samples is uniform over the integer slots [start, end]
     (continuous draw over a width of end - start + 1, floored); sorted
     samples keep the active order, and collisions shift to free slots.
     """
-    active = decode_active(genome)
-    if active.count == 0:
-        return genome
-    params = genome.params
-    start, end = params.comp_start, params.comp_end
-    width = end - start + 1
-    samples = np.sort(start + width * rng.random(active.count))
-    targets = _distinct_positions(samples, start, end)
-    return _apply_placement(genome, active, targets, rng)
+    return _place(genome, rng, active, _uniform_targets)
 
 
-def reorder_negbias(genome: Genotype, rng: np.random.Generator) -> Genotype:
+def reorder_negbias(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
     """Move every active node to the tail of the computational range."""
-    active = decode_active(genome)
-    if active.count == 0:
-        return genome
-    params = genome.params
-    end = params.comp_end
-    targets = list(range(end - active.count + 1, end + 1))
-    return _apply_placement(genome, active, targets, rng)
+    return _place(genome, rng, active, _negbias_targets)
 
 
-def reorder_leftskew(genome: Genotype, rng: np.random.Generator) -> Genotype:
+def reorder_leftskew(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
     """Place active nodes at Beta(6, 1)-distributed positions over the range."""
-    active = decode_active(genome)
-    if active.count == 0:
-        return genome
-    params = genome.params
-    start, end = params.comp_start, params.comp_end
-    width = end - start + 1
-    samples = np.sort(start + width * beta61_from_uniform(rng.random(active.count)))
-    targets = _distinct_positions(samples, start, end)
-    return _apply_placement(genome, active, targets, rng)
+    return _place(genome, rng, active, _leftskew_targets)
 
 
 _OPERATORS = {
@@ -334,11 +365,18 @@ _OPERATORS = {
 
 
 def maybe_reorder(
-    genome: Genotype, strategy: ReorderStrategy, rng: np.random.Generator
+    genome: Genotype,
+    strategy: ReorderStrategy,
+    rng: np.random.Generator,
+    active: ActiveSet | None = None,
 ) -> Genotype:
-    """Apply the strategy's operator with probability ``p_reorder``."""
+    """Apply the strategy's operator with probability ``p_reorder``.
+
+    ``active`` is ``genome``'s active set, decoded here when not given.  A
+    genome the operator built carries its own active set in ``.active``.
+    """
     if strategy.kind == "none":
         return genome
     if strategy.p_reorder < 1.0 and rng.random() >= strategy.p_reorder:
         return genome
-    return _OPERATORS[strategy.kind](genome, rng)
+    return _OPERATORS[strategy.kind](genome, rng, active)

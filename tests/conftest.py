@@ -81,6 +81,30 @@ def oracle_evaluate_batch(
     return np.column_stack([values[c] for c in genome.output_connections])
 
 
+def oracle_active(genome: Genotype) -> tuple[list[bool], int, list[int]]:
+    """Active bitmap, active count and consumer counts of a genome, by one
+    sweep from the last node to the first: a node is active when an output
+    or an active node's consumed gene references it."""
+    params = genome.params
+    arities = params.functions().arities
+    start = params.comp_start
+    active = [False] * params.num_computational
+    consumers = [0] * params.num_computational
+    for conn in genome.output_connections:
+        if conn >= start:
+            active[conn - start] = True
+            consumers[conn - start] += 1
+    for idx in reversed(range(params.num_computational)):
+        if not active[idx]:
+            continue
+        node = genome.computational[idx]
+        for conn in node.connections[: arities[node.function_id]]:
+            if conn >= start:
+                active[conn - start] = True
+                consumers[conn - start] += 1
+    return active, sum(active), consumers
+
+
 def random_genomes(params: GraphParams, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     return [random_genome(params, rng) for _ in range(count)]

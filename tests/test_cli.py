@@ -12,6 +12,7 @@ from cgp_reorder.cli import (
     main,
     parse_config_file,
     parse_seed_spec,
+    write_atomic,
 )
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.genome import from_flat_text, validate
@@ -172,6 +173,37 @@ class TestRunCommand:
         assert code == EXIT_OK
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["workers"] == 1
+
+    def test_outputs_leave_no_temporary_file(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--bench", "keijzer6", "--variant", "leftskew", "--p-reorder", "0.5",
+            "--nodes", "20", "--seeds", "0..1", "--max-iterations", "30",
+            "--workers", "1", "--dump-genome", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        written = sorted(
+            os.path.relpath(os.path.join(root, name), out)
+            for root, _, names in os.walk(out)
+            for name in names
+        )
+        assert not [name for name in written if name.endswith(".tmp")]
+        for name in ("results.jsonl", "run_meta.json", "traces/trace_seed1.csv",
+                     "genomes/genome_seed1.txt"):
+            assert name in written
+
+    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        target = tmp_path / "results.jsonl"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_atomic(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["results.jsonl"]
 
     def test_unknown_benchmark_exits_config_error(self, tmp_path, capsys):
         code = run_cli("run", "--bench", "sudoku", "--out", str(tmp_path / "x"))

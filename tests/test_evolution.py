@@ -85,6 +85,31 @@ class TestRunEs:
             )
             run_es(cfg, bench, run_rng(0, 3))  # raises on any fitness drift
 
+    def test_verify_reorder_rejects_a_wrong_carried_active_set(self, monkeypatch):
+        import dataclasses
+
+        import cgp_reorder.evolution as evolution
+
+        reorder = evolution.maybe_reorder
+
+        def miscounting(genome, strategy, rng, active=None):
+            reordered = reorder(genome, strategy, rng, active)
+            if reordered is not genome:
+                reordered.active = dataclasses.replace(
+                    reordered.active, count=reordered.active.count + 1
+                )
+            return reordered
+
+        monkeypatch.setattr(evolution, "maybe_reorder", miscounting)
+        cfg = make_config(
+            num_computational=40,
+            strategy=ReorderStrategy("equidistant"),
+            max_iterations=20,
+            verify_reorder=True,
+        )
+        with pytest.raises(AssertionError, match="carried an active set"):
+            run_es(cfg, build_boolean("parity3"), run_rng(0, 3))
+
     def test_boolean_trace_monotone_nondecreasing(self):
         bench = build_boolean("parity3")
         cfg = make_config(num_computational=80, max_iterations=3000, seed=2)

@@ -19,6 +19,7 @@ from cgp_reorder.genome import (
 )
 from cgp_reorder.reorder import (
     PlacementSets,
+    _distinct_positions,
     ReorderStrategy,
     beta61_from_uniform,
     lin_space,
@@ -115,9 +116,8 @@ class TestPlacementSets:
             )
         )
         sets = PlacementSets.from_active(start, end, positions)
-        assert sorted(sets.active_positions + sets.inactive_positions) == list(
-            range(start, end + 1)
-        )
+        both = np.concatenate([sets.active_positions, sets.inactive_positions])
+        assert sorted(both.tolist()) == list(range(start, end + 1))
         assert all(a < b for a, b in zip(sets.inactive_positions, sets.inactive_positions[1:]))
 
     def test_rejects_out_of_range(self):
@@ -318,6 +318,40 @@ class TestRepair:
         assert repair_forward_connections(g, np.random.default_rng(0)) == 1
         assert validate(g) == []
 
+    @given(st.sampled_from([(3, 1, "boolean"), (2, 1, "regression")]), st.integers(0, 2**32 - 1))
+    def test_matches_one_draw_per_gene(self, shape, seed):
+        # point random genes of inactive nodes, and unused genes of unary
+        # nodes, forward; repair must redraw them exactly as a loop drawing
+        # one gene at a time in node-then-gene order does
+        num_in, num_out, fset = shape
+        params = GraphParams(num_in, num_out, 30, 2, fset)
+        rng = np.random.default_rng(seed)
+        g = random_genome(params, rng)
+        active = decode_active(g)
+        arities = params.functions().arities
+        for idx, node in enumerate(g.computational):
+            conns = list(node.connections)
+            for k in range(params.arity):
+                free = not active.bitmap[idx] or k >= arities[node.function_id]
+                if free and rng.random() < 0.5:
+                    conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
+            g.computational[idx] = NodeGene(node.function_id, tuple(conns))
+        expected = Genotype(params, list(g.computational), g.output_connections)
+        loop_rng = np.random.default_rng(seed + 1)
+        redrawn = 0
+        for idx, node in enumerate(expected.computational):
+            position = params.comp_start + idx
+            conns = tuple(
+                int(loop_rng.integers(position)) if c >= position else c
+                for c in node.connections
+            )
+            redrawn += sum(c >= position for c in node.connections)
+            expected.computational[idx] = NodeGene(node.function_id, conns)
+        repair_rng = np.random.default_rng(seed + 1)
+        assert repair_forward_connections(g, repair_rng, active) == redrawn
+        assert g == expected
+        assert repair_rng.bit_generator.state == loop_rng.bit_generator.state
+
     def test_negbias_typically_triggers_repairs_on_multiply_shape(self, monkeypatch):
         import cgp_reorder.reorder as reorder_mod
 
@@ -336,6 +370,42 @@ class TestRepair:
             g = random_genome(params, np.random.default_rng(seed))
             reorder_negbias(g, rng)
         assert sum(1 for c in counts if c > 0) >= 8
+
+
+def sequential_distinct_positions(sorted_values, start, end):
+    """The two sweeps of `_distinct_positions`, one sample at a time."""
+    positions = []
+    prev = start - 1
+    for value in sorted_values:
+        prev = max(math.floor(value), prev + 1)
+        positions.append(prev)
+    limit = end
+    for i in range(len(positions) - 1, -1, -1):
+        positions[i] = min(positions[i], limit)
+        limit = positions[i] - 1
+    return positions
+
+
+class TestDistinctPositions:
+    @given(st.integers(1, 20), st.integers(0, 40), st.data())
+    def test_matches_sequential_sweeps(self, start, span, data):
+        end = start + span
+        count = data.draw(st.integers(1, span + 1))
+        # samples as the operators draw them, over a width of span + 1,
+        # so collisions and overflow past the end both occur
+        samples = sorted(
+            data.draw(
+                st.lists(
+                    st.floats(start, end + 1, exclude_max=True),
+                    min_size=count,
+                    max_size=count,
+                )
+            )
+        )
+        result = _distinct_positions(np.array(samples), start, end)
+        assert result.tolist() == sequential_distinct_positions(samples, start, end)
+        assert len(set(result.tolist())) == count
+        assert start <= result[0] and result[-1] <= end
 
 
 class TestUniformPositionDistribution:
