@@ -20,7 +20,6 @@ from .genome import (
     NodeGene,
     SubexpressionCache,
     decode_active,
-    evaluate,
     random_genome,
     validate,
 )
@@ -35,7 +34,6 @@ from .reorder import (
     reorder_original,
     reorder_uniform,
     repair_forward_connections,
-    sample_beta61,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "build_boolean",
     "build_regression",
     "decode_active",
-    "evaluate",
     "graph_params",
     "lin_space",
     "mae_fitness",
@@ -67,7 +64,6 @@ __all__ = [
     "reorder_uniform",
     "repair_forward_connections",
     "run_es",
-    "sample_beta61",
     "select_parent",
     "single_mutation",
     "validate",

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .benchmarks import write_atomic
 from .errors import AggregationError
 from .evolution import ConvergenceTrace, RunResult
 
@@ -175,8 +176,7 @@ def write_histogram_csv(path: str, hist: PositionalBiasHistogram, config: dict) 
         zip(hist.normalized_positions(), hist.probabilities)
     ):
         lines.append(f"{pos},{norm!r},{prob!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_convergence_csv(path: str, curve: ConvergenceCurve, config: dict) -> None:
@@ -185,11 +185,8 @@ def write_convergence_csv(path: str, curve: ConvergenceCurve, config: dict) -> N
     lines.append("iteration,mean_fitness,sd")
     for it, mean, sd in zip(curve.iterations, curve.mean_fitness, curve.sd_fitness):
         lines.append(f"{it},{mean!r},{sd!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_summary_jsonl(path: str, rows: Sequence[SummaryRow]) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(row.to_json() + "\n")
+    write_atomic(path, "".join(row.to_json() + "\n" for row in rows))

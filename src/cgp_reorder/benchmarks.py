@@ -59,10 +59,6 @@ class BooleanBenchmark:
         self.full_mask = (1 << rows) - 1
 
     @property
-    def kind(self) -> str:
-        return "boolean"
-
-    @property
     def function_set(self) -> str:
         return "boolean"
 
@@ -83,10 +79,6 @@ class RegressionBenchmark:
     train: DataSplit
     test: DataSplit | None = None
     num_outputs: int = 1
-
-    @property
-    def kind(self) -> str:
-        return "regression"
 
     @property
     def function_set(self) -> str:
@@ -216,13 +208,12 @@ def build_benchmark(
     return build_regression(name, dataset_rng, cache_dir, cache_key)
 
 
-def graph_params(bench, num_computational: int, arity: int = 2) -> GraphParams:
+def graph_params(bench, num_computational: int) -> GraphParams:
     """Graph shape matching a benchmark's inputs, outputs, and function set."""
     return GraphParams(
         num_inputs=bench.num_inputs,
         num_outputs=bench.num_outputs,
         num_computational=num_computational,
-        arity=arity,
         function_set=bench.function_set,
     )
 
@@ -263,6 +254,20 @@ def mae_fitness(
     return float(np.mean(np.abs(data.ys - preds)))
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then move it over ``path``,
+    so a killed run leaves either the old file or the new one, never a
+    truncated one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _split_path(cache_dir: str, key: str, split: str) -> str:
     return os.path.join(cache_dir, f"{key}_{split}.csv")
 
@@ -273,10 +278,7 @@ def _write_split_csv(path: str, split: DataSplit) -> None:
     lines = [header]
     for row, y in zip(split.xs, split.ys):
         lines.append(",".join([repr(float(v)) for v in row] + [repr(float(y))]))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_split_csv(path: str) -> DataSplit:

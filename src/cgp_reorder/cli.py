@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .analysis import (
     write_histogram_csv,
     write_summary_jsonl,
 )
-from .benchmarks import benchmark_kind, build_benchmark
+from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic
 from .errors import AggregationError, ConfigError, InvariantViolation
 from .evolution import ConvergenceTrace, ESConfig, RunResult, run_es, run_rng
 from .functions import PROTECTED_CONVENTIONS
 from .genome import GraphParams, random_genome, to_flat_text
-from .reorder import GATED_KINDS, REORDER_KINDS, ReorderStrategy
+from .reorder import REORDER_KINDS, ReorderStrategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,29 +53,6 @@ DEFAULT_BOOLEAN_CAP = 10_000_000
 DEFAULT_REGRESSION_BUDGET = 500_000
 BOOLEAN_THRESHOLD = 1.0
 REGRESSION_THRESHOLD = 0.01
-
-
-@dataclass
-class Settings:
-    """Effective experiment configuration after merging file and flags."""
-
-    benchmark: str = ""
-    variant: str = "none"
-    p_reorder: float | None = None
-    nodes: int = 100
-    seeds: list[int] = field(default_factory=lambda: list(range(10)))
-    max_iterations: int | None = None
-    threshold: float | None = None
-    master_seed: int = 0
-    dataset_seed: int = 1
-    workers: int = 0
-    trace_full: bool = False
-    track_union_active: bool = False
-    out: str | None = None
-    dump_genomes: bool = False
-    nodes_grid: list[int] | None = None
-    p_grid: list[float] | None = None
-    seeds_per_cell: int = 20
 
 
 def parse_seed_spec(spec: str) -> list[int]:
@@ -109,25 +86,76 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part.strip()]
 
 
-_CONFIG_PARSERS = {
-    "benchmark": str,
-    "variant": str,
-    "p_reorder": float,
-    "nodes": int,
-    "seeds": parse_seed_spec,
-    "max_iterations": int,
-    "threshold": float,
-    "master_seed": int,
-    "dataset_seed": int,
-    "workers": int,
-    "trace_full": _parse_bool,
-    "track_union_active": _parse_bool,
-    "out": str,
-    "dump_genomes": _parse_bool,
-    "nodes_grid": _parse_int_list,
-    "p_grid": _parse_float_list,
-    "seeds_per_cell": int,
-}
+RUN, GRID, BOTH = ("run",), ("grid",), ("run", "grid")
+
+
+def _setting(default, parse, commands, help_text, flag=None):
+    """A `Settings` field that is also a config key of the same name and a
+    ``--flag`` of the given subcommands (spelled from ``flag`` when given,
+    else from the field name), both read through ``parse``."""
+    metadata = {"parse": parse, "commands": commands, "help": help_text, "flag": flag}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class Settings:
+    """Effective experiment configuration after merging file and flags.
+
+    Every run/grid setting is declared here once: the config file, the
+    argument parser and `build_settings` are all derived from these fields.
+    """
+
+    benchmark: str = _setting("", str, BOTH, "benchmark name", flag="bench")
+    variant: str = _setting(
+        "none", str, BOTH, f"reorder variant: one of {', '.join(REORDER_KINDS)}"
+    )
+    nodes: int = _setting(100, int, BOTH, "computational node count")
+    p_reorder: float = _setting(1.0, float, BOTH, "gate probability of negbias and leftskew")
+    max_iterations: int | None = _setting(
+        None, int, BOTH, "iteration budget per seed (default per benchmark kind)"
+    )
+    threshold: float | None = _setting(
+        None, float, BOTH, "convergence threshold (default per benchmark kind)"
+    )
+    master_seed: int = _setting(0, int, BOTH, "seed mixed into every run's stream")
+    dataset_seed: int = _setting(1, int, BOTH, "seed of sampled regression datasets")
+    workers: int = _setting(0, int, BOTH, "worker processes (0: one per CPU)")
+    out: str | None = _setting(None, str, BOTH, "output directory")
+    seeds: list[int] = _setting(
+        list(range(10)), parse_seed_spec, RUN, "seed spec: a..b, comma list, or single int"
+    )
+    trace_full: bool = _setting(
+        False, _parse_bool, RUN, "record the best fitness at every iteration"
+    )
+    track_union_active: bool = _setting(
+        False, _parse_bool, RUN, "also record which positions were active at any point"
+    )
+    dump_genomes: bool = _setting(
+        False, _parse_bool, RUN, "write each final genome in flat form", flag="dump_genome"
+    )
+    nodes_grid: list[int] | None = _setting(
+        None, _parse_int_list, GRID, "comma list of node counts"
+    )
+    p_grid: list[float] | None = _setting(
+        None, _parse_float_list, GRID, "comma list of probabilities"
+    )
+    seeds_per_cell: int = _setting(20, int, GRID, "seeds run in every grid cell")
+
+
+SETTINGS = {f.name: f for f in fields(Settings)}
+
+
+def _flag(setting) -> str:
+    return "--" + (setting.metadata["flag"] or setting.name).replace("_", "-")
+
+
+def _parse_setting(setting, raw: str, where: str):
+    try:
+        return setting.metadata["parse"](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -141,48 +169,25 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected `key = value`, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+            values[key] = _parse_setting(
+                SETTINGS[key], value, f"{path}:{line_no}: bad value for {key}"
+            )
     return values
 
 
 def build_settings(args: argparse.Namespace) -> Settings:
+    """Defaults, then the config file, then the flags given on the command
+    line; a flag's string is read by the same parser as its config key."""
     settings = Settings()
     if getattr(args, "config", None):
         for key, value in parse_config_file(args.config).items():
             setattr(settings, key, value)
-    overrides = {
-        "benchmark": getattr(args, "bench", None),
-        "variant": getattr(args, "variant", None),
-        "p_reorder": getattr(args, "p_reorder", None),
-        "nodes": getattr(args, "nodes", None),
-        "max_iterations": getattr(args, "max_iterations", None),
-        "threshold": getattr(args, "threshold", None),
-        "master_seed": getattr(args, "master_seed", None),
-        "dataset_seed": getattr(args, "dataset_seed", None),
-        "workers": getattr(args, "workers", None),
-        "out": getattr(args, "out", None),
-        "seeds_per_cell": getattr(args, "seeds_per_cell", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(settings, key, value)
-    if getattr(args, "seeds", None) is not None:
-        settings.seeds = parse_seed_spec(args.seeds)
-    if getattr(args, "trace_full", False):
-        settings.trace_full = True
-    if getattr(args, "track_union_active", False):
-        settings.track_union_active = True
-    if getattr(args, "dump_genome", False):
-        settings.dump_genomes = True
-    if getattr(args, "nodes_grid", None) is not None:
-        settings.nodes_grid = _parse_int_list(args.nodes_grid)
-    if getattr(args, "p_grid", None) is not None:
-        settings.p_grid = _parse_float_list(args.p_grid)
+    for name, setting in SETTINGS.items():
+        raw = getattr(args, name, None)
+        if raw is not None:
+            setattr(settings, name, _parse_setting(setting, raw, _flag(setting)))
     return settings
 
 
@@ -196,8 +201,6 @@ def finalize(settings: Settings) -> Settings:
             f"unknown variant {settings.variant!r}; expected one of {REORDER_KINDS}"
         )
     resolved = replace(settings)
-    if resolved.p_reorder is None:
-        resolved.p_reorder = 1.0
     if resolved.max_iterations is None:
         resolved.max_iterations = (
             DEFAULT_BOOLEAN_CAP if kind == "boolean" else DEFAULT_REGRESSION_BUDGET
@@ -210,8 +213,14 @@ def finalize(settings: Settings) -> Settings:
         resolved.out = os.path.join("runs", f"{resolved.benchmark}_{resolved.variant}")
     if not resolved.seeds:
         raise ConfigError("empty seed list")
-    # constructing the strategy validates variant/p_reorder compatibility
-    ReorderStrategy(resolved.variant, resolved.p_reorder)
+    for name in ("nodes", "max_iterations", "seeds_per_cell"):
+        if getattr(resolved, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(resolved, name)}")
+    if any(n < 1 for n in resolved.nodes_grid or []):
+        raise ConfigError(f"nodes_grid entries must be >= 1, got {resolved.nodes_grid}")
+    # constructing the strategies validates variant/p_reorder compatibility
+    for p in [resolved.p_reorder, *(resolved.p_grid or [])]:
+        ReorderStrategy(resolved.variant, p)
     return resolved
 
 
@@ -325,20 +334,6 @@ def result_record(result: RunResult, config: dict) -> dict:
     }
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a sibling temporary file, then move it over ``path``,
-    so a killed run leaves either the old file or the new one, never a
-    truncated one."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def write_results_jsonl(path: str, results: list[RunResult], config: dict) -> None:
     write_atomic(
         path,
@@ -445,15 +440,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _grid_cells(settings: Settings) -> list[tuple[int, float]]:
     nodes_axis = settings.nodes_grid or [settings.nodes]
-    if settings.variant in GATED_KINDS:
-        p_axis = settings.p_grid or [settings.p_reorder]
-    else:
-        p_axis = settings.p_grid or [1.0]
-        if any(p != 1.0 for p in p_axis):
-            raise ConfigError(
-                f"variant {settings.variant!r} takes no p_reorder axis; "
-                "only gated variants (negbias, leftskew) do"
-            )
+    p_axis = settings.p_grid or [settings.p_reorder]
     return [(n, p) for n in nodes_axis for p in p_axis]
 
 
@@ -477,8 +464,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         else:
             results = execute_batch(cell, os.path.join(settings.out, "datasets"))
             _write_run_outputs(cell_dir, cell, results)
-            with open(marker, "w") as fh:
-                fh.write("complete\n")
+            write_atomic(marker, "complete\n")
         rows.append(
             summarize(
                 results, cell.variant, cell.benchmark, nodes, p, effective_config(cell)
@@ -578,12 +564,7 @@ def cmd_dump_genome(args: argparse.Namespace) -> int:
         bench = build_benchmark(
             args.bench, dataset_rng=_dataset_rng(args.dataset_seed, args.bench)
         )
-        params = GraphParams(
-            num_inputs=bench.num_inputs,
-            num_outputs=bench.num_outputs,
-            num_computational=args.nodes,
-            function_set=bench.function_set,
-        )
+        params = graph_params(bench, args.nodes)
     else:
         if args.inputs is None or args.outputs is None:
             raise ConfigError("dump-genome needs --bench or both --inputs and --outputs")
@@ -601,20 +582,6 @@ def cmd_dump_genome(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--bench", help="benchmark name")
-    parser.add_argument("--variant", help="reorder variant", choices=REORDER_KINDS)
-    parser.add_argument("--nodes", type=int, help="computational node count")
-    parser.add_argument("--p-reorder", dest="p_reorder", type=float)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--master-seed", dest="master_seed", type=int)
-    parser.add_argument("--dataset-seed", dest="dataset_seed", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cgp-reorder",
@@ -622,30 +589,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one benchmark/variant over a seed batch")
-    _add_common_run_flags(p_run)
-    p_run.add_argument("--seeds", help="seed spec: a..b, comma list, or single int")
-    p_run.add_argument("--trace-full", dest="trace_full", action="store_true")
-    p_run.add_argument(
-        "--track-union-active",
-        dest="track_union_active",
-        action="store_true",
-        help="also record which positions were active at any point of the run",
-    )
-    p_run.add_argument(
-        "--dump-genome",
-        dest="dump_genome",
-        action="store_true",
-        help="write each final genome in flat form",
-    )
-    p_run.set_defaults(func=cmd_run)
-
-    p_grid = sub.add_parser("grid", help="sweep (nodes, p_reorder) cells")
-    _add_common_run_flags(p_grid)
-    p_grid.add_argument("--nodes-grid", dest="nodes_grid", help="comma list of node counts")
-    p_grid.add_argument("--p-grid", dest="p_grid", help="comma list of probabilities")
-    p_grid.add_argument("--seeds-per-cell", dest="seeds_per_cell", type=int)
-    p_grid.set_defaults(func=cmd_grid)
+    for command, func, summary in (
+        ("run", cmd_run, "run one benchmark/variant over a seed batch"),
+        ("grid", cmd_grid, "sweep (nodes, p_reorder) cells"),
+    ):
+        p_cmd = sub.add_parser(command, help=summary)
+        p_cmd.add_argument("--config", help="flat key = value config file")
+        for setting in fields(Settings):
+            if command not in setting.metadata["commands"]:
+                continue
+            kwargs = {"dest": setting.name, "help": setting.metadata["help"]}
+            if setting.metadata["parse"] is _parse_bool:
+                kwargs.update(action="store_const", const="true")
+            p_cmd.add_argument(_flag(setting), **kwargs)
+        p_cmd.set_defaults(func=func)
 
     p_analyze = sub.add_parser("analyze", help="aggregate result directories")
     p_analyze.add_argument("results_dir")

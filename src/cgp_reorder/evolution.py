@@ -48,16 +48,12 @@ class ESConfig:
     max_iterations: int
     convergence_threshold: float
     seed: int
-    mu: int = 1
-    lam: int = 4
     master_seed: int = 0
     trace_full: bool = False
     verify_reorder: bool = False
     track_union_active: bool = False
 
     def __post_init__(self) -> None:
-        if self.mu != 1 or self.lam != 4:
-            raise ConfigError("the strategy is fixed at mu=1, lambda=4")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.num_computational < 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -86,10 +86,6 @@ def clamped_exp(a: Value) -> Value:
     return np.exp(np.minimum(a, EXP_CLAMP))
 
 
-class InvalidArity(Exception):
-    """Too few arguments for the addressed function (programming error)."""
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     name: str
@@ -109,30 +105,12 @@ class FunctionSet:
         return len(self.entries)
 
     @property
-    def max_arity(self) -> int:
-        return max(spec.arity for spec in self.entries)
-
-    @property
     def is_boolean(self) -> bool:
         return self.id == "boolean"
 
     @cached_property
     def arities(self) -> tuple[int, ...]:
         return tuple(spec.arity for spec in self.entries)
-
-    def arity_of(self, function_id: int) -> int:
-        return self.entries[function_id].arity
-
-    def apply(self, function_id: int, args: Sequence[Value]) -> Value:
-        """Apply one function to its consumed arguments; excess args are ignored."""
-        spec = self.entries[function_id]
-        if len(args) < spec.arity:
-            raise InvalidArity(
-                f"{spec.name} needs {spec.arity} args, got {len(args)}"
-            )
-        if self.is_boolean:
-            return spec.fn(args[0], args[1], 1)
-        return spec.fn(*args[: spec.arity])
 
 
 BOOLEAN_SET = FunctionSet(
@@ -176,7 +154,3 @@ def get_function_set(set_id: str) -> FunctionSet:
         raise ConfigError(
             f"unknown function set {set_id!r}; expected one of {sorted(FUNCTION_SETS)}"
         ) from None
-
-
-def function_names(set_id: str) -> list[str]:
-    return [spec.name for spec in get_function_set(set_id).entries]

@@ -228,31 +228,6 @@ def decode_active(
     return ActiveSet(bitmap, count, consumers)
 
 
-def evaluate(genome: Genotype, inputs: Sequence) -> list:
-    """Forward pass for a single input vector (row semantics).
-
-    Boolean genomes take and return {0, 1} ints; regression genomes floats.
-    """
-    params = genome.params
-    if len(inputs) != params.num_inputs:
-        raise ConfigError(
-            f"expected {params.num_inputs} inputs, got {len(inputs)}"
-        )
-    fset = params.functions()
-    start = params.comp_start
-    active = decode_active(genome)
-    values: dict[int, object] = {i: inputs[i] for i in range(params.num_inputs)}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for idx in active.positions():
-            node = genome.computational[idx]
-            consumed = fset.arity_of(node.function_id)
-            args = [values[c] for c in node.connections[:consumed]]
-            values[start + idx] = fset.apply(node.function_id, args)
-    if fset.is_boolean:
-        return [int(values[c]) for c in genome.output_connections]
-    return [float(values[c]) for c in genome.output_connections]
-
-
 def evaluate_packed(
     genome: Genotype,
     input_masks: Sequence[int],
@@ -262,8 +237,8 @@ def evaluate_packed(
     """Evaluate a Boolean genome on all truth-table rows at once.
 
     ``input_masks[i]`` packs input bit i across rows (bit r = row r's value);
-    the returned masks pack each output column the same way.  Semantically
-    identical to calling :func:`evaluate` row by row.
+    the returned masks pack each output column the same way, so bit r of
+    each result is the output on row r alone.
     """
     params = genome.params
     fset = params.functions()

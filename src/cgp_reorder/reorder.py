@@ -62,40 +62,34 @@ class ReorderStrategy:
             )
 
 
-@dataclass
-class PlacementSets:
-    """Target positions for active and inactive nodes over one reorder.
+def placement_positions(
+    start: int, end: int, active_positions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target positions of the active nodes, checked, and of the inactive
+    nodes: the free slots of [start, end] in ascending order.
 
     Both arrays are strictly increasing, disjoint, and together cover exactly
     the computational range [start, end].
     """
-
-    active_positions: np.ndarray
-    inactive_positions: np.ndarray
-    start: int
-    end: int
-
-    @classmethod
-    def from_active(cls, start: int, end: int, active_positions) -> "PlacementSets":
-        positions = np.asarray(active_positions, dtype=np.intp)
-        span = end - start + 1
-        if len(positions) > span:
-            raise InvariantViolation(
-                f"{len(positions)} active positions do not fit in [{start}, {end}]"
-            )
-        steps = np.diff(positions)
-        if np.any(steps == 0):
-            raise InvariantViolation("active positions must be distinct")
-        if np.any(steps < 0):
-            raise InvariantViolation("active positions must be ascending")
-        if len(positions) and not (start <= positions[0] and positions[-1] <= end):
-            raise InvariantViolation(
-                f"active positions {positions[0]}..{positions[-1]} "
-                f"outside [{start}, {end}]"
-            )
-        free = np.ones(span, dtype=bool)
-        free[positions - start] = False
-        return cls(positions, np.flatnonzero(free) + start, start, end)
+    positions = np.asarray(active_positions, dtype=np.intp)
+    span = end - start + 1
+    if len(positions) > span:
+        raise InvariantViolation(
+            f"{len(positions)} active positions do not fit in [{start}, {end}]"
+        )
+    steps = np.diff(positions)
+    if np.any(steps == 0):
+        raise InvariantViolation("active positions must be distinct")
+    if np.any(steps < 0):
+        raise InvariantViolation("active positions must be ascending")
+    if len(positions) and not (start <= positions[0] and positions[-1] <= end):
+        raise InvariantViolation(
+            f"active positions {positions[0]}..{positions[-1]} "
+            f"outside [{start}, {end}]"
+        )
+    free = np.ones(span, dtype=bool)
+    free[positions - start] = False
+    return positions, np.flatnonzero(free) + start
 
 
 def lin_space(start: int, end: int, count: int) -> list[int]:
@@ -117,11 +111,6 @@ def lin_space(start: int, end: int, count: int) -> list[int]:
 def beta61_from_uniform(u):
     """Inverse-CDF transform of Beta(6, 1): F(x) = x^6, so x = u^(1/6)."""
     return u ** (1.0 / 6.0)
-
-
-def sample_beta61(rng: np.random.Generator) -> float:
-    """One Beta(6, 1) sample in [0, 1]."""
-    return float(beta61_from_uniform(rng.random()))
 
 
 def _distinct_positions(sorted_values, start: int, end: int) -> np.ndarray:
@@ -237,13 +226,13 @@ def _place(
         return genome
     params = genome.params
     start, end = params.comp_start, params.comp_end
-    placement = PlacementSets.from_active(
+    active_to, inactive_to = placement_positions(
         start, end, targets(start, end, active.count, rng)
     )
     is_active = np.fromiter(active.bitmap, bool, params.num_computational)
     position_map = np.arange(start + params.num_computational)
-    position_map[start + np.flatnonzero(is_active)] = placement.active_positions
-    position_map[start + np.flatnonzero(~is_active)] = placement.inactive_positions
+    position_map[start + np.flatnonzero(is_active)] = active_to
+    position_map[start + np.flatnonzero(~is_active)] = inactive_to
     placed = _remap(genome, active, _connection_array(genome), position_map)
     repair_forward_connections(placed, rng, placed.active)
     return placed

@@ -81,6 +81,27 @@ def oracle_evaluate_batch(
     return np.column_stack([values[c] for c in genome.output_connections])
 
 
+def full_forward_pass(genome: Genotype, inputs, mask: int = 1) -> list:
+    """Reference evaluation computing every node, active or not, by calling
+    each function directly.
+
+    ``inputs`` holds one value per input: a row of scalars, a column of
+    points each, or, for a Boolean genome, packed column bitmasks whose
+    ``mask`` has one bit per row.  Returns the value of each output.
+    """
+    params = genome.params
+    fset = params.functions()
+    values = dict(enumerate(inputs))
+    with np.errstate(all="ignore"):
+        for idx, node in enumerate(genome.computational):
+            spec = fset.entries[node.function_id]
+            args = [values[c] for c in node.connections[: spec.arity]]
+            if fset.is_boolean:
+                args.append(mask)
+            values[params.comp_start + idx] = spec.fn(*args)
+    return [values[c] for c in genome.output_connections]
+
+
 def oracle_active(genome: Genotype) -> tuple[list[bool], int, list[int]]:
     """Active bitmap, active count and consumer counts of a genome, by one
     sweep from the last node to the first: a node is active when an output

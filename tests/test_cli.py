@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from cgp_reorder.cli import (
     EXIT_OK,
     Settings,
     build_parser,
+    build_settings,
     finalize,
     main,
     parse_config_file,
@@ -75,6 +78,83 @@ class TestConfigFile:
         assert record["config"]["nodes"] == 24
 
 
+# every run/grid setting: its flag, the subcommand that takes the flag, and
+# a value other than its default
+SETTING_FLAGS = {
+    "benchmark": ("--bench", "run", "koza3"),
+    "variant": ("--variant", "run", "negbias"),
+    "nodes": ("--nodes", "run", "42"),
+    "p_reorder": ("--p-reorder", "run", "0.25"),
+    "max_iterations": ("--max-iterations", "run", "77"),
+    "threshold": ("--threshold", "run", "0.5"),
+    "master_seed": ("--master-seed", "run", "9"),
+    "dataset_seed": ("--dataset-seed", "run", "4"),
+    "workers": ("--workers", "run", "2"),
+    "out": ("--out", "run", "somewhere"),
+    "seeds": ("--seeds", "run", "3..5"),
+    "trace_full": ("--trace-full", "run", None),
+    "track_union_active": ("--track-union-active", "run", None),
+    "dump_genomes": ("--dump-genome", "run", None),
+    "nodes_grid": ("--nodes-grid", "grid", "10,20"),
+    "p_grid": ("--p-grid", "grid", "0.5,0.9"),
+    "seeds_per_cell": ("--seeds-per-cell", "grid", "3"),
+}
+
+# the options each subcommand's --help listed when the table was introduced
+COMMON_HELP_FLAGS = [
+    "-h", "--config", "--bench", "--variant", "--nodes", "--p-reorder",
+    "--max-iterations", "--threshold", "--master-seed", "--dataset-seed",
+    "--workers", "--out",
+]
+HELP_FLAGS = {
+    "run": COMMON_HELP_FLAGS
+    + ["--seeds", "--trace-full", "--track-union-active", "--dump-genome"],
+    "grid": COMMON_HELP_FLAGS + ["--nodes-grid", "--p-grid", "--seeds-per-cell"],
+}
+
+
+class TestSettingsTable:
+    def test_every_setting_has_a_flag(self):
+        assert set(SETTING_FLAGS) == {f.name for f in dataclasses.fields(Settings)}
+
+    @pytest.mark.parametrize("name", sorted(SETTING_FLAGS))
+    def test_config_line_equals_flag(self, name, tmp_path):
+        flag, command, raw = SETTING_FLAGS[name]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{name} = {raw or 'true'}\n")
+        parser = build_parser()
+        from_file = build_settings(parser.parse_args([command, "--config", str(cfg)]))
+        argv = [command, flag] + ([raw] if raw is not None else [])
+        from_flag = build_settings(parser.parse_args(argv))
+        assert from_file == from_flag
+        assert getattr(from_flag, name) != getattr(Settings(), name)
+
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_lists_the_same_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        listed = re.findall(r"^  (--?[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == HELP_FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--bench", "parity3", "--seeds", "5..2"],
+             "--seeds: seed range '5..2' is descending"),
+            (["run", "--bench", "parity3", "--nodes", "abc"], "--nodes: "),
+            (["grid", "--bench", "parity3", "--nodes-grid", "20,abc"], "--nodes-grid: "),
+            (["grid", "--bench", "parity3", "--variant", "negbias", "--p-grid", "0.5,x"],
+             "--p-grid: "),
+        ],
+        ids=["seeds", "nodes", "nodes-grid", "p-grid"],
+    )
+    def test_bad_flag_value_is_config_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFinalize:
     def test_benchmark_required(self):
         with pytest.raises(ConfigError):
@@ -89,6 +169,26 @@ class TestFinalize:
     def test_gate_probability_rejected_for_plain_variants(self):
         with pytest.raises(ConfigError):
             finalize(Settings(benchmark="parity3", variant="uniform", p_reorder=0.5, seeds=[0]))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--bench", "koza3", "--nodes", "0"], "nodes must be >= 1"),
+            (["run", "--bench", "koza3", "--max-iterations", "0"],
+             "max_iterations must be >= 1"),
+            (["grid", "--bench", "parity3", "--nodes-grid", "10",
+              "--seeds-per-cell", "0"], "seeds_per_cell must be >= 1"),
+            (["grid", "--bench", "parity3", "--nodes-grid", "10,0"], "nodes_grid"),
+            (["grid", "--bench", "parity3", "--variant", "negbias", "--nodes-grid", "10",
+              "--p-grid", "0.5,1.5"], "p_reorder must be in [0, 1]"),
+        ],
+        ids=["nodes", "max-iterations", "seeds-per-cell", "nodes-grid", "p-grid"],
+    )
+    def test_impossible_values_rejected_before_any_output(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _read_records(path):
@@ -182,6 +282,13 @@ class TestRunCommand:
             "--workers", "1", "--dump-genome", "--out", str(out),
         )
         assert code == EXIT_OK
+        code = run_cli("analyze", str(out), "--out", str(out / "analysis"))
+        assert code == EXIT_OK
+        code = run_cli(
+            "grid", "--bench", "keijzer6", "--nodes-grid", "20", "--seeds-per-cell", "1",
+            "--max-iterations", "30", "--workers", "1", "--out", str(out / "grid"),
+        )
+        assert code == EXIT_OK
         written = sorted(
             os.path.relpath(os.path.join(root, name), out)
             for root, _, names in os.walk(out)
@@ -189,7 +296,11 @@ class TestRunCommand:
         )
         assert not [name for name in written if name.endswith(".tmp")]
         for name in ("results.jsonl", "run_meta.json", "traces/trace_seed1.csv",
-                     "genomes/genome_seed1.txt"):
+                     "genomes/genome_seed1.txt", "datasets/keijzer6_s1_train.csv",
+                     "analysis/summary.jsonl",
+                     "analysis/histogram_keijzer6_leftskew_N20_p0_5.csv",
+                     "analysis/convergence_keijzer6_leftskew_N20_p0_5.csv",
+                     "grid/grid_summary.jsonl", "grid/cells/N20_p1/cell.done"):
             assert name in written
 
     def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
@@ -248,6 +359,8 @@ class TestGridCommand:
             "--nodes-grid", "16", "--p-grid", "0.5,1.0", "--out", str(tmp_path / "g"),
         )
         assert code == EXIT_CONFIG
+        assert "fixed to 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 class TestAnalyzeCommand:

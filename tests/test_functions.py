@@ -12,6 +12,7 @@ from cgp_reorder.functions import (
     VALUE_LIMIT,
     get_function_set,
 )
+from cgp_reorder.genome import GraphParams, Genotype, NodeGene, evaluate_batch
 
 TRUTH_TABLES = {
     "AND": {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
@@ -22,14 +23,14 @@ TRUTH_TABLES = {
 
 
 def test_boolean_truth_tables_exhaustive():
-    for fid, spec in enumerate(BOOLEAN_SET.entries):
+    for spec in BOOLEAN_SET.entries:
         for args, expected in TRUTH_TABLES[spec.name].items():
-            assert BOOLEAN_SET.apply(fid, args) == expected
+            assert spec.fn(*args, 1) == expected
 
 
 def test_nand_one_one_is_zero():
-    nand = next(i for i, s in enumerate(BOOLEAN_SET.entries) if s.name == "NAND")
-    assert BOOLEAN_SET.apply(nand, (1, 1)) == 0
+    nand = next(s for s in BOOLEAN_SET.entries if s.name == "NAND")
+    assert nand.fn(1, 1, 1) == 0
 
 
 def test_boolean_mask_semantics_match_rowwise():
@@ -43,32 +44,33 @@ def test_boolean_mask_semantics_match_rowwise():
 
 
 def _regression_fn(name):
-    idx = next(i for i, s in enumerate(REGRESSION_SET.entries) if s.name == name)
-    return idx, REGRESSION_SET.entries[idx]
+    return next(s for s in REGRESSION_SET.entries if s.name == name).fn
 
 
 def test_protected_division_examples():
-    fid, _ = _regression_fn("PDIV")
-    assert REGRESSION_SET.apply(fid, (1.0, 0.0)) == 1.0
-    assert REGRESSION_SET.apply(fid, (6.0, 3.0)) == 2.0
+    pdiv = _regression_fn("PDIV")
+    assert pdiv(1.0, 0.0) == 1.0
+    assert pdiv(6.0, 3.0) == 2.0
 
 
 def test_protected_log_examples():
-    fid, _ = _regression_fn("LN")
-    assert REGRESSION_SET.apply(fid, (math.e,)) == pytest.approx(1.0)
-    assert REGRESSION_SET.apply(fid, (-math.e,)) == pytest.approx(1.0)
-    assert REGRESSION_SET.apply(fid, (0.0,)) == 0.0
+    ln = _regression_fn("LN")
+    assert ln(math.e) == pytest.approx(1.0)
+    assert ln(-math.e) == pytest.approx(1.0)
+    assert ln(0.0) == 0.0
 
 
 def test_exp_examples():
-    fid, _ = _regression_fn("EXP")
-    assert REGRESSION_SET.apply(fid, (0.0,)) == 1.0
-    assert np.isfinite(REGRESSION_SET.apply(fid, (1e9,)))
+    exp = _regression_fn("EXP")
+    assert exp(0.0) == 1.0
+    assert np.isfinite(exp(1e9))
 
 
 def test_unary_functions_ignore_excess_args():
-    fid, _ = _regression_fn("SIN")
-    assert REGRESSION_SET.apply(fid, (0.5, 123.0)) == np.sin(0.5)
+    # a SIN node whose second connection gene reads the other input
+    sin = next(i for i, s in enumerate(REGRESSION_SET.entries) if s.name == "SIN")
+    genome = Genotype(GraphParams(2, 1, 1, 2, "regression"), [NodeGene(sin, (0, 1))], (2,))
+    assert evaluate_batch(genome, np.array([[0.5, 123.0]]))[0, 0] == np.sin(0.5)
 
 
 finite_floats = st.floats(
@@ -79,8 +81,8 @@ finite_floats = st.floats(
 @given(finite_floats, finite_floats)
 def test_regression_functions_finite_for_finite_args(a, b):
     with np.errstate(all="ignore"):
-        for fid, spec in enumerate(REGRESSION_SET.entries):
-            result = REGRESSION_SET.apply(fid, (a, b))
+        for spec in REGRESSION_SET.entries:
+            result = spec.fn(*(a, b)[: spec.arity])
             assert np.isfinite(result)
             assert abs(result) <= VALUE_LIMIT
 

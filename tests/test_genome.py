@@ -9,7 +9,6 @@ from cgp_reorder.genome import (
     Genotype,
     NodeGene,
     decode_active,
-    evaluate,
     evaluate_batch,
     evaluate_packed,
     from_flat_text,
@@ -18,7 +17,13 @@ from cgp_reorder.genome import (
     validate,
 )
 
-from conftest import chain_genome, fig1_genome, parity3_xor_genome
+from conftest import (
+    chain_genome,
+    fig1_genome,
+    full_forward_pass,
+    packed_inputs,
+    parity3_xor_genome,
+)
 
 
 class TestGraphParams:
@@ -72,28 +77,31 @@ class TestDecodeActive:
 
 class TestEvaluate:
     def test_fig1_subtract_then_double(self):
-        assert evaluate(fig1_genome(), [5.0, 3.0]) == [4.0]
+        assert evaluate_batch(fig1_genome(), np.array([[5.0, 3.0]])).tolist() == [[4.0]]
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -7.5, 123.25])
     def test_fig1_equal_inputs_give_zero(self, x):
-        assert evaluate(fig1_genome(), [x, x]) == [0.0]
+        assert evaluate_batch(fig1_genome(), np.array([[x, x]])).tolist() == [[0.0]]
 
     def test_parity_circuit_against_xor_oracle(self):
-        g = parity3_xor_genome()
+        masks, full = packed_inputs(3)
+        (packed,) = evaluate_packed(parity3_xor_genome(), masks, full)
         for r in range(8):
             bits = [(r >> i) & 1 for i in range(3)]
-            assert evaluate(g, bits) == [bits[0] ^ bits[1] ^ bits[2]]
+            assert (packed >> r) & 1 == bits[0] ^ bits[1] ^ bits[2]
 
     def test_parity_circuit_row_110(self):
-        assert evaluate(parity3_xor_genome(), [1, 1, 0]) == [0]
+        # one row packed into 1-bit masks: inputs a=1, b=1, c=0
+        assert evaluate_packed(parity3_xor_genome(), [1, 1, 0], 1) == [0]
 
     def test_deterministic(self):
         g = fig1_genome()
-        assert evaluate(g, [2.0, 9.0]) == evaluate(g, [2.0, 9.0])
+        xs = np.array([[2.0, 9.0]])
+        assert np.array_equal(evaluate_batch(g, xs), evaluate_batch(g, xs))
 
     def test_wrong_input_count_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(fig1_genome(), [1.0])
+            evaluate_batch(fig1_genome(), np.array([[1.0]]))
 
 
 class TestRandomGenome:
@@ -156,25 +164,17 @@ class TestValidate:
 
 
 class TestPackedEvaluation:
-    def _packed_inputs(self, num_inputs):
-        rows = 1 << num_inputs
-        masks = [0] * num_inputs
-        for r in range(rows):
-            for i in range(num_inputs):
-                masks[i] |= ((r >> i) & 1) << r
-        return masks, (1 << rows) - 1
-
     @pytest.mark.parametrize("num_inputs,num_outputs", [(3, 1), (4, 2), (6, 6)])
     def test_packed_equals_rowwise(self, num_inputs, num_outputs):
         params = GraphParams(num_inputs, num_outputs, 20, 2, "boolean")
-        masks, full = self._packed_inputs(num_inputs)
+        masks, full = packed_inputs(num_inputs)
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = random_genome(params, rng)
             packed = evaluate_packed(g, masks, full)
             for r in range(1 << num_inputs):
                 bits = [(r >> i) & 1 for i in range(num_inputs)]
-                rowwise = evaluate(g, bits)
+                rowwise = full_forward_pass(g, bits)
                 assert [(m >> r) & 1 for m in packed] == rowwise
 
     def test_packed_rejects_regression_set(self):
@@ -191,7 +191,7 @@ class TestBatchEvaluation:
             g = random_genome(params, rng)
             batch = evaluate_batch(g, xs)
             for row in range(xs.shape[0]):
-                scalar = evaluate(g, list(xs[row]))
+                scalar = full_forward_pass(g, list(xs[row]))
                 np.testing.assert_allclose(batch[row], scalar, rtol=1e-12, atol=1e-12)
 
     def test_batch_rejects_boolean_set(self):
@@ -226,36 +226,21 @@ class TestFlatSerialization:
             from_flat_text("2 0 0 1\nout_0 2\n")
 
 
-def full_forward_pass(genome, inputs):
-    """Reference evaluation computing every node, active or not."""
-    params = genome.params
-    fset = params.functions()
-    values = dict(enumerate(inputs))
-    with np.errstate(all="ignore"):
-        for idx, node in enumerate(genome.computational):
-            consumed = fset.arity_of(node.function_id)
-            args = [values[c] for c in node.connections[:consumed]]
-            values[params.comp_start + idx] = fset.apply(node.function_id, args)
-    caster = int if fset.is_boolean else float
-    return [caster(values[c]) for c in genome.output_connections]
-
-
 class TestFullPassEquivalence:
     def test_boolean_full_pass_matches_active_only(self):
         params = GraphParams(3, 2, 18, 2, "boolean")
+        masks, full = packed_inputs(3)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
-            for r in range(8):
-                bits = [(r >> i) & 1 for i in range(3)]
-                assert evaluate(g, bits) == full_forward_pass(g, bits)
+            assert evaluate_packed(g, masks, full) == full_forward_pass(g, masks, full)
 
     def test_regression_full_pass_matches_active_only(self):
         params = GraphParams(2, 1, 12, 2, "regression")
-        points = [[0.5, -1.5], [2.0, 3.0], [-0.75, 0.1]]
+        xs = np.array([[0.5, -1.5], [2.0, 3.0], [-0.75, 0.1]])
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
-            for point in points:
-                assert evaluate(g, point) == full_forward_pass(g, point)
+            (full,) = full_forward_pass(g, [xs[:, 0], xs[:, 1]])
+            assert np.array_equal(evaluate_batch(g, xs)[:, 0], full)
 
 
 genome_shapes = st.sampled_from(
