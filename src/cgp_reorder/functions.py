@@ -43,8 +43,12 @@ def _b_nor(a: int, b: int, mask: int) -> int:
 
 
 def _finite(value: Value) -> Value:
-    """Clamp IEEE overflow (+-inf) back to the largest finite float."""
-    return np.clip(value, -VALUE_LIMIT, VALUE_LIMIT)
+    """Clamp IEEE overflow (+-inf) back to the largest finite float.
+
+    The same bytes as ``np.clip(value, -VALUE_LIMIT, VALUE_LIMIT)``, NaN and
+    signed zeros included, without np.clip's dispatch overhead.
+    """
+    return np.minimum(np.maximum(value, -VALUE_LIMIT), VALUE_LIMIT)
 
 
 def add(a: Value, b: Value) -> Value:
@@ -111,6 +115,10 @@ class FunctionSet:
     @cached_property
     def arities(self) -> tuple[int, ...]:
         return tuple(spec.arity for spec in self.entries)
+
+    @cached_property
+    def functions(self) -> tuple[Callable, ...]:
+        return tuple(spec.fn for spec in self.entries)
 
 
 BOOLEAN_SET = FunctionSet(

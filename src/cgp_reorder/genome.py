@@ -11,18 +11,27 @@ active and when evaluating.
 A genotype is treated as immutable after construction: mutation and
 reordering return new instances and share untouched node records with the
 parent.
+
+Evaluation is one walk over the active nodes in position order, filling a
+vector indexed by global position: packed truth-table columns for the
+Boolean set, subexpression keys for the regression set.  A genome keeps the
+vector of its last evaluation, and a mutant is evaluated from its parent's
+vector: only what its mutation changed, and the nodes that read a changed
+value, are computed again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Sequence
+from functools import lru_cache
+from itertools import compress, islice
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .functions import FunctionSet, get_function_set
+from .functions import FunctionSet, FunctionSpec, get_function_set
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,23 @@ class NodeGene:
     connections: tuple[int, ...]
 
 
+@dataclass(slots=True)
+class Delta:
+    """What a mutant changed against its parent.
+
+    ``nodes`` are computational indices of replaced node records: every one
+    that was active in the parent, and possibly others.  A replaced
+    inactive node matters only once the mutant activates it, and
+    :func:`decode_active` finds those: when it derives the mutant's active
+    set from its parent's, it fills in ``activated``, the nodes that became
+    active.  ``outputs`` are the indices of the output genes that changed.
+    """
+
+    nodes: tuple[int, ...]
+    outputs: tuple[int, ...]
+    activated: list[int] | None = None
+
+
 @dataclass
 class Genotype:
     params: GraphParams
@@ -76,6 +102,12 @@ class Genotype:
     # the active set of a genome a reorder operator built, carried over
     # from its source genome instead of decoded; None otherwise
     active: ActiveSet | None = field(default=None, compare=False, repr=False)
+    # how a mutant differs from its parent; None for any other genome
+    delta: Delta | None = field(default=None, compare=False, repr=False)
+    # the vector of the last evaluation, by global position: packed column
+    # (Boolean) or subexpression key (regression); only the entries of
+    # inputs and active nodes are meaningful
+    values: list | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -128,17 +160,17 @@ def _consumed(node: NodeGene, arities: Sequence[int], start: int, into: list) ->
             into.append(conn - start)
 
 
-def _activate(nodes, arities, start, bitmap, consumers, stack) -> int:
+def _activate(nodes, arities, start, bitmap, consumers, stack) -> list[int]:
     """Mark active every node on ``stack`` and, depth first, every node they
     consume, counting each consumed gene of a newly active node; returns
-    how many nodes became active."""
-    added = 0
+    the nodes that became active."""
+    added = []
     while stack:
         idx = stack.pop()
         if bitmap[idx]:
             continue
         bitmap[idx] = True
-        added += 1
+        added.append(idx)
         node = nodes[idx]
         for conn in node.connections[: arities[node.function_id]]:
             if conn >= start:
@@ -175,20 +207,20 @@ def decode_active(
     Only the connection genes a node's function actually consumes are
     followed; the unused genes of sub-arity functions never activate a node.
 
-    Given a ``parent`` of the same shape and its active set, the result is
-    derived from that set instead of a full walk.  Nodes are compared by
-    identity, so the work is proportional to the parent's active count plus
-    what changed when ``genome`` shares its untouched nodes with ``parent``,
-    as a mutant does.  The genes of changed parent-active nodes and the
-    changed output genes move consumer counts; a node that gains its first
-    consumer is activated depth first, and one that loses its last is
-    released, cascading.
+    Given the ``parent`` of a mutant that records its :class:`Delta`, and
+    the parent's active set, the result is derived from that set instead of
+    a full walk, and the delta's ``activated`` is filled in.  The genes of
+    the changed parent-active nodes and the changed output genes move
+    consumer counts; a node that gains its first consumer is activated depth
+    first, and one that loses its last is released, cascading.  The work is
+    proportional to what changed, not to the size of the genome.
     """
     params = genome.params
     arities = params.functions().arities
     start = params.comp_start
     nodes = genome.computational
-    if parent is None or parent_active is None:
+    delta = genome.delta
+    if parent is None or parent_active is None or delta is None:
         bitmap = [False] * params.num_computational
         consumers = [0] * params.num_computational
         stack: list[int] = []
@@ -196,36 +228,135 @@ def decode_active(
             if conn >= start:
                 consumers[conn - start] += 1
                 stack.append(conn - start)
-        count = _activate(nodes, arities, start, bitmap, consumers, stack)
+        count = len(_activate(nodes, arities, start, bitmap, consumers, stack))
         return ActiveSet(bitmap, count, consumers)
 
     old_nodes = parent.computational
+    was_active = parent_active.bitmap
     released: list[int] = []
     gained: list[int] = []
-    for idx in parent_active.positions():
-        if old_nodes[idx] is not nodes[idx]:
+    for idx in delta.nodes:
+        if was_active[idx]:
             _consumed(old_nodes[idx], arities, start, released)
             _consumed(nodes[idx], arities, start, gained)
-    if parent.output_connections != genome.output_connections:
-        for old, new in zip(parent.output_connections, genome.output_connections):
-            if old != new:
-                if old >= start:
-                    released.append(old - start)
-                if new >= start:
-                    gained.append(new - start)
-    if not released and not gained:
+    for k in delta.outputs:
+        old, new = parent.output_connections[k], genome.output_connections[k]
+        if old >= start:
+            released.append(old - start)
+        if new >= start:
+            gained.append(new - start)
+    if released == gained:
+        # no gene moved, as when only a function gene of the same arity or
+        # an unconsumed gene changed: the active graph is the parent's
+        delta.activated = []
         return parent_active
 
-    bitmap = parent_active.bitmap.copy()
     consumers = parent_active.consumers.copy()
     for idx in gained:
         consumers[idx] += 1
     for idx in released:
         consumers[idx] -= 1
-    count = parent_active.count
-    count += _activate(nodes, arities, start, bitmap, consumers, gained)
-    count -= _deactivate(nodes, arities, start, bitmap, consumers, released)
-    return ActiveSet(bitmap, count, consumers)
+    if all(map(was_active.__getitem__, gained)) and all(map(consumers.__getitem__, released)):
+        # no node gained its first consumer or lost its last: the same nodes
+        # are active, so the parent's bitmap and positions are shared
+        delta.activated = []
+        derived = ActiveSet(was_active, parent_active.count, consumers)
+        derived._positions = parent_active._positions
+        return derived
+    bitmap = was_active.copy()
+    activated = _activate(nodes, arities, start, bitmap, consumers, gained)
+    removed = _deactivate(nodes, arities, start, bitmap, consumers, released)
+    delta.activated = activated
+    return ActiveSet(bitmap, parent_active.count + len(activated) - removed, consumers)
+
+
+def _walk(
+    genome: Genotype,
+    active: ActiveSet,
+    operations: Sequence[Callable],
+    context: object,
+    inputs: Sequence,
+    parent: Genotype | None = None,
+) -> list:
+    """The evaluation vector of ``genome``: the value of every input and
+    active node, by global position.
+
+    ``operations[f](a, b, context)`` is the value of a node with function
+    id ``f`` whose connection genes read the values ``a`` and ``b`` (a
+    unary function ignores ``b``), and ``inputs`` are the inputs' values.
+    Every active node is computed, in position order, unless ``genome`` is
+    a mutant of ``parent`` whose active set was derived from the parent's.
+    Then the walk starts from the parent's vector, copied on the first
+    value that differs, and computes again the changed and the newly
+    activated active nodes, and beyond those only the nodes that consume a
+    position whose value differs from the parent's.  A node whose new value
+    equals the parent's does not mark its consumers, and the walk ends once
+    it has passed every consumer of a changed position, which the consumer
+    counts of ``active`` tell.
+    """
+    params = genome.params
+    start = params.num_inputs
+    nodes = genome.computational
+    positions = active.positions()
+    delta = genome.delta
+    if (
+        parent is None
+        or parent.values is None
+        or delta is None
+        or delta.activated is None
+    ):
+        vector = [None] * params.num_connectable
+        for i in range(start):
+            vector[i] = int(inputs[i])
+        for idx in positions:
+            node = nodes[idx]
+            conns = node.connections
+            vector[start + idx] = operations[node.function_id](
+                vector[conns[0]], vector[conns[1]], context
+            )
+        return vector
+
+    # copied on the first value that differs from the parent's
+    vector = base = parent.values
+    # a node the same change activated and released again is not computed
+    changed = list(filter(active.bitmap.__getitem__, (*delta.nodes, *delta.activated)))
+    if len(changed) > 1:
+        changed = sorted(set(changed))
+    arities = params.functions().arities
+    consumers = active.consumers
+    outputs = genome.output_connections
+    dirty: set[int] = set()
+    # consumed genes of active nodes that read a dirty position, not passed yet
+    pending = 0
+    k = 0
+    while k < len(changed):
+        # nothing is pending: jump to the next changed node
+        target = changed[k]
+        for idx in islice(positions, bisect_left(positions, target), None):
+            node = nodes[idx]
+            conns = node.connections
+            if pending:
+                hits = conns[0] in dirty
+                if conns[1] in dirty and arities[node.function_id] > 1:
+                    hits += 1
+                if hits:
+                    pending -= hits
+                elif idx != target:
+                    continue
+            if idx == target:
+                k += 1
+                target = changed[k] if k < len(changed) else -1
+            value = operations[node.function_id](vector[conns[0]], vector[conns[1]], context)
+            position = start + idx
+            if value != vector[position]:
+                if vector is base:
+                    vector = base.copy()
+                vector[position] = value
+                dirty.add(position)
+                pending += consumers[idx] - outputs.count(position)
+            if not pending:
+                break
+    return vector
 
 
 def evaluate_packed(
@@ -233,31 +364,25 @@ def evaluate_packed(
     input_masks: Sequence[int],
     full_mask: int,
     active: ActiveSet | None = None,
+    parent: Genotype | None = None,
 ) -> list[int]:
     """Evaluate a Boolean genome on all truth-table rows at once.
 
     ``input_masks[i]`` packs input bit i across rows (bit r = row r's value);
     the returned masks pack each output column the same way, so bit r of
-    each result is the output on row r alone.
+    each result is the output on row r alone.  ``parent``, when ``genome``
+    is its mutant, must have been evaluated on the same masks; its vector
+    is then the starting point.
     """
     params = genome.params
     fset = params.functions()
     if not fset.is_boolean:
         raise ConfigError("packed evaluation is defined for the boolean set only")
-    start = params.comp_start
     if active is None:
         active = decode_active(genome)
-    values: list = [0] * params.num_connectable
-    for i in range(params.num_inputs):
-        values[i] = int(input_masks[i])
-    entries = fset.entries
-    nodes = genome.computational
-    for idx in active.positions():
-        node = nodes[idx]
-        conns = node.connections
-        values[start + idx] = entries[node.function_id].fn(
-            values[conns[0]], values[conns[1]], full_mask
-        )
+    values = genome.values = _walk(
+        genome, active, fset.functions, full_mask, input_masks, parent
+    )
     return [values[c] for c in genome.output_connections]
 
 
@@ -294,45 +419,57 @@ class SubexpressionCache:
         """Cached values, input columns included."""
         return len(self._values)
 
-    def _resolve(self, genome: Genotype, active: ActiveSet) -> list:
-        """Key of every input and active node, by global position (None for
-        inactive nodes), computing the values of keys not yet cached."""
-        params = genome.params
-        start = params.comp_start
-        entries = params.functions().entries
-        nodes = genome.computational
-        keys: list = list(range(start)) + [None] * params.num_computational
-        structures = self._keys
-        values = self._values
+    def _keys_of(
+        self, genome: Genotype, active: ActiveSet, parent: Genotype | None = None
+    ) -> list:
+        """Key of every input and active node, by global position."""
+        operations = _resolvers(genome.params.function_set)
+        inputs = range(genome.params.num_inputs)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for idx in active.positions():
-                node = nodes[idx]
-                fid = node.function_id
-                spec = entries[fid]
-                conns = node.connections
-                if spec.arity == 1:
-                    structure = (fid, keys[conns[0]])
-                else:
-                    structure = (fid, keys[conns[0]], keys[conns[1]])
-                key = structures.get(structure)
-                if key is None:
-                    args = [values[k] for k in structure[1:]]
-                    value = np.asarray(spec.fn(*args), dtype=np.float64)
-                    value.flags.writeable = False
-                    key = self._next_key
-                    self._next_key += 1
-                    structures[structure] = key
-                    values[key] = value
-                keys[start + idx] = key
-        return keys
+            return _walk(genome, active, operations, self, inputs, parent)
+
+    def _add(self, structure: tuple, fn: Callable) -> int:
+        """Compute and cache the value of a new structure; returns its key."""
+        value = np.asarray(fn(*[self._values[k] for k in structure[1:]]), dtype=np.float64)
+        value.flags.writeable = False
+        key = self._next_key
+        self._next_key += 1
+        self._keys[structure] = key
+        self._values[key] = value
+        return key
 
     def prune(self, genome: Genotype, active: ActiveSet) -> None:
         """Keep only the input columns and the subexpressions of ``genome``'s
-        active graph, computing any of those that are missing."""
-        live = set(self._resolve(genome, active))
-        live.discard(None)
+        active graph.  Reads the key vector of ``genome``'s evaluation
+        through this cache, which a genome not yet evaluated gets first."""
+        keys = genome.values
+        if keys is None:
+            keys = genome.values = self._keys_of(genome, active)
+        start = genome.params.comp_start
+        live = set(keys[:start])
+        live.update([keys[start + idx] for idx in active.positions()])
         self._keys = {s: k for s, k in self._keys.items() if k in live}
         self._values = {k: self._values[k] for k in live}
+
+
+@lru_cache(maxsize=None)
+def _resolvers(set_id: str) -> tuple[Callable, ...]:
+    """Per function id of a regression set, the key of a node from its
+    inputs' keys in a :class:`SubexpressionCache`, which computes and caches
+    the value of a key it does not hold yet."""
+
+    def resolver(fid: int, spec: FunctionSpec) -> Callable:
+        fn, unary = spec.fn, spec.arity == 1
+
+        def resolve(a: int, b: int, cache: SubexpressionCache) -> int:
+            structure = (fid, a) if unary else (fid, a, b)
+            key = cache._keys.get(structure)
+            return cache._add(structure, fn) if key is None else key
+
+        return resolve
+
+    entries = get_function_set(set_id).entries
+    return tuple(resolver(fid, spec) for fid, spec in enumerate(entries))
 
 
 def evaluate_batch(
@@ -340,6 +477,7 @@ def evaluate_batch(
     xs: np.ndarray,
     active: ActiveSet | None = None,
     cache: SubexpressionCache | None = None,
+    parent: Genotype | None = None,
 ) -> np.ndarray:
     """Evaluate a regression genome on a batch of points.
 
@@ -347,19 +485,24 @@ def evaluate_batch(
     (n_points, num_outputs) and may be a read-only view of cached values.
     Node values are read from and added to ``cache``, which must have been
     built for this same ``xs``; a call without one uses a fresh cache.
+    With a cache, the genome keeps its key vector, and ``parent``, when
+    ``genome`` is its mutant, must have been evaluated through the same
+    cache; its key vector is then the starting point.
     """
     params = genome.params
     if params.functions().is_boolean:
         raise ConfigError("batch evaluation is defined for the regression set only")
     if xs.ndim != 2 or xs.shape[1] != params.num_inputs:
         raise ConfigError(f"expected shape (n, {params.num_inputs}), got {xs.shape}")
-    if cache is None:
-        cache = SubexpressionCache(xs)
-    elif cache.xs is not xs:
-        raise ConfigError("the subexpression cache was built for a different batch")
     if active is None:
         active = decode_active(genome)
-    keys = cache._resolve(genome, active)
+    if cache is None:
+        cache = SubexpressionCache(xs)
+        keys = cache._keys_of(genome, active)
+    elif cache.xs is not xs:
+        raise ConfigError("the subexpression cache was built for a different batch")
+    else:
+        keys = genome.values = cache._keys_of(genome, active, parent)
     outputs = [cache._values[keys[c]] for c in genome.output_connections]
     if len(outputs) == 1:
         return outputs[0][:, None]

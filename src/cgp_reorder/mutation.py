@@ -9,14 +9,18 @@ to an active computational node or is an output connection; output genes
 always count as active because changing one changes the phenotype.
 
 Activity is tested against the parent's decoded active set, not recomputed
-between gene picks, keeping one mutation call O(arity * nodes).
+between gene picks, keeping one mutation call O(arity * nodes).  The mutant
+records in its ``delta`` the active node or the output gene that ended the
+loop, so the decoder and the evaluators work on that change alone.  The
+inactive nodes changed before it matter only if that change activates
+them, and the decoder finds those.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .genome import ActiveSet, Genotype, NodeGene
+from .genome import ActiveSet, Delta, Genotype, NodeGene
 
 
 def _resample_excluding(rng: np.random.Generator, domain_size: int, current: int) -> int:
@@ -41,6 +45,8 @@ def single_mutation(
 
     nodes = list(genome.computational)
     outputs = list(genome.output_connections)
+    changed_nodes: tuple[int, ...] = ()
+    changed_outputs: tuple[int, ...] = ()
 
     while True:
         gene = int(rng.integers(total_genes))
@@ -51,6 +57,7 @@ def single_mutation(
             outputs[out_idx] = _resample_excluding(
                 rng, params.num_connectable, outputs[out_idx]
             )
+            changed_outputs = (out_idx,)
             break
         node_idx, offset = divmod(gene, genes_per_node)
         node = nodes[node_idx]
@@ -69,6 +76,8 @@ def single_mutation(
             conns[conn_idx] = _resample_excluding(rng, position, conns[conn_idx])
             nodes[node_idx] = NodeGene(node.function_id, tuple(conns))
         if active.bitmap[node_idx]:
+            changed_nodes = (node_idx,)
             break
 
-    return Genotype(params, nodes, tuple(outputs))
+    delta = Delta(changed_nodes, changed_outputs)
+    return Genotype(params, nodes, tuple(outputs), delta=delta)

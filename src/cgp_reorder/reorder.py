@@ -23,9 +23,10 @@ forward afterwards; those genes are resampled by
 
 Every operator builds one ``position_map`` from old to new global positions
 and shares one remap path: all connection genes are remapped at once as an
-``(N, arity)`` array, and the source genome's active set is permuted along
-with the nodes and returned in the new genome's ``active`` field instead of
-being decoded again.
+``(N, arity)`` array, and the source genome's active set and evaluation
+vector are permuted along with the nodes and returned in the new genome's
+``active`` and ``values`` fields instead of being decoded and evaluated
+again.
 """
 
 from __future__ import annotations
@@ -141,7 +142,10 @@ def _connection_array(genome: Genotype) -> np.ndarray:
 
 
 def repair_forward_connections(
-    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+    genome: Genotype,
+    rng: np.random.Generator,
+    active: ActiveSet | None = None,
+    conn: np.ndarray | None = None,
 ) -> int:
     """Resample every forward-pointing connection gene uniformly from [0, pos).
 
@@ -150,11 +154,14 @@ def repair_forward_connections(
     change the phenotype, so that case raises instead of repairing: it means
     an operator mixed up the active ordering.  The forward genes are drawn
     in one call, in node-then-gene order, which yields the same values as
-    one draw per gene in that order.
+    one draw per gene in that order.  ``conn`` is ``genome``'s connection
+    array when the caller has it already; it is repaired along with the
+    genome.
     """
     params = genome.params
     start = params.comp_start
-    conn = _connection_array(genome)
+    if conn is None:
+        conn = _connection_array(genome)
     positions = np.arange(start, start + params.num_computational)
     rows, cols = np.nonzero(conn >= positions[:, None])
     if not len(rows):
@@ -178,10 +185,11 @@ def repair_forward_connections(
 
 def _remap(
     genome: Genotype, active: ActiveSet, conn: np.ndarray, position_map: np.ndarray
-) -> Genotype:
+) -> tuple[Genotype, np.ndarray]:
     """Move every node to the position ``position_map`` gives it (inputs map
     to themselves), remap every connection and output gene through the same
-    map, and carry the active set over to the new positions.
+    map, and carry the active set and the evaluation vector over to the new
+    positions.  Returns the new genome and its connection array.
 
     ``conn`` is ``genome``'s connection array.  A node that keeps its
     position and its genes is shared with ``genome``, as mutation shares
@@ -208,7 +216,11 @@ def _remap(
         active.count,
         [consumers[i] for i in order_list],
     )
-    return Genotype(params, new_nodes, outputs, carried)
+    values = genome.values
+    if values is not None:
+        moved = values[start:]
+        values = values[:start] + [moved[i] for i in order_list]
+    return Genotype(params, new_nodes, outputs, carried, values=values), remapped
 
 
 def _place(
@@ -233,8 +245,8 @@ def _place(
     position_map = np.arange(start + params.num_computational)
     position_map[start + np.flatnonzero(is_active)] = active_to
     position_map[start + np.flatnonzero(~is_active)] = inactive_to
-    placed = _remap(genome, active, _connection_array(genome), position_map)
-    repair_forward_connections(placed, rng, placed.active)
+    placed, conn = _remap(genome, active, _connection_array(genome), position_map)
+    repair_forward_connections(placed, rng, placed.active, conn)
     return placed
 
 
@@ -289,7 +301,7 @@ def reorder_original(
 
     position_map = np.arange(start + num)
     position_map[start + np.array(order)] = np.arange(start, start + num)
-    return _remap(genome, active, conn, position_map)
+    return _remap(genome, active, conn, position_map)[0]
 
 
 def _equidistant_targets(start, end, count, rng):

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from cgp_reorder.genome import (
     ActiveSet,
+    Delta,
     GraphParams,
     Genotype,
     NodeGene,
@@ -57,6 +58,35 @@ def parity3_xor_genome() -> Genotype:
 
     nodes = xor_nodes(0, 1, 3) + xor_nodes(6, 2, 7)
     return Genotype(params, nodes, (10,))
+
+
+def edited(parent: Genotype, nodes: dict | None = None, outputs: dict | None = None):
+    """A mutant of ``parent`` that replaces the given node records and output
+    genes, shares every other node with ``parent``, and records what it
+    replaced in its delta, as `single_mutation` does."""
+    nodes = nodes or {}
+    outputs = outputs or {}
+    new_nodes = list(parent.computational)
+    for idx, node in nodes.items():
+        new_nodes[idx] = node
+    new_outputs = list(parent.output_connections)
+    for k, conn in outputs.items():
+        new_outputs[k] = conn
+    delta = Delta(tuple(nodes), tuple(outputs))
+    return Genotype(parent.params, new_nodes, tuple(new_outputs), delta=delta)
+
+
+# exact zeros and values within PDIV's and LN's 1e-9 guard, and magnitudes
+# past EXP's 700 clamp, whose products overflow to the float limit
+HARD_VALUES = (0.0, 1e-10, -1e-10, 1e-9, 1.0, -1.0, 750.0, -750.0, 1e200)
+
+
+def hard_points(num_inputs: int, rng: np.random.Generator) -> np.ndarray:
+    columns = [
+        np.concatenate([np.roll(HARD_VALUES, i), rng.uniform(-5.0, 5.0, 12)])
+        for i in range(num_inputs)
+    ]
+    return np.column_stack(columns)
 
 
 def oracle_evaluate_batch(

@@ -22,7 +22,7 @@ from cgp_reorder.reorder import (
     reorder_uniform,
 )
 
-from conftest import chain_genome, fig1_genome, oracle_active
+from conftest import chain_genome, edited, fig1_genome, oracle_active
 
 REORDERS = {
     "original": reorder_original,
@@ -47,17 +47,6 @@ def assert_matches_oracle(active, genome) -> None:
     assert active.count == count
     assert active.consumers == consumers
     assert active.positions() == [i for i, a in enumerate(bitmap) if a]
-
-
-def edited(parent: Genotype, nodes: dict | None = None, outputs: dict | None = None):
-    """A child that shares every node it does not replace with ``parent``."""
-    new_nodes = list(parent.computational)
-    for idx, node in (nodes or {}).items():
-        new_nodes[idx] = node
-    new_outputs = list(parent.output_connections)
-    for k, conn in (outputs or {}).items():
-        new_outputs[k] = conn
-    return Genotype(parent.params, new_nodes, tuple(new_outputs))
 
 
 def pick_node(active, params, rng) -> int:

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cgp_reorder.benchmarks import BooleanBenchmark, build_boolean, build_regression
+import cgp_reorder.evolution as evolution
+from cgp_reorder.benchmarks import (
+    BooleanBenchmark,
+    boolean_fitness,
+    build_boolean,
+    build_regression,
+)
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.evolution import (
     ESConfig,
@@ -11,12 +17,44 @@ from cgp_reorder.evolution import (
     run_rng,
     select_parent,
 )
+from cgp_reorder.genome import Genotype, decode_active
 from cgp_reorder.reorder import ReorderStrategy
 
 
 def constant_zero_bench():
     """Single-input single-output benchmark whose target is always 0."""
     return BooleanBenchmark("const0", 1, 1, [((0,), (0,)), ((1,), (0,))])
+
+
+def check_every_reorder(monkeypatch, bench: BooleanBenchmark) -> None:
+    """Wrap the ES's reorder step so that every reorder that fires is checked
+    against fresh work: the reordered genome's fitness must equal its
+    source's, its carried active set a fresh decode, and its carried
+    evaluation vector a fresh evaluation at every input and active node."""
+    reorder = evolution.maybe_reorder
+
+    def fresh(genome):
+        # a copy carries no active set and no vector, so it is evaluated anew
+        copy = Genotype(genome.params, list(genome.computational), genome.output_connections)
+        return boolean_fitness(copy, bench), copy.values
+
+    def checking(genome, strategy, rng, active=None):
+        reordered = reorder(genome, strategy, rng, active)
+        if reordered is genome:
+            return reordered
+        before, _ = fresh(genome)
+        after, values = fresh(reordered)
+        if after != before:
+            raise AssertionError(f"reorder changed fitness {before} -> {after}")
+        if reordered.active != decode_active(reordered):
+            raise AssertionError("reorder carried an active set that differs from a fresh decode")
+        start = reordered.params.comp_start
+        live = list(range(start)) + [start + i for i in reordered.active.positions()]
+        if [reordered.values[p] for p in live] != [values[p] for p in live]:
+            raise AssertionError("reorder carried a vector that differs from a fresh evaluation")
+        return reordered
+
+    monkeypatch.setattr(evolution, "maybe_reorder", checking)
 
 
 def make_config(**overrides):
@@ -76,22 +114,18 @@ class TestRunEs:
         assert result.iterations == 25
         assert 0.0 <= result.final_train_fitness < 1.0
 
-    def test_reorder_never_changes_parent_fitness(self):
+    def test_reorder_never_changes_parent_fitness(self, monkeypatch):
         bench = build_boolean("parity3")
+        check_every_reorder(monkeypatch, bench)
         for kind in ("original", "equidistant", "uniform", "negbias", "leftskew"):
             cfg = make_config(
                 num_computational=40,
                 strategy=ReorderStrategy(kind),
                 max_iterations=150,
-                verify_reorder=True,
             )
             run_es(cfg, bench, run_rng(0, 3))  # raises on any fitness drift
 
     def test_verify_reorder_rejects_a_wrong_carried_active_set(self, monkeypatch):
-        import dataclasses
-
-        import cgp_reorder.evolution as evolution
-
         reorder = evolution.maybe_reorder
 
         def miscounting(genome, strategy, rng, active=None):
@@ -103,14 +137,15 @@ class TestRunEs:
             return reordered
 
         monkeypatch.setattr(evolution, "maybe_reorder", miscounting)
+        bench = build_boolean("parity3")
+        check_every_reorder(monkeypatch, bench)
         cfg = make_config(
             num_computational=40,
             strategy=ReorderStrategy("equidistant"),
             max_iterations=20,
-            verify_reorder=True,
         )
         with pytest.raises(AssertionError, match="carried an active set"):
-            run_es(cfg, build_boolean("parity3"), run_rng(0, 3))
+            run_es(cfg, bench, run_rng(0, 3))
 
     def test_boolean_trace_monotone_nondecreasing(self):
         bench = build_boolean("parity3")

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cgp_reorder.benchmarks import DataSplit, mae_fitness
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.functions import (
     BOOLEAN_SET,
     REGRESSION_SET,
     VALUE_LIMIT,
+    _finite,
     get_function_set,
 )
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene, evaluate_batch
@@ -101,3 +103,65 @@ def test_set_compositions():
         "ADD", "SUB", "MUL", "PDIV", "SIN", "COS", "LN", "EXP",
     ]
     assert [s.arity for s in REGRESSION_SET.entries] == [2, 2, 2, 2, 1, 1, 1, 1]
+
+
+# signed zeros, infinities, NaNs of both signs, the float limits and
+# subnormals: the cases where two clamping or averaging expressions could
+# differ in their bytes
+EDGE_VALUES = np.array(
+    [
+        0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+        VALUE_LIMIT, -VALUE_LIMIT, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.25,
+    ]
+)
+
+
+def same_bytes(a, b) -> bool:
+    """Same type, dtype, shape and bytes."""
+    a_array, b_array = np.asarray(a), np.asarray(b)
+    return (
+        type(a) is type(b)
+        and a_array.dtype == b_array.dtype
+        and a_array.shape == b_array.shape
+        and a_array.tobytes() == b_array.tobytes()
+    )
+
+
+def test_finite_clamp_equals_np_clip_byte_for_byte():
+    def clip(value):
+        return np.clip(value, -VALUE_LIMIT, VALUE_LIMIT)
+
+    scalars = [float(v) for v in EDGE_VALUES] + list(EDGE_VALUES)
+    arrays = [EDGE_VALUES, EDGE_VALUES.reshape(2, 7), EDGE_VALUES[:1], np.tile(EDGE_VALUES, 4)]
+    for value in scalars + arrays:
+        assert same_bytes(_finite(value), clip(value)), value
+    with np.errstate(over="ignore"):
+        overflow = np.multiply(EDGE_VALUES, 1e300)
+    assert same_bytes(_finite(overflow), clip(overflow))
+
+
+def test_mean_by_reduce_equals_np_mean_byte_for_byte():
+    # mae_fitness averages the absolute errors as np.add.reduce(x) / n
+    rng = np.random.default_rng(0)
+    for size in (1, 2, 7, 50, 129, 676):
+        for values in (
+            rng.choice(EDGE_VALUES, size),
+            np.abs(rng.choice(EDGE_VALUES, size)),
+            rng.uniform(-1e3, 1e3, size),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert same_bytes(np.add.reduce(values) / len(values), np.mean(values))
+
+
+def test_mae_fitness_equals_np_mean_of_absolute_errors():
+    # the output reads the input column, so the predictions are the points
+    params = GraphParams(1, 1, 1, 2, "regression")
+    genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
+    rng = np.random.default_rng(1)
+    for values in (EDGE_VALUES, rng.uniform(-5.0, 5.0, 50), rng.choice(EDGE_VALUES, 50)):
+        xs = values[:, None]
+        ys = rng.permutation(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.mean(np.abs(ys - xs[:, 0])))
+            score = mae_fitness(genome, DataSplit(xs, ys))
+        assert np.float64(score).tobytes() == np.float64(expected).tobytes()

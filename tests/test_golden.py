@@ -5,8 +5,9 @@ of `results.jsonl`, of the traces concatenated in seed order, and of the
 dumped final genomes concatenated in seed order, with the digests recorded
 below.  The first four cases are the benchmark workloads (the table at the
 end of perfbench/README.md); the others cover the equidistant and uniform
-operators and the unused second gene of unary regression nodes, which
-repair resamples.  The genome digest matters because repair rewrites
+operators, the unused second gene of unary regression nodes, which repair
+resamples, and regression children evaluated from their parents' key
+vectors with no reorder in between.  The genome digest matters because repair rewrites
 inactive genes that `results.jsonl` never shows.
 
 Speed work must leave these unchanged; a change that alters the RNG stream
@@ -75,6 +76,13 @@ GOLDEN = {
         "04a76e29cee73304071f832aaedd9bd5280ea31b28f840459e42ce4ac8998f09",
         "8d97c65148e0b4578fe4a029ac50e7d1d05e6823486c079542fd3b42fb601781",
         "e4cf7b6f21b3644200c950193853512c5289d586eb390f80b4476509bb83b6cc",
+    ),
+    "keijzer6-none-n150": (
+        "--bench keijzer6 --variant none --nodes 150 --seeds 0,1 "
+        "--max-iterations 300 --threshold 0.0",
+        "74604674e7295e69055412c6d75a04078f76e63cd81afceb4cf0e187f5b9226a",
+        "0795a0367b95675bed64b57053558d87035f3b456b20088e3f635f525f69570f",
+        "078696e40f68cde375e4b8fed6924295481ed17eecd9d0196481d0eb93af0275",
     ),
 }
 

@@ -357,8 +357,8 @@ class TestRepair:
         counts = []
         original = reorder_mod.repair_forward_connections
 
-        def counting(genome, rng, active=None):
-            repaired = original(genome, rng, active)
+        def counting(genome, rng, active=None, conn=None):
+            repaired = original(genome, rng, active, conn)
             counts.append(repaired)
             return repaired
 

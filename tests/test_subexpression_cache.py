@@ -23,7 +23,7 @@ from cgp_reorder.reorder import (
     reorder_uniform,
 )
 
-from conftest import fig1_genome, oracle_evaluate_batch
+from conftest import fig1_genome, hard_points, oracle_evaluate_batch
 
 REORDERS = {
     "original": reorder_original,
@@ -32,19 +32,6 @@ REORDERS = {
     "negbias": reorder_negbias,
     "leftskew": reorder_leftskew,
 }
-
-# exact zeros and values within PDIV's and LN's 1e-9 guard, and magnitudes
-# past EXP's 700 clamp, whose products overflow to the float limit
-HARD_VALUES = (0.0, 1e-10, -1e-10, 1e-9, 1.0, -1.0, 750.0, -750.0, 1e200)
-
-
-def hard_points(num_inputs: int, rng: np.random.Generator) -> np.ndarray:
-    columns = [
-        np.concatenate([np.roll(HARD_VALUES, i), rng.uniform(-5.0, 5.0, 12)])
-        for i in range(num_inputs)
-    ]
-    return np.column_stack(columns)
-
 
 def distinct_subexpressions(genome, active) -> int:
     """Structurally distinct active nodes, consumed inputs only."""
