@@ -18,7 +18,6 @@ from .genome import (
     GraphParams,
     Genotype,
     NodeGene,
-    SubexpressionCache,
     decode_active,
     random_genome,
     validate,
@@ -47,7 +46,6 @@ __all__ = [
     "RegressionBenchmark",
     "ReorderStrategy",
     "RunResult",
-    "SubexpressionCache",
     "boolean_fitness",
     "build_boolean",
     "build_regression",

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .genome import (
-    ActiveSet,
-    GraphParams,
-    Genotype,
-    SubexpressionCache,
-    evaluate_batch,
-    evaluate_packed,
-)
+from .genome import ActiveSet, GraphParams, Genotype, evaluate_batch, evaluate_packed
 
 BOOLEAN_NAMES = ("parity3", "encode16_4", "decode4_16", "multiply3")
 REGRESSION_NAMES = ("nguyen7", "koza3", "pagie1", "keijzer6")
@@ -247,20 +240,18 @@ def mae_fitness(
     genome: Genotype,
     data: DataSplit,
     active: ActiveSet | None = None,
-    cache: SubexpressionCache | None = None,
     parent: Genotype | None = None,
 ) -> float:
     """Mean absolute error of the genome's single output over the split.
 
-    ``cache``, when given, must have been built for ``data.xs``, and
-    ``parent``, when ``genome`` is its mutant, evaluated through it (see
-    :func:`evaluate_batch`).
+    ``parent``, when ``genome`` is its mutant, is evaluated on ``data.xs``
+    already, and ``genome`` is evaluated from it (see :func:`evaluate_batch`).
     """
     if len(data) == 0:
         raise ConfigError("cannot score an empty dataset split")
     if genome.params.num_outputs != 1:
         raise ConfigError("mean-absolute-error scoring expects a single output")
-    preds = evaluate_batch(genome, data.xs, active, cache, parent)[:, 0]
+    preds = evaluate_batch(genome, data.xs, active, parent)[:, 0]
     errors = np.abs(data.ys - preds)
     # np.mean's own sum and division, without its dispatch overhead
     return float(np.add.reduce(errors) / len(errors))

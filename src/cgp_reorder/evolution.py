@@ -10,11 +10,8 @@ Only the first genome of a run is decoded and evaluated in full.  A reorder
 carries the parent's active set and evaluation vector over to the new
 positions.  A mutant's active set is derived from its parent's by the genes
 the mutation changed, and its evaluation walks only the nodes whose value
-that change can reach, starting from its parent's vector.
-
-On a regression benchmark the run keeps one subexpression cache over the
-training points, and after selection the cache is pruned to the survivor's
-active graph.
+that change can reach, starting from its parent's vector.  The vector is
+run state: the final genome a run returns carries none.
 
 Iterations-to-solution is the number of iterations run; a run that exhausts
 its budget reports the budget itself as its iteration count.  Exactly four
@@ -35,7 +32,7 @@ from .benchmarks import (
     mae_fitness,
 )
 from .errors import ConfigError
-from .genome import Genotype, SubexpressionCache, decode_active, random_genome
+from .genome import Genotype, decode_active, random_genome
 from .mutation import single_mutation
 from .reorder import ReorderStrategy, maybe_reorder
 
@@ -120,15 +117,13 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     if rng is None:
         rng = run_rng(config.master_seed, config.seed)
 
-    cache = None
     if isinstance(bench, BooleanBenchmark):
         maximize = True
         fitness = lambda g, a, p=None: boolean_fitness(g, bench, a, p)
         is_converged = lambda f: f >= config.convergence_threshold
     elif isinstance(bench, RegressionBenchmark):
         maximize = False
-        cache = SubexpressionCache(bench.train.xs)
-        fitness = lambda g, a, p=None: mae_fitness(g, bench.train, a, cache, p)
+        fitness = lambda g, a, p=None: mae_fitness(g, bench.train, a, p)
         is_converged = lambda f: f < config.convergence_threshold
     else:
         raise ConfigError(f"unsupported benchmark type {type(bench).__name__}")
@@ -169,8 +164,6 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
             parent = offspring[choice]
             parent_active = offspring_active[choice]
             parent_fitness = offspring_fitness[choice]
-        if cache is not None:
-            cache.prune(parent, parent_active)
 
         if union_active is not None:
             for i, flag in enumerate(parent_active.bitmap):
@@ -189,6 +182,9 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     test_fitness = None
     if isinstance(bench, RegressionBenchmark) and bench.test is not None:
         test_fitness = mae_fitness(parent, bench.test, parent_active)
+    # a kept vector would hold a node value per position in every result,
+    # and workers would send those back
+    parent.values = None
 
     return RunResult(
         seed=config.seed,

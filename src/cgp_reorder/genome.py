@@ -4,24 +4,26 @@ Global node numbering runs input nodes first, then computational nodes, then
 output nodes.  A computational node carries one function gene and a fixed
 number of connection genes; every connection gene must reference a strictly
 smaller global position, so the encoded graph is feed-forward by
-construction.  Functions that consume fewer connections than the genome
-stores simply ignore the excess genes, both when decoding which nodes are
-active and when evaluating.
+construction.  Every node stores ``ARITY`` connection genes; functions that
+consume fewer simply ignore the excess genes, both when decoding which
+nodes are active and when evaluating.
 
 A genotype is treated as immutable after construction: mutation and
 reordering return new instances and share untouched node records with the
 parent.
 
 Evaluation is one walk over the active nodes in position order, filling a
-vector indexed by global position: packed truth-table columns for the
-Boolean set, subexpression keys for the regression set.  A genome keeps the
-vector of its last evaluation, and a mutant is evaluated from its parent's
-vector: only what its mutation changed, and the nodes that read a changed
-value, are computed again.
+vector indexed by global position with each node's value: a packed
+truth-table column for the Boolean set, a read-only float64 array over the
+batch of points for the regression set.  A genome keeps the vector of its
+last evaluation, and a mutant is evaluated from its parent's vector: only
+what its mutation changed, and the nodes that read a changed value, are
+computed again.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,19 +35,21 @@ import numpy as np
 from .errors import ConfigError
 from .functions import FunctionSet, FunctionSpec, get_function_set
 
+# connection genes per computational node: no function consumes more
+ARITY = 2
+
 
 @dataclass(frozen=True)
 class GraphParams:
-    """Shape of the encoded graph: node counts, arity, and function set."""
+    """Shape of the encoded graph: node counts and function set."""
 
     num_inputs: int
     num_outputs: int
     num_computational: int
-    arity: int = 2
     function_set: str = "boolean"
 
     def __post_init__(self) -> None:
-        for name in ("num_inputs", "num_outputs", "num_computational", "arity"):
+        for name in ("num_inputs", "num_outputs", "num_computational"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         get_function_set(self.function_set)
@@ -105,8 +109,8 @@ class Genotype:
     # how a mutant differs from its parent; None for any other genome
     delta: Delta | None = field(default=None, compare=False, repr=False)
     # the vector of the last evaluation, by global position: packed column
-    # (Boolean) or subexpression key (regression); only the entries of
-    # inputs and active nodes are meaningful
+    # (Boolean) or read-only float64 array over the batch (regression);
+    # only the entries of inputs and active nodes are meaningful
     values: list | None = field(default=None, compare=False, repr=False)
 
 
@@ -145,7 +149,7 @@ def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
     for i in range(params.num_computational):
         position = params.comp_start + i
         fid = int(rng.integers(fset.size))
-        conns = tuple(int(rng.integers(position)) for _ in range(params.arity))
+        conns = tuple(int(rng.integers(position)) for _ in range(ARITY))
         nodes.append(NodeGene(fid, conns))
     outputs = tuple(
         int(rng.integers(params.num_connectable)) for _ in range(params.num_outputs)
@@ -275,24 +279,26 @@ def _walk(
     active: ActiveSet,
     operations: Sequence[Callable],
     context: object,
-    inputs: Sequence,
+    inputs: Callable[[], list],
     parent: Genotype | None = None,
+    differs: Callable[[object, object], bool] = operator.ne,
 ) -> list:
     """The evaluation vector of ``genome``: the value of every input and
     active node, by global position.
 
     ``operations[f](a, b, context)`` is the value of a node with function
     id ``f`` whose connection genes read the values ``a`` and ``b`` (a
-    unary function ignores ``b``), and ``inputs`` are the inputs' values.
-    Every active node is computed, in position order, unless ``genome`` is
-    a mutant of ``parent`` whose active set was derived from the parent's.
-    Then the walk starts from the parent's vector, copied on the first
-    value that differs, and computes again the changed and the newly
-    activated active nodes, and beyond those only the nodes that consume a
-    position whose value differs from the parent's.  A node whose new value
-    equals the parent's does not mark its consumers, and the walk ends once
-    it has passed every consumer of a changed position, which the consumer
-    counts of ``active`` tell.
+    unary function ignores ``b``), and ``inputs()`` gives the inputs'
+    values.  Every active node is computed, in position order, unless
+    ``genome`` is a mutant of ``parent`` whose active set was derived from
+    the parent's.  Then the walk starts from the parent's vector, copied on
+    the first value that differs, and computes again the changed and the
+    newly activated active nodes, and beyond those only the nodes that
+    consume a position whose value differs from the parent's, as
+    ``differs(new, old)`` tells.  A node whose new value equals the
+    parent's does not mark its consumers, and the walk ends once it has
+    passed every consumer of a changed position, which the consumer counts
+    of ``active`` tell.
     """
     params = genome.params
     start = params.num_inputs
@@ -305,9 +311,7 @@ def _walk(
         or delta is None
         or delta.activated is None
     ):
-        vector = [None] * params.num_connectable
-        for i in range(start):
-            vector[i] = int(inputs[i])
+        vector = inputs() + [None] * params.num_computational
         for idx in positions:
             node = nodes[idx]
             conns = node.connections
@@ -348,7 +352,7 @@ def _walk(
                 target = changed[k] if k < len(changed) else -1
             value = operations[node.function_id](vector[conns[0]], vector[conns[1]], context)
             position = start + idx
-            if value != vector[position]:
+            if differs(value, vector[position]):
                 if vector is base:
                     vector = base.copy()
                 vector[position] = value
@@ -380,114 +384,50 @@ def evaluate_packed(
         raise ConfigError("packed evaluation is defined for the boolean set only")
     if active is None:
         active = decode_active(genome)
-    values = genome.values = _walk(
-        genome, active, fset.functions, full_mask, input_masks, parent
-    )
+    inputs = lambda: [int(mask) for mask in input_masks]
+    values = genome.values = _walk(genome, active, fset.functions, full_mask, inputs, parent)
     return [values[c] for c in genome.output_connections]
 
 
-class SubexpressionCache:
-    """Values of regression subexpressions over one batch of points.
+def _read_only(value: np.ndarray) -> np.ndarray:
+    value.flags.writeable = False
+    return value
 
-    A subexpression is keyed by its structure, not by where it sits in a
-    genome: an input column is keyed by its index, and a node by its function
-    id plus the keys of the inputs its function consumes.  Keys are
-    hash-consed to small ints, so a key is a flat tuple at every depth.  Two
-    genomes that share a subexpression (a parent and its mutant, or a genome
-    before and after a reorder) share its value, and evaluating the second
-    computes only the nodes the first did not have.  Values are read-only
-    float64 arrays, computed by the same ufuncs on the same arrays whichever
-    genome first needs them, so a hit is bit-identical to a recomputation.
 
-    The cache only grows while genomes are evaluated; :meth:`prune` drops
-    every entry one genome's active graph does not use.
-    """
-
-    def __init__(self, xs: np.ndarray) -> None:
-        self.xs = xs
-        # structure (function id, consumed input keys...) -> key
-        self._keys: dict[tuple, int] = {}
-        # key -> value; the keys below the input count are the input columns
-        self._values: dict[int, np.ndarray] = {}
-        for i in range(xs.shape[1]):
-            column = xs[:, i].astype(np.float64)
-            column.flags.writeable = False
-            self._values[i] = column
-        self._next_key = xs.shape[1]
-
-    def __len__(self) -> int:
-        """Cached values, input columns included."""
-        return len(self._values)
-
-    def _keys_of(
-        self, genome: Genotype, active: ActiveSet, parent: Genotype | None = None
-    ) -> list:
-        """Key of every input and active node, by global position."""
-        operations = _resolvers(genome.params.function_set)
-        inputs = range(genome.params.num_inputs)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _walk(genome, active, operations, self, inputs, parent)
-
-    def _add(self, structure: tuple, fn: Callable) -> int:
-        """Compute and cache the value of a new structure; returns its key."""
-        value = np.asarray(fn(*[self._values[k] for k in structure[1:]]), dtype=np.float64)
-        value.flags.writeable = False
-        key = self._next_key
-        self._next_key += 1
-        self._keys[structure] = key
-        self._values[key] = value
-        return key
-
-    def prune(self, genome: Genotype, active: ActiveSet) -> None:
-        """Keep only the input columns and the subexpressions of ``genome``'s
-        active graph.  Reads the key vector of ``genome``'s evaluation
-        through this cache, which a genome not yet evaluated gets first."""
-        keys = genome.values
-        if keys is None:
-            keys = genome.values = self._keys_of(genome, active)
-        start = genome.params.comp_start
-        live = set(keys[:start])
-        live.update([keys[start + idx] for idx in active.positions()])
-        self._keys = {s: k for s, k in self._keys.items() if k in live}
-        self._values = {k: self._values[k] for k in live}
+def _bits_differ(value: np.ndarray, old: np.ndarray | None) -> bool:
+    """Whether two node values differ in any byte: -0.0 differs from 0.0,
+    and NaNs with other payloads differ, so no stale byte is kept."""
+    return old is None or value.tobytes() != old.tobytes()
 
 
 @lru_cache(maxsize=None)
-def _resolvers(set_id: str) -> tuple[Callable, ...]:
-    """Per function id of a regression set, the key of a node from its
-    inputs' keys in a :class:`SubexpressionCache`, which computes and caches
-    the value of a key it does not hold yet."""
+def _array_operations(set_id: str) -> tuple[Callable, ...]:
+    """Per function id of a regression set, the value of a node from its
+    inputs' values, as a read-only float64 array."""
 
-    def resolver(fid: int, spec: FunctionSpec) -> Callable:
+    def operation(spec: FunctionSpec) -> Callable:
         fn, unary = spec.fn, spec.arity == 1
 
-        def resolve(a: int, b: int, cache: SubexpressionCache) -> int:
-            structure = (fid, a) if unary else (fid, a, b)
-            key = cache._keys.get(structure)
-            return cache._add(structure, fn) if key is None else key
+        def apply(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
+            return _read_only(np.asarray(fn(a) if unary else fn(a, b), dtype=np.float64))
 
-        return resolve
+        return apply
 
-    entries = get_function_set(set_id).entries
-    return tuple(resolver(fid, spec) for fid, spec in enumerate(entries))
+    return tuple(map(operation, get_function_set(set_id).entries))
 
 
 def evaluate_batch(
     genome: Genotype,
     xs: np.ndarray,
     active: ActiveSet | None = None,
-    cache: SubexpressionCache | None = None,
     parent: Genotype | None = None,
 ) -> np.ndarray:
     """Evaluate a regression genome on a batch of points.
 
     ``xs`` has shape (n_points, num_inputs); the result has shape
-    (n_points, num_outputs) and may be a read-only view of cached values.
-    Node values are read from and added to ``cache``, which must have been
-    built for this same ``xs``; a call without one uses a fresh cache.
-    With a cache, the genome keeps its key vector, and ``parent``, when
-    ``genome`` is its mutant, must have been evaluated through the same
-    cache; its key vector is then the starting point.
+    (n_points, num_outputs) and may be a read-only view of node values.
+    ``parent``, when ``genome`` is its mutant, must have been evaluated on
+    the same ``xs``; its vector is then the starting point.
     """
     params = genome.params
     if params.functions().is_boolean:
@@ -496,14 +436,15 @@ def evaluate_batch(
         raise ConfigError(f"expected shape (n, {params.num_inputs}), got {xs.shape}")
     if active is None:
         active = decode_active(genome)
-    if cache is None:
-        cache = SubexpressionCache(xs)
-        keys = cache._keys_of(genome, active)
-    elif cache.xs is not xs:
-        raise ConfigError("the subexpression cache was built for a different batch")
-    else:
-        keys = genome.values = cache._keys_of(genome, active, parent)
-    outputs = [cache._values[keys[c]] for c in genome.output_connections]
+    operations = _array_operations(params.function_set)
+    # contiguous copies of the columns, so that the ufuncs read the same
+    # memory layout, and give the same bits, whatever the layout of ``xs``
+    inputs = lambda: [_read_only(xs[:, i].astype(np.float64)) for i in range(xs.shape[1])]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = genome.values = _walk(
+            genome, active, operations, None, inputs, parent, _bits_differ
+        )
+    outputs = [values[c] for c in genome.output_connections]
     if len(outputs) == 1:
         return outputs[0][:, None]
     return np.column_stack(outputs)
@@ -524,9 +465,9 @@ def validate(genome: Genotype) -> list[str]:
         position = start + idx
         if not 0 <= node.function_id < fset.size:
             report.append(f"node {position}: function id {node.function_id} out of range")
-        if len(node.connections) != params.arity:
+        if len(node.connections) != ARITY:
             report.append(
-                f"node {position}: expected {params.arity} connection genes, "
+                f"node {position}: expected {ARITY} connection genes, "
                 f"got {len(node.connections)}"
             )
         for k, conn in enumerate(node.connections):
@@ -553,7 +494,7 @@ def to_flat_text(genome: Genotype) -> str:
     params = genome.params
     lines = [
         f"# inputs={params.num_inputs} outputs={params.num_outputs} "
-        f"nodes={params.num_computational} arity={params.arity} "
+        f"nodes={params.num_computational} arity={ARITY} "
         f"function_set={params.function_set}"
     ]
     for idx, node in enumerate(genome.computational):
@@ -586,11 +527,12 @@ def from_flat_text(text: str) -> Genotype:
             node_lines.append(fields)
     if header is None:
         raise ConfigError("flat genome text is missing its shape header comment")
+    if int(header["arity"]) != ARITY:
+        raise ConfigError(f"flat genome text has arity {header['arity']}, expected {ARITY}")
     params = GraphParams(
         num_inputs=int(header["inputs"]),
         num_outputs=int(header["outputs"]),
         num_computational=int(header["nodes"]),
-        arity=int(header["arity"]),
         function_set=header["function_set"],
     )
     nodes = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .genome import ActiveSet, Delta, Genotype, NodeGene
+from .genome import ARITY, ActiveSet, Delta, Genotype, NodeGene
 
 
 def _resample_excluding(rng: np.random.Generator, domain_size: int, current: int) -> int:
@@ -39,7 +39,7 @@ def single_mutation(
     params = genome.params
     fset = params.functions()
     num_nodes = params.num_computational
-    genes_per_node = 1 + params.arity
+    genes_per_node = 1 + ARITY
     node_genes = num_nodes * genes_per_node
     total_genes = node_genes + params.num_outputs
 

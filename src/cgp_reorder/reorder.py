@@ -23,7 +23,7 @@ forward afterwards; those genes are resampled by
 
 Every operator builds one ``position_map`` from old to new global positions
 and shares one remap path: all connection genes are remapped at once as an
-``(N, arity)`` array, and the source genome's active set and evaluation
+``(N, ARITY)`` array, and the source genome's active set and evaluation
 vector are permuted along with the nodes and returned in the new genome's
 ``active`` and ``values`` fields instead of being decoded and evaluated
 again.
@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .genome import ActiveSet, Genotype, NodeGene, decode_active
+from .genome import ARITY, ActiveSet, Genotype, NodeGene, decode_active
 
 REORDER_KINDS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
 GATED_KINDS = ("negbias", "leftskew")
@@ -134,11 +134,10 @@ def _distinct_positions(sorted_values, start: int, end: int) -> np.ndarray:
 
 
 def _connection_array(genome: Genotype) -> np.ndarray:
-    """The connection genes as an (N, arity) int array, one row per node."""
+    """The connection genes as an (N, ARITY) int array, one row per node."""
     nodes = genome.computational
-    arity = genome.params.arity
     genes = chain.from_iterable([node.connections for node in nodes])
-    return np.fromiter(genes, np.intp, len(nodes) * arity).reshape(len(nodes), arity)
+    return np.fromiter(genes, np.intp, len(nodes) * ARITY).reshape(len(nodes), ARITY)
 
 
 def repair_forward_connections(

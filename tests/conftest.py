@@ -12,14 +12,14 @@ from cgp_reorder.genome import (
     random_genome,
 )
 
-settings.register_profile("cgp", max_examples=50, deadline=None)
+settings.register_profile("cgp", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("cgp")
 
 
 def fig1_genome() -> Genotype:
     """The worked example graph: two inputs, an unused divider, a subtractor,
     and an adder that doubles the difference; the output reads the adder."""
-    params = GraphParams(2, 1, 3, 2, "regression")
+    params = GraphParams(2, 1, 3, "regression")
     nodes = [
         NodeGene(3, (0, 1)),  # PDIV, inactive
         NodeGene(1, (0, 1)),  # SUB
@@ -31,7 +31,7 @@ def fig1_genome() -> Genotype:
 def chain_genome(num_nodes: int, function_set: str = "boolean") -> Genotype:
     """Every node consumes its predecessor; output reads the last node, so
     all computational nodes are active."""
-    params = GraphParams(2, 1, num_nodes, 2, function_set)
+    params = GraphParams(2, 1, num_nodes, function_set)
     nodes = [
         NodeGene(0, (params.comp_start + i - 1,) * 2 if i else (0, 1))
         for i in range(num_nodes)
@@ -44,7 +44,7 @@ def parity3_xor_genome() -> Genotype:
 
     XOR(a, b) = NAND(NAND(a, NAND(a, b)), NAND(b, NAND(a, b))).
     """
-    params = GraphParams(3, 1, 8, 2, "boolean")
+    params = GraphParams(3, 1, 8, "boolean")
     NAND = 2
 
     def xor_nodes(a: int, b: int, base: int) -> list[NodeGene]:

@@ -96,7 +96,7 @@ class TestCriterion1PhenotypePreservation:
     def test_boolean_shapes_exhaustive(self):
         failures = 0
         for num_in, num_out in ((3, 1), (16, 4), (4, 16), (6, 6)):
-            params = GraphParams(num_in, num_out, 48, 2, "boolean")
+            params = GraphParams(num_in, num_out, 48, "boolean")
             masks, full = packed_inputs(num_in)
             failures += self._check(
                 lambda g: evaluate_packed(g, masks, full), params, num_in * 1000
@@ -112,7 +112,7 @@ class TestCriterion1PhenotypePreservation:
         for name in ("nguyen7", "koza3", "pagie1", "keijzer6"):
             bench = build_regression(name, np.random.default_rng(1))
             xs = bench.train.xs
-            params = GraphParams(bench.num_inputs, 1, 48, 2, "regression")
+            params = GraphParams(bench.num_inputs, 1, 48, "regression")
             failures += self._check(
                 lambda g: evaluate_batch(g, xs).tobytes(),
                 params,
@@ -329,7 +329,7 @@ class TestCriterion9LinearScaling:
         rng = np.random.default_rng(0)
         genomes = {
             nodes: random_genome(
-                GraphParams(6, 6, nodes, 2, "boolean"), np.random.default_rng(123)
+                GraphParams(6, 6, nodes, "boolean"), np.random.default_rng(123)
             )
             for nodes in (2000, 4000)
         }

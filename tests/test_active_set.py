@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgp_reorder.genome import Genotype, GraphParams, NodeGene, decode_active, random_genome
+from cgp_reorder.genome import ARITY, Genotype, GraphParams, NodeGene, decode_active, random_genome
 from cgp_reorder.mutation import single_mutation
 from cgp_reorder.reorder import (
     reorder_equidistant,
@@ -34,10 +34,10 @@ REORDERS = {
 EDITS = ("mutate", "arity", "output", "cut", "scramble")
 
 SHAPES = [
-    GraphParams(3, 1, 12, 2, "boolean"),
-    GraphParams(6, 6, 30, 2, "boolean"),
-    GraphParams(1, 1, 12, 2, "regression"),
-    GraphParams(2, 1, 25, 2, "regression"),
+    GraphParams(3, 1, 12, "boolean"),
+    GraphParams(6, 6, 30, "boolean"),
+    GraphParams(1, 1, 12, "regression"),
+    GraphParams(2, 1, 25, "regression"),
 ]
 
 
@@ -89,7 +89,7 @@ def apply_edit(kind: str, parent: Genotype, active, rng) -> Genotype:
     replaced = {}
     for idx in rng.choice(params.num_computational, size=3, replace=False).tolist():
         position = start + idx
-        conns = tuple(int(rng.integers(position)) for _ in range(params.arity))
+        conns = tuple(int(rng.integers(position)) for _ in range(ARITY))
         replaced[idx] = NodeGene(int(rng.integers(len(arities))), conns)
     outputs = {}
     if rng.random() < 0.3:

@@ -22,7 +22,7 @@ def constant_zero_genome(num_inputs, num_outputs, nodes=4):
 
     Simplest constant zero: y = AND(a, NOR(a, a)) since NOR(a,a) = NOT a.
     """
-    params = GraphParams(num_inputs, num_outputs, nodes, 2, "boolean")
+    params = GraphParams(num_inputs, num_outputs, nodes, "boolean")
     comp = [
         NodeGene(3, (0, 0)),  # NOR(a, a) = NOT a
         NodeGene(0, (0, params.comp_start)),  # AND(a, NOT a) = 0
@@ -109,7 +109,7 @@ class TestBooleanFitness:
     def test_row_counts_only_when_all_output_bits_match(self):
         # genome echoing input bit 0 to both outputs: compare to a table
         # where output 0 matches always but output 1 never does
-        params = GraphParams(1, 2, 1, 2, "boolean")
+        params = GraphParams(1, 2, 1, "boolean")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0, 0))
         bench_rows = [((0,), (0, 1)), ((1,), (1, 0))]
         from cgp_reorder.benchmarks import BooleanBenchmark
@@ -200,13 +200,13 @@ class TestRegressionDatasets:
 class TestMaeFitness:
     def test_identity_prediction_single_point(self):
         # genome forwards its input; dataset point (5, 2) scores |2 - 5| = 3
-        params = GraphParams(1, 1, 1, 2, "regression")
+        params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         split = DataSplit(np.array([[5.0]]), np.array([2.0]))
         assert mae_fitness(genome, split) == 3.0
 
     def test_exact_fit_scores_zero(self):
-        params = GraphParams(1, 1, 1, 2, "regression")
+        params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         xs = np.linspace(-3, 3, 17).reshape(-1, 1)
         split = DataSplit(xs, xs[:, 0].copy())
@@ -215,7 +215,7 @@ class TestMaeFitness:
     def test_constant_zero_on_koza3_scores_mean_abs_target(self, rng):
         bench = build_regression("koza3", rng)
         # LN of (x - x) is the protected zero, so SUB then LN gives constant 0
-        params = GraphParams(1, 1, 2, 2, "regression")
+        params = GraphParams(1, 1, 2, "regression")
         genome = Genotype(
             params, [NodeGene(1, (0, 0)), NodeGene(6, (1, 1))], (2,)
         )
@@ -223,7 +223,7 @@ class TestMaeFitness:
         assert mae_fitness(genome, bench.train) == pytest.approx(expected, rel=0, abs=0)
 
     def test_empty_split_rejected(self):
-        params = GraphParams(1, 1, 1, 2, "regression")
+        params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         with pytest.raises(ConfigError):
             mae_fitness(genome, DataSplit(np.empty((0, 1)), np.empty(0)))

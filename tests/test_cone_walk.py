@@ -4,22 +4,26 @@ A mutant whose active set was derived from its parent's is evaluated from
 the parent's evaluation vector: only its changed and newly activated active
 nodes, and the nodes that read a changed value, are computed again
 (`genome._walk`).  Over chains of mutations, targeted edits and reorders,
-every child's outputs must equal `conftest.full_forward_pass` (Boolean) or
-`conftest.oracle_evaluate_batch` (regression) bit for bit.  Each step
-continues from the previous step's child, so a stale vector entry would
-carry on; a second child of every parent checks that evaluating the first
-left the parent's vector as it was.
+and along (1+4)-ES chains, every child's outputs must equal
+`conftest.full_forward_pass` (Boolean) or `conftest.oracle_evaluate_batch`
+(regression) bit for bit.  Each step continues from the previous step's
+child, so a stale vector entry would carry on; a second child of every
+parent checks that evaluating the first left the parent's vector as it was.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cgp_reorder.genome as genome_module
+from cgp_reorder.benchmarks import DataSplit, RegressionBenchmark, build_boolean
+from cgp_reorder.evolution import ESConfig, run_es, select_parent
 from cgp_reorder.functions import BOOLEAN_SET
 from cgp_reorder.genome import (
+    Genotype,
     GraphParams,
     NodeGene,
-    SubexpressionCache,
     decode_active,
     evaluate_batch,
     evaluate_packed,
@@ -27,6 +31,7 @@ from cgp_reorder.genome import (
 )
 from cgp_reorder.mutation import single_mutation
 from cgp_reorder.reorder import (
+    ReorderStrategy,
     reorder_equidistant,
     reorder_leftskew,
     reorder_negbias,
@@ -37,6 +42,7 @@ from cgp_reorder.reorder import (
 from conftest import (
     chain_genome,
     edited,
+    fig1_genome,
     full_forward_pass,
     hard_points,
     oracle_evaluate_batch,
@@ -54,10 +60,10 @@ EDITS = ("mutate", "pull", "cut", "unused", "output", "swap", "revive")
 COMMUTATIVE = ("AND", "OR", "NAND", "NOR", "ADD", "MUL")
 
 SHAPES = [
-    GraphParams(3, 1, 12, 2, "boolean"),
-    GraphParams(6, 6, 30, 2, "boolean"),
-    GraphParams(1, 1, 12, 2, "regression"),
-    GraphParams(2, 1, 25, 2, "regression"),
+    GraphParams(3, 1, 12, "boolean"),
+    GraphParams(6, 6, 30, "boolean"),
+    GraphParams(1, 1, 12, "regression"),
+    GraphParams(2, 1, 25, "regression"),
 ]
 
 
@@ -70,27 +76,24 @@ class Problem:
             self.masks, self.full = packed_inputs(params.num_inputs)
         else:
             self.xs = hard_points(params.num_inputs, rng)
-            self.cache = SubexpressionCache(self.xs)
 
     def evaluate(self, genome, active, parent=None):
         if self.boolean:
             return evaluate_packed(genome, self.masks, self.full, active, parent)
-        return evaluate_batch(genome, self.xs, active, self.cache, parent)
+        return evaluate_batch(genome, self.xs, active, parent)
 
     def from_vector(self, genome):
         """The outputs a genome's carried vector holds."""
         values = [genome.values[c] for c in genome.output_connections]
         if self.boolean:
             return values
-        return np.column_stack([self.cache._values[k] for k in values])
+        return np.column_stack(values)
 
     def assert_oracle(self, genome, outputs) -> None:
         if self.boolean:
             assert outputs == full_forward_pass(genome, self.masks, self.full)
         else:
-            expected = oracle_evaluate_batch(genome, self.xs)
-            assert outputs.shape == expected.shape
-            assert outputs.tobytes() == expected.tobytes()
+            assert_matches_oracle(genome, self.xs, outputs)
 
 
 def apply_edit(kind, parent, active, grandparent_active, rng):
@@ -186,8 +189,6 @@ def test_chains_of_children_match_the_oracle(shape, seed, steps):
         child_active = check_child(problem, genome, active, child)
         # a sibling from the same parent, after the first child's walk
         check_child(problem, genome, active, single_mutation(genome, active, rng))
-        if not problem.boolean:
-            problem.cache.prune(child, child_active)
         genome, active, grandparent_active = child, child_active, active
 
 
@@ -240,3 +241,138 @@ def test_grandparent_values_are_not_reused():
     assert revived_active.count == 6
     assert outputs == full_forward_pass(revived, masks, full)
     assert outputs != full_forward_pass(genome, masks, full)
+
+
+def mae(ys: np.ndarray, preds: np.ndarray) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(ys - preds[:, 0])))
+
+
+def assert_matches_oracle(genome, xs, preds) -> None:
+    expected = oracle_evaluate_batch(genome, xs)
+    assert preds.shape == expected.shape
+    assert preds.tobytes() == expected.tobytes()
+
+
+@given(
+    num_inputs=st.sampled_from([1, 2]),
+    nodes=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["none", *REORDERS]), min_size=1, max_size=12),
+)
+def test_es_chains_match_the_oracle(num_inputs, nodes, seed, steps):
+    # the (1+4)-ES loop on regression: the survivor's vector, carried
+    # through reorders, is where every child's walk starts
+    rng = np.random.default_rng(seed)
+    params = GraphParams(num_inputs, 1, nodes, "regression")
+    xs = hard_points(num_inputs, rng)
+    ys = rng.uniform(-2.0, 2.0, len(xs))
+    parent = random_genome(params, rng)
+    parent_active = decode_active(parent)
+    preds = evaluate_batch(parent, xs, parent_active)
+    assert_matches_oracle(parent, xs, preds)
+    parent_fitness = mae(ys, preds)
+    for kind in steps:
+        if kind != "none":
+            reordered = REORDERS[kind](parent, rng, parent_active)
+            if reordered is not parent:
+                parent, parent_active = reordered, reordered.active
+                carried = [parent.values[c] for c in parent.output_connections]
+                assert_matches_oracle(parent, xs, np.column_stack(carried))
+        children, fitnesses = [], []
+        for _ in range(4):
+            child = single_mutation(parent, parent_active, rng)
+            child_active = decode_active(child, parent, parent_active)
+            preds = evaluate_batch(child, xs, child_active, parent)
+            assert_matches_oracle(child, xs, preds)
+            children.append((child, child_active))
+            fitnesses.append(mae(ys, preds))
+        choice = select_parent(parent_fitness, fitnesses, maximize=False)
+        if choice is not None:
+            parent, parent_active = children[choice]
+            parent_fitness = fitnesses[choice]
+
+
+def test_reorders_and_unconsumed_genes_keep_values():
+    g = fig1_genome()
+    xs = np.array([[0.5, 1.5], [2.0, -3.0], [0.0, 1e-12]])
+    before = evaluate_batch(g, xs)
+    for kind, operator in REORDERS.items():
+        h = operator(g, np.random.default_rng(0))
+        assert evaluate_batch(h, xs).tobytes() == before.tobytes(), kind
+    # the second gene of a unary node does not reach its value
+    g.computational[2] = NodeGene(4, (3, 2))  # SIN of the SUB
+    sine = evaluate_batch(g, xs)
+    g.computational[2] = NodeGene(4, (3, 3))
+    assert evaluate_batch(g, xs).tobytes() == sine.tobytes()
+
+
+def test_shared_subexpressions_square_the_difference():
+    g = fig1_genome()
+    g.computational[0] = NodeGene(1, (0, 1))  # a second SUB(x0, x1)
+    g.computational[2] = NodeGene(2, (2, 3))  # MUL of the two SUBs
+    xs = np.array([[0.5, 1.5], [2.0, -3.0]])
+    out = evaluate_batch(g, xs)
+    assert np.array_equal(out[:, 0], (xs[:, 0] - xs[:, 1]) ** 2)
+
+
+def test_results_are_read_only():
+    xs = np.array([[1.0, 2.0]])
+    out = evaluate_batch(fig1_genome(), xs)
+    with pytest.raises(ValueError):
+        out[0, 0] = 0.0
+
+
+def test_unused_gene_edit_of_a_sine_computes_one_node(monkeypatch):
+    calls = []
+
+    def count(operation):
+        def counted(*args):
+            calls.append(operation)
+            return operation(*args)
+
+        return counted
+
+    counting = tuple(map(count, genome_module._array_operations("regression")))
+    monkeypatch.setattr(genome_module, "_array_operations", lambda set_id: counting)
+    genome = chain_genome(8, "regression")
+    genome.computational[3] = NodeGene(4, (4, 4))  # SIN of node 2
+    xs = hard_points(2, np.random.default_rng(0))
+    active = decode_active(genome)
+    evaluate_batch(genome, xs, active)
+    calls.clear()
+    child = edited(genome, nodes={3: NodeGene(4, (4, 0))})
+    child_active = decode_active(child, genome, active)
+    outputs = evaluate_batch(child, xs, child_active, genome)
+    assert len(calls) == 1
+    assert_matches_oracle(child, xs, outputs)
+
+
+def test_sign_of_zero_change_reaches_consumers():
+    # MUL(x0, x0) is +0.0 and MUL(x0, x1) is -0.0 on every point: equal as
+    # numbers, different in their bytes, and the SIN above keeps the sign
+    params = GraphParams(2, 1, 2, "regression")
+    genome = Genotype(params, [NodeGene(2, (0, 0)), NodeGene(4, (2, 2))], (3,))
+    xs = np.array([[0.0, -1.0], [0.0, -2.0]])
+    active = decode_active(genome)
+    assert not np.signbit(evaluate_batch(genome, xs, active)).any()
+    child = edited(genome, nodes={0: NodeGene(2, (0, 1))})
+    child_active = decode_active(child, genome, active)
+    outputs = evaluate_batch(child, xs, child_active, genome)
+    assert np.signbit(outputs).all()
+    assert_matches_oracle(child, xs, outputs)
+
+
+@pytest.mark.parametrize("kind", ["boolean", "regression"])
+def test_run_returns_a_genome_without_vector(kind):
+    # thresholds no run reaches, so both run their 30 iterations
+    if kind == "boolean":
+        bench, threshold = build_boolean("parity3"), 2.0
+    else:
+        xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+        bench = RegressionBenchmark("line", 1, DataSplit(xs, xs[:, 0] * 3.0))
+        threshold = -1.0
+    config = ESConfig(12, ReorderStrategy("none"), 30, threshold, seed=0)
+    result = run_es(config, bench)
+    assert result.final_genome is not None
+    assert result.final_genome.values is None

@@ -71,7 +71,7 @@ def test_exp_examples():
 def test_unary_functions_ignore_excess_args():
     # a SIN node whose second connection gene reads the other input
     sin = next(i for i, s in enumerate(REGRESSION_SET.entries) if s.name == "SIN")
-    genome = Genotype(GraphParams(2, 1, 1, 2, "regression"), [NodeGene(sin, (0, 1))], (2,))
+    genome = Genotype(GraphParams(2, 1, 1, "regression"), [NodeGene(sin, (0, 1))], (2,))
     assert evaluate_batch(genome, np.array([[0.5, 123.0]]))[0, 0] == np.sin(0.5)
 
 
@@ -155,7 +155,7 @@ def test_mean_by_reduce_equals_np_mean_byte_for_byte():
 
 def test_mae_fitness_equals_np_mean_of_absolute_errors():
     # the output reads the input column, so the predictions are the points
-    params = GraphParams(1, 1, 1, 2, "regression")
+    params = GraphParams(1, 1, 1, "regression")
     genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
     rng = np.random.default_rng(1)
     for values in (EDGE_VALUES, rng.uniform(-5.0, 5.0, 50), rng.choice(EDGE_VALUES, 50)):

@@ -51,7 +51,7 @@ class TestDecodeActive:
         assert active.count == 2
 
     def test_output_to_input_gives_empty_active_set(self):
-        params = GraphParams(2, 1, 3, 2, "boolean")
+        params = GraphParams(2, 1, 3, "boolean")
         g = Genotype(params, [NodeGene(0, (0, 1))] * 3, (0,))
         active = decode_active(g)
         assert active.count == 0
@@ -64,7 +64,7 @@ class TestDecodeActive:
     def test_unary_excess_gene_does_not_activate(self):
         # SIN node consumes only its first connection; the second points at
         # another computational node that must stay inactive
-        params = GraphParams(1, 1, 3, 2, "regression")
+        params = GraphParams(1, 1, 3, "regression")
         nodes = [NodeGene(0, (0, 0)), NodeGene(0, (0, 0)), NodeGene(4, (0, 2))]
         g = Genotype(params, nodes, (3,))
         active = decode_active(g)
@@ -127,11 +127,11 @@ class TestRandomGenome:
     @pytest.mark.parametrize(
         "params",
         [
-            GraphParams(2, 1, 10, 2, "boolean"),
-            GraphParams(3, 1, 40, 2, "boolean"),
-            GraphParams(6, 6, 25, 2, "boolean"),
-            GraphParams(1, 1, 30, 2, "regression"),
-            GraphParams(2, 1, 15, 2, "regression"),
+            GraphParams(2, 1, 10, "boolean"),
+            GraphParams(3, 1, 40, "boolean"),
+            GraphParams(6, 6, 25, "boolean"),
+            GraphParams(1, 1, 30, "regression"),
+            GraphParams(2, 1, 15, "regression"),
         ],
     )
     def test_thousand_random_genomes_validate_clean(self, params):
@@ -166,7 +166,7 @@ class TestValidate:
 class TestPackedEvaluation:
     @pytest.mark.parametrize("num_inputs,num_outputs", [(3, 1), (4, 2), (6, 6)])
     def test_packed_equals_rowwise(self, num_inputs, num_outputs):
-        params = GraphParams(num_inputs, num_outputs, 20, 2, "boolean")
+        params = GraphParams(num_inputs, num_outputs, 20, "boolean")
         masks, full = packed_inputs(num_inputs)
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -184,7 +184,7 @@ class TestPackedEvaluation:
 
 class TestBatchEvaluation:
     def test_batch_equals_scalar(self):
-        params = GraphParams(2, 1, 15, 2, "regression")
+        params = GraphParams(2, 1, 15, "regression")
         xs = np.array([[0.5, 1.5], [2.0, -3.0], [1.0, 1.0], [-0.25, 8.0]])
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -200,7 +200,7 @@ class TestBatchEvaluation:
             evaluate_batch(g, np.zeros((2, 2)))
 
     def test_batch_output_finite_for_finite_inputs(self):
-        params = GraphParams(1, 1, 30, 2, "regression")
+        params = GraphParams(1, 1, 30, "regression")
         xs = np.linspace(-50, 50, 31).reshape(-1, 1)
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -210,7 +210,7 @@ class TestBatchEvaluation:
 
 class TestFlatSerialization:
     def test_round_trip(self):
-        params = GraphParams(3, 2, 12, 2, "boolean")
+        params = GraphParams(3, 2, 12, "boolean")
         for seed in range(10):
             g = random_genome(params, np.random.default_rng(seed))
             assert from_flat_text(to_flat_text(g)) == g
@@ -218,6 +218,7 @@ class TestFlatSerialization:
     def test_format_lines(self):
         text = to_flat_text(fig1_genome())
         lines = text.strip().splitlines()
+        assert "arity=2" in lines[0].split()
         assert lines[1] == "2 3 0 1"
         assert lines[-1] == "out_0 4"
 
@@ -225,17 +226,28 @@ class TestFlatSerialization:
         with pytest.raises(ConfigError):
             from_flat_text("2 0 0 1\nout_0 2\n")
 
+    @pytest.mark.parametrize("genes", [("0",), ("0", "1", "1")])
+    def test_other_arity_rejected(self, genes):
+        # a consistent dump whose nodes carry other than two connection genes
+        arity = len(genes)
+        text = (
+            f"# inputs=2 outputs=1 nodes=2 arity={arity} function_set=boolean\n"
+            f"2 0 {' '.join(genes)}\n3 1 {' '.join(genes)}\nout_0 3\n"
+        )
+        with pytest.raises(ConfigError, match="arity"):
+            from_flat_text(text)
+
 
 class TestFullPassEquivalence:
     def test_boolean_full_pass_matches_active_only(self):
-        params = GraphParams(3, 2, 18, 2, "boolean")
+        params = GraphParams(3, 2, 18, "boolean")
         masks, full = packed_inputs(3)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
             assert evaluate_packed(g, masks, full) == full_forward_pass(g, masks, full)
 
     def test_regression_full_pass_matches_active_only(self):
-        params = GraphParams(2, 1, 12, 2, "regression")
+        params = GraphParams(2, 1, 12, "regression")
         xs = np.array([[0.5, -1.5], [2.0, 3.0], [-0.75, 0.1]])
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
@@ -257,7 +269,7 @@ genome_shapes = st.sampled_from(
 @given(genome_shapes, st.integers(0, 2**32 - 1))
 def test_random_genomes_always_valid(shape, seed):
     num_in, num_out, nodes, fset = shape
-    params = GraphParams(num_in, num_out, nodes, 2, fset)
+    params = GraphParams(num_in, num_out, nodes, fset)
     g = random_genome(params, np.random.default_rng(seed))
     assert validate(g) == []
     active = decode_active(g)

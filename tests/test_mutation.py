@@ -41,7 +41,7 @@ def test_all_active_genome_changes_exactly_one_gene():
 
 
 def test_empty_active_terminates_on_output_gene():
-    params = GraphParams(2, 1, 5, 2, "boolean")
+    params = GraphParams(2, 1, 5, "boolean")
     g = Genotype(params, [NodeGene(0, (0, 1)) for _ in range(5)], (0,))
     active = decode_active(g)
     assert active.count == 0
@@ -68,7 +68,7 @@ def test_parent_not_modified():
 
 
 def test_terminating_gene_is_active_or_output():
-    params = GraphParams(3, 1, 25, 2, "boolean")
+    params = GraphParams(3, 1, 25, "boolean")
     rng = np.random.default_rng(17)
     for seed in range(40):
         g = random_genome(params, np.random.default_rng(seed))
@@ -87,7 +87,7 @@ def test_terminating_gene_is_active_or_output():
 def test_single_node_single_input_still_terminates():
     # the lone connection domain has size one, so only function or output
     # genes can terminate the loop
-    params = GraphParams(1, 1, 1, 2, "boolean")
+    params = GraphParams(1, 1, 1, "boolean")
     g = Genotype(params, [NodeGene(0, (0, 0))], (1,))
     active = decode_active(g)
     rng = np.random.default_rng(5)
@@ -99,7 +99,7 @@ def test_single_node_single_input_still_terminates():
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["boolean", "regression"]))
 def test_mutants_always_valid(seed, fset):
-    params = GraphParams(2, 2, 12, 2, fset)
+    params = GraphParams(2, 2, 12, fset)
     g = random_genome(params, np.random.default_rng(seed))
     active = decode_active(g)
     mutant = single_mutation(g, active, np.random.default_rng(seed + 1))

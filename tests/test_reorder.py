@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cgp_reorder.errors import ConfigError, InvariantViolation
 from cgp_reorder.genome import (
+    ARITY,
     GraphParams,
     Genotype,
     NodeGene,
@@ -135,7 +136,7 @@ class TestPhenotypePreservation:
     @pytest.mark.parametrize("shape", BOOLEAN_PRESERVATION_SHAPES)
     def test_boolean_outputs_identical_on_all_rows(self, operator, shape):
         num_in, num_out, nodes = shape
-        params = GraphParams(num_in, num_out, nodes, 2, "boolean")
+        params = GraphParams(num_in, num_out, nodes, "boolean")
         masks, full = packed_inputs(num_in)
         rng = np.random.default_rng(21)
         for seed in range(30):
@@ -149,7 +150,7 @@ class TestPhenotypePreservation:
     @pytest.mark.parametrize("shape", REGRESSION_PRESERVATION_SHAPES)
     def test_regression_outputs_bit_identical(self, operator, shape):
         num_in, num_out, nodes = shape
-        params = GraphParams(num_in, num_out, nodes, 2, "regression")
+        params = GraphParams(num_in, num_out, nodes, "regression")
         xs = np.linspace(-5, 5, 40).reshape(-1, num_in) if num_in == 1 else (
             np.stack(np.meshgrid(np.linspace(-5, 5, 7), np.linspace(-5, 5, 7)), -1).reshape(-1, 2)
         )
@@ -164,7 +165,7 @@ class TestPhenotypePreservation:
 
     @pytest.mark.parametrize("operator", ALL_OPERATORS)
     def test_active_count_preserved(self, operator):
-        params = GraphParams(3, 2, 40, 2, "boolean")
+        params = GraphParams(3, 2, 40, "boolean")
         rng = np.random.default_rng(5)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
@@ -174,7 +175,7 @@ class TestPhenotypePreservation:
 class TestActiveOrderPreservation:
     @pytest.mark.parametrize("operator", PLACEMENT_OPERATORS)
     def test_active_function_sequence_unchanged(self, operator):
-        params = GraphParams(3, 1, 30, 2, "boolean")
+        params = GraphParams(3, 1, 30, "boolean")
         rng = np.random.default_rng(8)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
@@ -186,7 +187,7 @@ class TestActiveOrderPreservation:
 
 class TestPlacementPositions:
     def test_equidistant_positions_match_lin_space(self):
-        params = GraphParams(3, 1, 25, 2, "boolean")
+        params = GraphParams(3, 1, 25, "boolean")
         rng = np.random.default_rng(4)
         for seed in range(25):
             g = random_genome(params, np.random.default_rng(seed))
@@ -198,7 +199,7 @@ class TestPlacementPositions:
             assert new_positions == lin_space(params.comp_start, params.comp_end, n)
 
     def test_negbias_positions_fill_the_tail(self):
-        params = GraphParams(3, 1, 25, 2, "boolean")
+        params = GraphParams(3, 1, 25, "boolean")
         rng = np.random.default_rng(4)
         for seed in range(25):
             g = random_genome(params, np.random.default_rng(seed))
@@ -211,7 +212,7 @@ class TestPlacementPositions:
 
     def test_single_active_node_moves_to_last_position(self):
         # one active node sits directly before the outputs afterwards
-        params = GraphParams(2, 1, 9, 2, "boolean")
+        params = GraphParams(2, 1, 9, "boolean")
         nodes = [NodeGene(0, (0, 1)) for _ in range(9)]
         g = Genotype(params, nodes, (params.comp_start,))
         h = reorder_equidistant(g, np.random.default_rng(0))
@@ -234,7 +235,7 @@ class TestIdentityCases:
 
     @pytest.mark.parametrize("operator", ALL_OPERATORS)
     def test_no_active_nodes_is_identity(self, operator):
-        params = GraphParams(2, 1, 8, 2, "boolean")
+        params = GraphParams(2, 1, 8, "boolean")
         g = Genotype(params, [NodeGene(0, (0, 1)) for _ in range(8)], (0,))
         assert decode_active(g).count == 0
         assert operator(g, np.random.default_rng(0)) == g
@@ -249,7 +250,7 @@ class TestOriginalReorder:
     def test_all_input_dependent_nodes_permute_uniformly(self):
         # every node reads inputs only, so any order is a valid shuffle;
         # with three nodes all six permutations should show up
-        params = GraphParams(2, 1, 3, 2, "boolean")
+        params = GraphParams(2, 1, 3, "boolean")
         base = [NodeGene(0, (0, 1)), NodeGene(1, (0, 1)), NodeGene(2, (0, 1))]
         g = Genotype(params, base, (2,))
         rng = np.random.default_rng(0)
@@ -279,7 +280,7 @@ class TestRepair:
 
     def test_forward_inactive_gene_repaired(self):
         # inactive node at position 3 points at position 5
-        params = GraphParams(2, 1, 4, 2, "boolean")
+        params = GraphParams(2, 1, 4, "boolean")
         nodes = [
             NodeGene(0, (0, 1)),
             NodeGene(0, (5, 0)),  # position 3, forward reference
@@ -293,7 +294,7 @@ class TestRepair:
         assert validate(g) == []
 
     def test_forward_consumed_gene_on_active_node_raises(self):
-        params = GraphParams(2, 1, 4, 2, "boolean")
+        params = GraphParams(2, 1, 4, "boolean")
         nodes = [
             NodeGene(0, (0, 1)),
             NodeGene(0, (4, 0)),  # active, consumed forward gene
@@ -307,7 +308,7 @@ class TestRepair:
     def test_forward_excess_gene_on_active_unary_node_repaired(self):
         # a sine node consumes one gene; its ignored second gene may point
         # forward and gets silently rewired
-        params = GraphParams(1, 1, 3, 2, "regression")
+        params = GraphParams(1, 1, 3, "regression")
         nodes = [
             NodeGene(0, (0, 0)),
             NodeGene(4, (0, 3)),  # SIN at position 2, excess gene forward
@@ -323,14 +324,14 @@ class TestRepair:
         # nodes, forward; repair must redraw them exactly as a loop drawing
         # one gene at a time in node-then-gene order does
         num_in, num_out, fset = shape
-        params = GraphParams(num_in, num_out, 30, 2, fset)
+        params = GraphParams(num_in, num_out, 30, fset)
         rng = np.random.default_rng(seed)
         g = random_genome(params, rng)
         active = decode_active(g)
         arities = params.functions().arities
         for idx, node in enumerate(g.computational):
             conns = list(node.connections)
-            for k in range(params.arity):
+            for k in range(ARITY):
                 free = not active.bitmap[idx] or k >= arities[node.function_id]
                 if free and rng.random() < 0.5:
                     conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
@@ -363,7 +364,7 @@ class TestRepair:
             return repaired
 
         monkeypatch.setattr(reorder_mod, "repair_forward_connections", counting)
-        params = GraphParams(6, 6, 1000, 2, "boolean")
+        params = GraphParams(6, 6, 1000, "boolean")
         rng = np.random.default_rng(2)
         for seed in range(10):
             g = random_genome(params, np.random.default_rng(seed))
@@ -411,7 +412,7 @@ class TestUniformPositionDistribution:
     def test_single_active_position_uniform_chi_squared(self):
         # 10,000 reorders of a genome with one active node over 100 slots;
         # chi-squared critical value for df=99 at alpha=0.01 is 134.6416
-        params = GraphParams(2, 1, 100, 2, "boolean")
+        params = GraphParams(2, 1, 100, "boolean")
         nodes = [NodeGene(0, (0, 1)) for _ in range(100)]
         g = Genotype(params, nodes, (params.comp_start + 50,))
         rng = np.random.default_rng(42)
@@ -433,7 +434,7 @@ class TestMaybeReorder:
             assert maybe_reorder(g, strategy, rng) is g
 
     def test_probability_one_always_reorders(self):
-        params = GraphParams(3, 1, 30, 2, "boolean")
+        params = GraphParams(3, 1, 30, "boolean")
         g = random_genome(params, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         strategy = ReorderStrategy("equidistant", 1.0)
@@ -447,7 +448,7 @@ class TestMaybeReorder:
         assert maybe_reorder(g, ReorderStrategy("none"), np.random.default_rng(0)) is g
 
     def test_gate_rate_matches_probability(self):
-        params = GraphParams(3, 1, 10, 2, "boolean")
+        params = GraphParams(3, 1, 10, "boolean")
         g = random_genome(params, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         strategy = ReorderStrategy("negbias", 0.3)
