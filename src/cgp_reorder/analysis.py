@@ -55,7 +55,7 @@ class SummaryRow:
     success_rate: float
     mean_train_fitness: float
     mean_test_fitness: float | None
-    config: dict | None = None
+    config: dict
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -97,15 +97,9 @@ def active_distribution(results: Sequence[RunResult]) -> PositionalBiasHistogram
     return PositionalBiasHistogram((counts / len(results)).tolist(), len(results))
 
 
-def summarize(
-    results: Sequence[RunResult],
-    variant: str,
-    benchmark: str,
-    nodes: int,
-    p_reorder: float,
-    config: dict | None = None,
-) -> SummaryRow:
-    """Descriptive statistics over one variant's run set."""
+def summarize(results: Sequence[RunResult], config: dict) -> SummaryRow:
+    """Descriptive statistics over one variant's run set; the row is named
+    by the benchmark, variant, nodes and p_reorder of its ``config``."""
     if not results:
         raise AggregationError("no results to summarize")
     iterations = np.asarray([r.iterations for r in results], dtype=np.float64)
@@ -114,10 +108,10 @@ def summarize(
         float(np.mean([t for t in tests])) if all(t is not None for t in tests) else None
     )
     return SummaryRow(
-        variant=variant,
-        benchmark=benchmark,
-        nodes=nodes,
-        p_reorder=p_reorder,
+        variant=config["variant"],
+        benchmark=config["benchmark"],
+        nodes=config["nodes"],
+        p_reorder=config["p_reorder"],
         runs=len(results),
         mean_iterations=float(np.mean(iterations)),
         sd_iterations=float(np.std(iterations)),
@@ -164,12 +158,12 @@ def convergence_mean(
     )
 
 
-def _config_comment_lines(config: dict) -> list[str]:
+def config_comment_lines(config: dict) -> list[str]:
     return [f"# {key}={config[key]}" for key in sorted(config)]
 
 
 def write_histogram_csv(path: str, hist: PositionalBiasHistogram, config: dict) -> None:
-    lines = _config_comment_lines(config)
+    lines = config_comment_lines(config)
     lines.append(f"# runs={hist.num_runs}")
     lines.append("position,normalized_position,probability")
     for pos, (norm, prob) in enumerate(
@@ -180,7 +174,7 @@ def write_histogram_csv(path: str, hist: PositionalBiasHistogram, config: dict) 
 
 
 def write_convergence_csv(path: str, curve: ConvergenceCurve, config: dict) -> None:
-    lines = _config_comment_lines(config)
+    lines = config_comment_lines(config)
     lines.append("# sd is the population standard deviation over runs (divisor n)")
     lines.append("iteration,mean_fitness,sd")
     for it, mean, sd in zip(curve.iterations, curve.mean_fitness, curve.sd_fitness):

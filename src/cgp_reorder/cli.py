@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import (
     SummaryRow,
     active_distribution,
+    config_comment_lines,
     convergence_mean,
     default_grid,
     summarize,
@@ -37,7 +38,7 @@ from .analysis import (
 )
 from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic
 from .errors import AggregationError, ConfigError, InvariantViolation
-from .evolution import ConvergenceTrace, ESConfig, RunResult, run_es, run_rng
+from .evolution import ConvergenceTrace, ESConfig, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
 from .genome import GraphParams, random_genome, to_flat_text
 from .reorder import REORDER_KINDS, ReorderStrategy
@@ -288,7 +289,7 @@ def _run_seed(seed: int) -> RunResult:
         trace_full=settings.trace_full,
         track_union_active=settings.track_union_active,
     )
-    return run_es(config, _WORKER_STATE["bench"], run_rng(settings.master_seed, seed))
+    return run_es(config, _WORKER_STATE["bench"])
 
 
 def effective_workers(settings: Settings) -> int:
@@ -345,7 +346,7 @@ def write_results_jsonl(path: str, results: list[RunResult], config: dict) -> No
 
 
 def write_trace_csv(path: str, trace: ConvergenceTrace, config: dict) -> None:
-    lines = [f"# {key}={config[key]}" for key in sorted(config)]
+    lines = config_comment_lines(config)
     lines.append("iteration,best_fitness")
     for iteration, fitness in trace.samples:
         lines.append(f"{iteration},{fitness!r}")
@@ -400,14 +401,7 @@ def _write_run_outputs(outdir: str, settings: Settings, results: list[RunResult]
                     os.path.join(genomes_dir, f"genome_seed{result.seed}.txt"),
                     to_flat_text(result.final_genome),
                 )
-    return summarize(
-        results,
-        settings.variant,
-        settings.benchmark,
-        settings.nodes,
-        settings.p_reorder,
-        config,
-    )
+    return summarize(results, config)
 
 
 def _write_meta(outdir: str, started: float, workers: int) -> None:
@@ -461,15 +455,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if os.path.exists(marker):
             records = _load_records(os.path.join(cell_dir, "results.jsonl"))
             results = [record_to_result(rec) for rec in records]
+            rows.append(summarize(results, effective_config(cell)))
         else:
             results = execute_batch(cell, os.path.join(settings.out, "datasets"))
-            _write_run_outputs(cell_dir, cell, results)
+            rows.append(_write_run_outputs(cell_dir, cell, results))
             write_atomic(marker, "complete\n")
-        rows.append(
-            summarize(
-                results, cell.variant, cell.benchmark, nodes, p, effective_config(cell)
-            )
-        )
 
     kind = benchmark_kind(settings.benchmark)
     if kind == "boolean":
@@ -549,9 +539,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             write_convergence_csv(
                 os.path.join(out_dir, f"convergence_{tag}.csv"), curve, config
             )
-        rows.append(
-            summarize(results, variant, benchmark, nodes, p, config)
-        )
+        rows.append(summarize(results, config))
 
     write_summary_jsonl(os.path.join(out_dir, "summary.jsonl"), rows)
     for row in rows:

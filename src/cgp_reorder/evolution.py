@@ -135,7 +135,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
 
     trace = ConvergenceTrace()
     trace.record(0, parent_fitness)
-    union_active = list(parent_active.bitmap) if config.track_union_active else None
+    union_active = parent_active.bitmap if config.track_union_active else None
 
     converged = False
     iteration = 0
@@ -166,9 +166,8 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
             parent_fitness = offspring_fitness[choice]
 
         if union_active is not None:
-            for i, flag in enumerate(parent_active.bitmap):
-                if flag:
-                    union_active[i] = True
+            for i in parent_active.positions():
+                union_active[i] = True
 
         if is_converged(parent_fitness):
             converged = True
@@ -194,7 +193,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
         final_train_fitness=parent_fitness,
         final_test_fitness=test_fitness,
         active_count=parent_active.count,
-        active_bitmap="".join("1" if a else "0" for a in parent_active.bitmap),
+        active_bitmap="".join("1" if c else "0" for c in parent_active.consumers),
         trace=trace,
         final_genome=parent,
         union_active_bitmap=(

@@ -118,19 +118,18 @@ class Genotype:
 class ActiveSet:
     """Which computational nodes lie on a path to an output.
 
-    ``bitmap[i]`` is indexed by computational position (0-based, not global),
-    and so is ``consumers[i]``: the number of output genes and consumed
-    connection genes of active nodes that reference node i.  A node is
-    active exactly when it has a consumer.  An active set is never mutated
-    after construction, so sets may share their lists.
+    ``consumers[i]`` is indexed by computational position (0-based, not
+    global): the number of output genes and consumed connection genes of
+    active nodes that reference node i.  A node is active exactly when it
+    has a consumer, so the counts are the only stored copy of the set; the
+    bitmap, the count and the ascending positions are derived from them.
+    A caller that knows the positions already passes them as the second
+    argument.  An active set is never mutated after construction, so sets
+    may share their lists.
     """
 
-    bitmap: list[bool]
-    count: int
     consumers: list[int]
-    _positions: list[int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _positions: list[int] | None = field(default=None, repr=False, compare=False)
 
     def positions(self) -> list[int]:
         """Ascending computational indices of the active nodes.
@@ -138,8 +137,17 @@ class ActiveSet:
         Computed on first use and shared by later calls: do not mutate it.
         """
         if self._positions is None:
-            self._positions = list(compress(range(len(self.bitmap)), self.bitmap))
+            self._positions = list(compress(range(len(self.consumers)), self.consumers))
         return self._positions
+
+    @property
+    def count(self) -> int:
+        return len(self.positions())
+
+    @property
+    def bitmap(self) -> list[bool]:
+        """Whether each node is active, as a new list."""
+        return list(map(bool, self.consumers))
 
 
 def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
@@ -164,41 +172,29 @@ def _consumed(node: NodeGene, arities: Sequence[int], start: int, into: list) ->
             into.append(conn - start)
 
 
-def _activate(nodes, arities, start, bitmap, consumers, stack) -> list[int]:
-    """Mark active every node on ``stack`` and, depth first, every node they
-    consume, counting each consumed gene of a newly active node; returns
-    the nodes that became active."""
+def _activate(nodes, arities, start, consumers, stack) -> list[int]:
+    """Count one more consumer for every node on ``stack``; a node whose
+    count goes from 0 to 1 becomes active and counts, depth first, the
+    nodes its function reads.  Returns the nodes that became active."""
     added = []
     while stack:
         idx = stack.pop()
-        if bitmap[idx]:
-            continue
-        bitmap[idx] = True
-        added.append(idx)
-        node = nodes[idx]
-        for conn in node.connections[: arities[node.function_id]]:
-            if conn >= start:
-                consumers[conn - start] += 1
-                stack.append(conn - start)
+        consumers[idx] += 1
+        if consumers[idx] == 1:
+            added.append(idx)
+            _consumed(nodes[idx], arities, start, stack)
     return added
 
 
-def _deactivate(nodes, arities, start, bitmap, consumers, stack) -> int:
-    """Mark inactive every active node on ``stack`` left without a consumer,
-    releasing its consumed genes in turn; returns how many became inactive."""
-    removed = 0
+def _deactivate(nodes, arities, start, consumers, stack) -> None:
+    """Count one consumer less for every node on ``stack``; a node whose
+    count goes from 1 to 0 becomes inactive and releases, in turn, the
+    nodes its function reads."""
     while stack:
         idx = stack.pop()
-        if not bitmap[idx] or consumers[idx]:
-            continue
-        bitmap[idx] = False
-        removed += 1
-        node = nodes[idx]
-        for conn in node.connections[: arities[node.function_id]]:
-            if conn >= start:
-                consumers[conn - start] -= 1
-                stack.append(conn - start)
-    return removed
+        consumers[idx] -= 1
+        if not consumers[idx]:
+            _consumed(nodes[idx], arities, start, stack)
 
 
 def decode_active(
@@ -225,22 +221,17 @@ def decode_active(
     nodes = genome.computational
     delta = genome.delta
     if parent is None or parent_active is None or delta is None:
-        bitmap = [False] * params.num_computational
         consumers = [0] * params.num_computational
-        stack: list[int] = []
-        for conn in genome.output_connections:
-            if conn >= start:
-                consumers[conn - start] += 1
-                stack.append(conn - start)
-        count = len(_activate(nodes, arities, start, bitmap, consumers, stack))
-        return ActiveSet(bitmap, count, consumers)
+        stack = [conn - start for conn in genome.output_connections if conn >= start]
+        _activate(nodes, arities, start, consumers, stack)
+        return ActiveSet(consumers)
 
     old_nodes = parent.computational
-    was_active = parent_active.bitmap
+    old_consumers = parent_active.consumers
     released: list[int] = []
     gained: list[int] = []
     for idx in delta.nodes:
-        if was_active[idx]:
+        if old_consumers[idx]:
             _consumed(old_nodes[idx], arities, start, released)
             _consumed(nodes[idx], arities, start, gained)
     for k in delta.outputs:
@@ -255,23 +246,16 @@ def decode_active(
         delta.activated = []
         return parent_active
 
-    consumers = parent_active.consumers.copy()
-    for idx in gained:
-        consumers[idx] += 1
-    for idx in released:
-        consumers[idx] -= 1
-    if all(map(was_active.__getitem__, gained)) and all(map(consumers.__getitem__, released)):
-        # no node gained its first consumer or lost its last: the same nodes
-        # are active, so the parent's bitmap and positions are shared
-        delta.activated = []
-        derived = ActiveSet(was_active, parent_active.count, consumers)
-        derived._positions = parent_active._positions
-        return derived
-    bitmap = was_active.copy()
-    activated = _activate(nodes, arities, start, bitmap, consumers, gained)
-    removed = _deactivate(nodes, arities, start, bitmap, consumers, released)
-    delta.activated = activated
-    return ActiveSet(bitmap, parent_active.count + len(activated) - removed, consumers)
+    consumers = old_consumers.copy()
+    # gains first: a parent-active node that the delta releases but that a
+    # newly activated node consumes again never reaches zero, so it is
+    # neither activated again nor released
+    activated = delta.activated = _activate(nodes, arities, start, consumers, gained)
+    _deactivate(nodes, arities, start, consumers, released.copy())
+    if activated or not all(map(consumers.__getitem__, released)):
+        return ActiveSet(consumers)
+    # no count crossed zero: the same nodes are active
+    return ActiveSet(consumers, parent_active.positions())
 
 
 def _walk(
@@ -323,7 +307,7 @@ def _walk(
     # copied on the first value that differs from the parent's
     vector = base = parent.values
     # a node the same change activated and released again is not computed
-    changed = list(filter(active.bitmap.__getitem__, (*delta.nodes, *delta.activated)))
+    changed = list(filter(active.consumers.__getitem__, (*delta.nodes, *delta.activated)))
     if len(changed) > 1:
         changed = sorted(set(changed))
     arities = params.functions().arities
@@ -506,7 +490,10 @@ def to_flat_text(genome: Genotype) -> str:
 
 
 def from_flat_text(text: str) -> Genotype:
-    """Parse the output of :func:`to_flat_text` (header comment required)."""
+    """Parse the output of :func:`to_flat_text` (header comment required).
+
+    Text that is not such a dump raises :class:`ConfigError`.
+    """
     header = None
     node_lines: list[list[str]] = []
     output_lines: list[list[str]] = []
@@ -516,9 +503,7 @@ def from_flat_text(text: str) -> Genotype:
             continue
         if line.startswith("#"):
             if header is None and "inputs=" in line:
-                header = dict(
-                    part.split("=", 1) for part in line.lstrip("# ").split()
-                )
+                header = line.lstrip("# ").split()
             continue
         fields = line.split()
         if fields[0].startswith("out_"):
@@ -527,22 +512,28 @@ def from_flat_text(text: str) -> Genotype:
             node_lines.append(fields)
     if header is None:
         raise ConfigError("flat genome text is missing its shape header comment")
-    if int(header["arity"]) != ARITY:
-        raise ConfigError(f"flat genome text has arity {header['arity']}, expected {ARITY}")
-    params = GraphParams(
-        num_inputs=int(header["inputs"]),
-        num_outputs=int(header["outputs"]),
-        num_computational=int(header["nodes"]),
-        function_set=header["function_set"],
-    )
-    nodes = [
-        NodeGene(int(fields[1]), tuple(int(c) for c in fields[2:]))
-        for fields in sorted(node_lines, key=lambda f: int(f[0]))
-    ]
-    outputs = tuple(
-        int(fields[1])
-        for fields in sorted(output_lines, key=lambda f: int(f[0].split("_")[1]))
-    )
+    try:
+        shape = dict(part.split("=", 1) for part in header)
+        if int(shape["arity"]) != ARITY:
+            raise ConfigError(f"flat genome text has arity {shape['arity']}, expected {ARITY}")
+        params = GraphParams(
+            num_inputs=int(shape["inputs"]),
+            num_outputs=int(shape["outputs"]),
+            num_computational=int(shape["nodes"]),
+            function_set=shape["function_set"],
+        )
+        nodes = [
+            NodeGene(int(fields[1]), tuple(int(c) for c in fields[2:]))
+            for fields in sorted(node_lines, key=lambda f: int(f[0]))
+        ]
+        outputs = tuple(
+            int(fields[1])
+            for fields in sorted(output_lines, key=lambda f: int(f[0].split("_")[1]))
+        )
+    except KeyError as exc:
+        raise ConfigError(f"flat genome text header lacks {exc.args[0]}=") from None
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"flat genome text is malformed: {exc}") from None
     genome = Genotype(params, nodes, outputs)
     problems = validate(genome)
     if problems:

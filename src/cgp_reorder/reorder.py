@@ -171,7 +171,7 @@ def repair_forward_connections(
     nodes = genome.computational
     rows_list = rows.tolist()
     for idx, k in zip(rows_list, cols.tolist()):
-        if active.bitmap[idx] and k < arities[nodes[idx].function_id]:
+        if active.consumers[idx] and k < arities[nodes[idx].function_id]:
             raise InvariantViolation(
                 f"active node at position {start + idx} consumes a forward "
                 f"connection to {conn[idx, k]}"
@@ -209,12 +209,8 @@ def _remap(
         new_nodes[idx] = NodeGene(nodes[old_idx].function_id, tuple(genes))
     outputs = tuple(position_map[list(genome.output_connections)].tolist())
     order_list = order.tolist()
-    bitmap, consumers = active.bitmap, active.consumers
-    carried = ActiveSet(
-        [bitmap[i] for i in order_list],
-        active.count,
-        [consumers[i] for i in order_list],
-    )
+    consumers = active.consumers
+    carried = ActiveSet([consumers[i] for i in order_list])
     values = genome.values
     if values is not None:
         moved = values[start:]
@@ -240,7 +236,7 @@ def _place(
     active_to, inactive_to = placement_positions(
         start, end, targets(start, end, active.count, rng)
     )
-    is_active = np.fromiter(active.bitmap, bool, params.num_computational)
+    is_active = np.fromiter(active.consumers, bool, params.num_computational)
     position_map = np.arange(start + params.num_computational)
     position_map[start + np.flatnonzero(is_active)] = active_to
     position_map[start + np.flatnonzero(~is_active)] = inactive_to

@@ -6,6 +6,8 @@ the new positions (`Genotype.active`).  Over chains of mutations, targeted
 edits and reorders, every set must equal the oracle in `conftest.py` in
 bitmap, count and consumer counts, and so must a full decode.  Each step
 starts from the previous step's derived set, so an error would carry on.
+A derived set also reports the nodes it activated, in the mutant's
+`delta.activated`, which the cone walk evaluates anew.
 """
 
 import numpy as np
@@ -47,6 +49,14 @@ def assert_matches_oracle(active, genome) -> None:
     assert active.count == count
     assert active.consumers == consumers
     assert active.positions() == [i for i, a in enumerate(bitmap) if a]
+
+
+def assert_activated(activated, parent_active, child_active) -> None:
+    """Each node in ``activated`` became active once, and those still active
+    are exactly the child's active nodes that the parent lacked."""
+    assert len(set(activated)) == len(activated)
+    still_active = {i for i in activated if child_active.consumers[i]}
+    assert still_active == set(child_active.positions()) - set(parent_active.positions())
 
 
 def pick_node(active, params, rng) -> int:
@@ -122,6 +132,7 @@ def test_chains_of_edits_and_reorders_match_the_oracle(shape, seed, steps):
             child = apply_edit(step, genome, active, rng)
             child_active = decode_active(child, genome, active)
             assert_matches_oracle(child_active, child)
+            assert_activated(child.delta.activated, active, child_active)
             assert child_active == decode_active(child)
             genome, active = child, child_active
 
@@ -164,3 +175,22 @@ def test_unchanged_active_graph_shares_the_parent_set():
     # only the inactive divider changes
     child = edited(genome, nodes={0: NodeGene(0, (1, 0))})
     assert decode_active(child, genome, active) is active
+
+
+def test_node_read_again_through_a_new_path_is_not_activated():
+    # the output node stops reading Y and reads the inactive X instead,
+    # which reads Y: Y keeps one consumer throughout, X alone is activated
+    params = GraphParams(2, 1, 3, "regression")
+    add = 0
+    genome = Genotype(
+        params,
+        [NodeGene(add, (0, 1)), NodeGene(add, (2, 0)), NodeGene(add, (2, 0))],
+        (4,),
+    )
+    active = decode_active(genome)
+    assert active.positions() == [0, 2]
+    child = edited(genome, nodes={2: NodeGene(add, (3, 0))})
+    derived = decode_active(child, genome, active)
+    assert_matches_oracle(derived, child)
+    assert derived.consumers == [1, 1, 1]
+    assert child.delta.activated == [1]

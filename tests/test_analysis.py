@@ -14,6 +14,8 @@ from cgp_reorder.analysis import (
 from cgp_reorder.errors import AggregationError
 from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
+CONFIG = {"benchmark": "parity3", "variant": "none", "nodes": 4, "p_reorder": 1.0}
+
 
 def make_result(seed=0, bitmap="0000", iterations=10, converged=True,
                 train=1.0, test=None, trace=None):
@@ -62,24 +64,24 @@ class TestActiveDistribution:
 class TestSummarize:
     def test_success_rate_all_converged(self):
         rows = [make_result(seed=s) for s in range(4)]
-        summary = summarize(rows, "none", "parity3", 4, 1.0)
+        summary = summarize(rows, CONFIG)
         assert summary.success_rate == 1.0
 
     def test_mean_and_population_sd(self):
         rows = [make_result(seed=s, iterations=i) for s, i in enumerate((10, 20, 30))]
-        summary = summarize(rows, "none", "parity3", 4, 1.0)
+        summary = summarize(rows, CONFIG)
         assert summary.mean_iterations == 20.0
         assert summary.sd_iterations == pytest.approx(np.sqrt(200 / 3))
 
     def test_mean_test_fitness_only_when_all_runs_have_it(self):
         with_test = [make_result(seed=s, test=0.5) for s in range(2)]
-        assert summarize(with_test, "v", "b", 4, 1.0).mean_test_fitness == 0.5
+        assert summarize(with_test, CONFIG).mean_test_fitness == 0.5
         mixed = [make_result(seed=0, test=0.5), make_result(seed=1)]
-        assert summarize(mixed, "v", "b", 4, 1.0).mean_test_fitness is None
+        assert summarize(mixed, CONFIG).mean_test_fitness is None
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            summarize([], "v", "b", 4, 1.0)
+            summarize([], CONFIG)
 
 
 class TestConvergenceMean:
@@ -146,9 +148,11 @@ class TestWriters:
     def test_summary_jsonl(self, tmp_path):
         import json
 
-        rows = [summarize([make_result()], "none", "parity3", 4, 1.0)]
+        rows = [summarize([make_result()], CONFIG)]
         path = tmp_path / "summary.jsonl"
         write_summary_jsonl(str(path), rows)
         record = json.loads(path.read_text().strip())
         assert record["variant"] == "none"
+        assert (record["benchmark"], record["nodes"], record["p_reorder"]) == ("parity3", 4, 1.0)
+        assert record["config"] == CONFIG
         assert record["runs"] == 1

@@ -131,9 +131,9 @@ class TestRunEs:
         def miscounting(genome, strategy, rng, active=None):
             reordered = reorder(genome, strategy, rng, active)
             if reordered is not genome:
-                reordered.active = dataclasses.replace(
-                    reordered.active, count=reordered.active.count + 1
-                )
+                consumers = reordered.active.consumers.copy()
+                consumers[reordered.active.positions()[0]] += 1
+                reordered.active = dataclasses.replace(reordered.active, consumers=consumers)
             return reordered
 
         monkeypatch.setattr(evolution, "maybe_reorder", miscounting)

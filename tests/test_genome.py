@@ -238,6 +238,21 @@ class TestFlatSerialization:
             from_flat_text(text)
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# inputs=2 outputs=1 nodes=1 function_set=boolean\n2 0 0 1\nout_0 2\n",
+            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 x 1\nout_0 2\n",
+            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 0 1\nfoo\nout_0 2\n",
+            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 0 1\nout_0\n",
+        ],
+        ids=["no-arity", "non-integer-gene", "stray-line", "output-without-gene"],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ConfigError, match="flat genome text"):
+            from_flat_text(text)
+
+
 class TestFullPassEquivalence:
     def test_boolean_full_pass_matches_active_only(self):
         params = GraphParams(3, 2, 18, "boolean")
