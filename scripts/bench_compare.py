@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on every benchmark workload, in alternating pairs.
+
+    python3 scripts/bench_compare.py --parent DIR --change DIR --pairs N \\
+        --seed K --seconds S --pr P
+
+Each pair runs `perfbench/run.py --trace 0` once per workload in each
+checkout, one right after the other, and the side that runs first
+alternates from pair to pair, so that a drift in machine speed falls on
+both sides alike.  The workloads are those the change's `BENCHMARK.json`
+lists.  For every workload and end-to-end metric it prints each side's
+median and quartiles, the ratio of the medians and how many pairs the
+change won (by the metric's `better` direction; ties count for neither),
+and writes all of it, with every run's figures, the failed-check counts and
+each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
+current directory.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+# perfbench/run.py starts no round after 100 s and gives a round 120 s
+RUN_TIMEOUT_S = 600
+
+
+def src_lines(checkout: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "cgp_reorder", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            total += sum(1 for _ in f)
+    return total
+
+
+def run_workload(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one benchmark run: its JSON result."""
+    proc = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        ],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        timeout=RUN_TIMEOUT_S,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{workload} in {checkout} exited with {proc.returncode}:\n{proc.stderr}"
+        )
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
+    args = parser.parse_args()
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
+        declared = json.load(f)
+    workloads = [w["name"] for w in declared["workloads"]]
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+
+    # runs[workload][side] is a list of run results, one per pair
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result = run_workload(checkouts[side], workload, args.seed, args.seconds)
+                runs[workload][side].append(result)
+                print(
+                    f"pair {pair} {workload} {side}: "
+                    + ", ".join(
+                        f"{name} {entry['value']:.4g}"
+                        for name, entry in result["metrics"].items()
+                    )
+                    + f", failed {result['failed']}",
+                    file=sys.stderr,
+                )
+
+    report = {
+        "pr": args.pr,
+        "pairs": args.pairs,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
+        "workloads": {},
+    }
+    for workload in workloads:
+        entry = {
+            key: {side: sum(r[key] for r in runs[workload][side]) for side in SIDES}
+            for key in ("attempted", "failed")
+        }
+        for name, spec in metrics.items():
+            values = {
+                side: [r["metrics"][name]["value"] for r in runs[workload][side]]
+                for side in SIDES
+            }
+            higher = spec["better"] == "higher"
+            wins = sum(
+                (c > p) if higher else (c < p)
+                for p, c in zip(values["parent"], values["change"])
+            )
+            figures = {side: spread(values[side]) for side in SIDES}
+            ratio = figures["change"]["median"] / figures["parent"]["median"]
+            entry[name] = {
+                "unit": spec["unit"],
+                "better": spec["better"],
+                **figures,
+                "ratio": ratio,
+                "change_wins": wins,
+            }
+            print(
+                f"{workload:26} {name:13} parent {figures['parent']['median']:10.4g} "
+                f"[{figures['parent']['q1']:.4g}, {figures['parent']['q3']:.4g}]  "
+                f"change {figures['change']['median']:10.4g} "
+                f"[{figures['change']['q1']:.4g}, {figures['change']['q3']:.4g}]  "
+                f"x{ratio:.3f}  wins {wins}/{args.pairs}"
+            )
+        report["workloads"][workload] = entry
+        print(f"{workload:26} failed checks: parent {entry['failed']['parent']}, "
+              f"change {entry['failed']['change']}")
+    print(f"src lines: parent {report['src_lines']['parent']}, "
+          f"change {report['src_lines']['change']}")
+
+    out = f"BENCH_{args.pr}.json"
+    with open(out, "w", encoding="utf-8") as f:
+        json.dump(report, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,7 @@ from .benchmarks import (
     graph_params,
     mae_fitness,
 )
+from .draws import DrawFeed
 from .errors import ConfigError
 from .genome import Genotype, decode_active, random_genome
 from .mutation import single_mutation
@@ -113,9 +114,15 @@ def select_parent(
 
 
 def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> RunResult:
-    """Run one seeded (1+4)-ES on a benchmark until convergence or budget."""
+    """Run one seeded (1+4)-ES on a benchmark until convergence or budget.
+
+    Every draw of the run comes from one :class:`DrawFeed` over ``rng``'s
+    PCG64 bit generator, which ``rng`` is left in the state its own draws
+    would have left it in.
+    """
     if rng is None:
         rng = run_rng(config.master_seed, config.seed)
+    draws = DrawFeed(rng)
 
     if isinstance(bench, BooleanBenchmark):
         maximize = True
@@ -129,7 +136,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
         raise ConfigError(f"unsupported benchmark type {type(bench).__name__}")
 
     params = graph_params(bench, config.num_computational)
-    parent = random_genome(params, rng)
+    parent = random_genome(params, draws)
     parent_active = decode_active(parent)
     parent_fitness = fitness(parent, parent_active)
 
@@ -142,7 +149,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     while iteration < config.max_iterations:
         iteration += 1
 
-        reordered = maybe_reorder(parent, config.strategy, rng, parent_active)
+        reordered = maybe_reorder(parent, config.strategy, draws, parent_active)
         if reordered is not parent:
             parent = reordered
             parent_active = reordered.active
@@ -151,7 +158,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
         offspring_active = []
         offspring_fitness = []
         for _ in range(OFFSPRING_PER_ITERATION):
-            child = single_mutation(parent, parent_active, rng)
+            child = single_mutation(parent, parent_active, draws)
             child_active = decode_active(child, parent, parent_active)
             offspring.append(child)
             offspring_active.append(child_active)
@@ -184,6 +191,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     # a kept vector would hold a node value per position in every result,
     # and workers would send those back
     parent.values = None
+    draws.flush()
 
     return RunResult(
         seed=config.seed,

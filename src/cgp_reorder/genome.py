@@ -90,12 +90,14 @@ class Delta:
     inactive node matters only once the mutant activates it, and
     :func:`decode_active` finds those: when it derives the mutant's active
     set from its parent's, it fills in ``activated``, the nodes that became
-    active.  ``outputs`` are the indices of the output genes that changed.
+    active, and ``released``, the nodes that became inactive.  ``outputs``
+    are the indices of the output genes that changed.
     """
 
     nodes: tuple[int, ...]
     outputs: tuple[int, ...]
     activated: list[int] | None = None
+    released: list[int] | None = None
 
 
 @dataclass
@@ -109,8 +111,8 @@ class Genotype:
     # how a mutant differs from its parent; None for any other genome
     delta: Delta | None = field(default=None, compare=False, repr=False)
     # the vector of the last evaluation, by global position: packed column
-    # (Boolean) or read-only float64 array over the batch (regression);
-    # only the entries of inputs and active nodes are meaningful
+    # (Boolean) or read-only float64 array over the batch (regression) for
+    # inputs and active nodes, None for inactive nodes
     values: list | None = field(default=None, compare=False, repr=False)
 
 
@@ -186,15 +188,18 @@ def _activate(nodes, arities, start, consumers, stack) -> list[int]:
     return added
 
 
-def _deactivate(nodes, arities, start, consumers, stack) -> None:
+def _deactivate(nodes, arities, start, consumers, stack) -> list[int]:
     """Count one consumer less for every node on ``stack``; a node whose
     count goes from 1 to 0 becomes inactive and releases, in turn, the
-    nodes its function reads."""
+    nodes its function reads.  Returns the nodes that became inactive."""
+    removed = []
     while stack:
         idx = stack.pop()
         consumers[idx] -= 1
         if not consumers[idx]:
+            removed.append(idx)
             _consumed(nodes[idx], arities, start, stack)
+    return removed
 
 
 def decode_active(
@@ -243,7 +248,7 @@ def decode_active(
     if released == gained:
         # no gene moved, as when only a function gene of the same arity or
         # an unconsumed gene changed: the active graph is the parent's
-        delta.activated = []
+        delta.activated = delta.released = []
         return parent_active
 
     consumers = old_consumers.copy()
@@ -251,8 +256,8 @@ def decode_active(
     # newly activated node consumes again never reaches zero, so it is
     # neither activated again nor released
     activated = delta.activated = _activate(nodes, arities, start, consumers, gained)
-    _deactivate(nodes, arities, start, consumers, released.copy())
-    if activated or not all(map(consumers.__getitem__, released)):
+    delta.released = _deactivate(nodes, arities, start, consumers, released)
+    if activated or delta.released:
         return ActiveSet(consumers)
     # no count crossed zero: the same nodes are active
     return ActiveSet(consumers, parent_active.positions())
@@ -282,7 +287,7 @@ def _walk(
     ``differs(new, old)`` tells.  A node whose new value equals the
     parent's does not mark its consumers, and the walk ends once it has
     passed every consumer of a changed position, which the consumer counts
-    of ``active`` tell.
+    of ``active`` tell.  The entries of inactive nodes are None.
     """
     params = genome.params
     start = params.num_inputs
@@ -344,6 +349,12 @@ def _walk(
                 pending += consumers[idx] - outputs.count(position)
             if not pending:
                 break
+    if delta.released:
+        # a value no active node reads any more would only hold memory
+        if vector is base:
+            vector = base.copy()
+        for idx in delta.released:
+            vector[start + idx] = None
     return vector
 
 

@@ -157,10 +157,19 @@ def apply_edit(kind, parent, active, grandparent_active, rng):
     return edited(parent, nodes={idx: NodeGene(node.function_id, tuple(conns))})
 
 
+def assert_inactive_hold_none(genome, active) -> None:
+    """Only inputs and active nodes hold a value in the genome's vector."""
+    start = genome.params.comp_start
+    values = genome.values[start:]
+    stale = [i for i, c in enumerate(active.consumers) if not c and values[i] is not None]
+    assert stale == []
+
+
 def check_child(problem, parent, active, child):
     child_active = decode_active(child, parent, active)
     outputs = problem.evaluate(child, child_active, parent)
     problem.assert_oracle(child, outputs)
+    assert_inactive_hold_none(child, child_active)
     return child_active
 
 
@@ -285,6 +294,8 @@ def test_es_chains_match_the_oracle(num_inputs, nodes, seed, steps):
             child_active = decode_active(child, parent, parent_active)
             preds = evaluate_batch(child, xs, child_active, parent)
             assert_matches_oracle(child, xs, preds)
+            # the arrays of released nodes are not kept
+            assert_inactive_hold_none(child, child_active)
             children.append((child, child_active))
             fitnesses.append(mae(ys, preds))
         choice = select_parent(parent_fitness, fitnesses, maximize=False)

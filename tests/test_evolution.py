@@ -208,6 +208,49 @@ class TestRunEs:
         assert [it for it, _ in result.trace.samples] == list(range(41))
 
 
+class GeneratorThatCannotDraw:
+    """Lends its real PCG64 bit generator and raises on every draw of its own."""
+
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
+        self.bit_generator = bit_generator
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a draw bypassed the feed")
+
+    random = integers
+
+
+@pytest.mark.parametrize(
+    "kind, p_reorder",
+    [
+        ("none", 1.0),
+        ("original", 1.0),
+        ("equidistant", 1.0),
+        ("uniform", 1.0),
+        ("negbias", 0.5),
+        ("leftskew", 0.5),
+    ],
+)
+@pytest.mark.parametrize("bench_name", ["parity3", "keijzer6"])
+def test_every_draw_comes_from_the_feed(kind, p_reorder, bench_name):
+    if bench_name == "parity3":
+        bench, threshold = build_boolean("parity3"), 2.0
+    else:
+        bench, threshold = build_regression("keijzer6", np.random.default_rng(1)), -1.0
+    cfg = make_config(
+        num_computational=30,
+        strategy=ReorderStrategy(kind, p_reorder),
+        max_iterations=80,
+        convergence_threshold=threshold,
+        seed=5,
+    )
+    rng = run_rng(0, 5)
+    expected = run_es(cfg, bench, rng)
+    bare = GeneratorThatCannotDraw(run_rng(0, 5).bit_generator)
+    assert run_es(cfg, bench, bare) == expected
+    assert bare.bit_generator.state == rng.bit_generator.state
+
+
 class TestESConfigValidation:
     def test_fixed_mu_lambda(self):
         # (1+4) is fixed, so neither size is a setting

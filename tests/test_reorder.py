@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cgp_reorder.draws import DrawFeed
 from cgp_reorder.errors import ConfigError, InvariantViolation
 from cgp_reorder.genome import (
     ARITY,
@@ -318,11 +319,16 @@ class TestRepair:
         assert repair_forward_connections(g, np.random.default_rng(0)) == 1
         assert validate(g) == []
 
-    @given(st.sampled_from([(3, 1, "boolean"), (2, 1, "regression")]), st.integers(0, 2**32 - 1))
-    def test_matches_one_draw_per_gene(self, shape, seed):
+    @given(
+        st.sampled_from([(3, 1, "boolean"), (2, 1, "regression")]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_one_draw_per_gene(self, shape, seed, feed):
         # point random genes of inactive nodes, and unused genes of unary
         # nodes, forward; repair must redraw them exactly as a loop drawing
-        # one gene at a time in node-then-gene order does
+        # one gene at a time in node-then-gene order does, whether it draws
+        # from the generator or from a feed over it
         num_in, num_out, fset = shape
         params = GraphParams(num_in, num_out, 30, fset)
         rng = np.random.default_rng(seed)
@@ -348,7 +354,10 @@ class TestRepair:
             redrawn += sum(c >= position for c in node.connections)
             expected.computational[idx] = NodeGene(node.function_id, conns)
         repair_rng = np.random.default_rng(seed + 1)
-        assert repair_forward_connections(g, repair_rng, active) == redrawn
+        draws = DrawFeed(repair_rng) if feed else repair_rng
+        assert repair_forward_connections(g, draws, active) == redrawn
+        if feed:
+            draws.flush()
         assert g == expected
         assert repair_rng.bit_generator.state == loop_rng.bit_generator.state
 
