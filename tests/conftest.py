@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from cgp_reorder.genome import (
+    ARITY,
     ActiveSet,
     Delta,
     GraphParams,
@@ -154,6 +155,23 @@ def oracle_active(genome: Genotype) -> tuple[list[bool], int, list[int]]:
                 active[conn - start] = True
                 consumers[conn - start] += 1
     return active, sum(active), consumers
+
+
+def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
+    """A copy whose inactive nodes' genes, and unary nodes' unused genes,
+    point forward at random, as a placement leaves them before repair."""
+    params = genome.params
+    active = decode_active(genome)
+    arities = params.functions().arities
+    nodes = []
+    for idx, node in enumerate(genome.computational):
+        conns = list(node.connections)
+        for k in range(ARITY):
+            free = not active.consumers[idx] or k >= arities[node.function_id]
+            if free and rng.random() < 0.5:
+                conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
+        nodes.append(NodeGene(node.function_id, tuple(conns)))
+    return Genotype(params, nodes, genome.output_connections)
 
 
 def random_genomes(params: GraphParams, count: int, seed: int = 0):

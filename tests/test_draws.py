@@ -13,14 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import BLOCK, DrawFeed
-from cgp_reorder.genome import (
-    ARITY,
-    GraphParams,
-    Genotype,
-    NodeGene,
-    decode_active,
-    random_genome,
-)
+from cgp_reorder.genome import GraphParams, Genotype, decode_active, random_genome
 from cgp_reorder.mutation import single_mutation
 from cgp_reorder.reorder import (
     ReorderStrategy,
@@ -32,6 +25,8 @@ from cgp_reorder.reorder import (
     reorder_uniform,
     repair_forward_connections,
 )
+
+from conftest import with_forward_genes
 
 # 1 draws nothing; 2^31 + 5 rejects about half of its 32-bit draws
 EDGE_BOUNDS = (1, 2, 3, 2**31 + 5, 2**32 - 1)
@@ -89,23 +84,6 @@ def test_bounds_numpy_draws_otherwise_rejected(bound):
         feed.integers(bound)
     with pytest.raises(ValueError, match="bounds"):
         feed.integers(np.array([5, bound], dtype=np.int64))
-
-
-def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
-    """A copy whose inactive nodes' genes, and unary nodes' unused genes,
-    point forward at random, as a placement leaves them before repair."""
-    params = genome.params
-    active = decode_active(genome)
-    arities = params.functions().arities
-    nodes = []
-    for idx, node in enumerate(genome.computational):
-        conns = list(node.connections)
-        for k in range(ARITY):
-            free = not active.consumers[idx] or k >= arities[node.function_id]
-            if free and rng.random() < 0.5:
-                conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
-        nodes.append(NodeGene(node.function_id, tuple(conns)))
-    return Genotype(params, nodes, genome.output_connections)
 
 
 def repaired(genome, rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cgp_reorder.draws import DrawFeed
 from cgp_reorder.errors import ConfigError, InvariantViolation
 from cgp_reorder.genome import (
-    ARITY,
     GraphParams,
     Genotype,
     NodeGene,
@@ -34,7 +33,7 @@ from cgp_reorder.reorder import (
     repair_forward_connections,
 )
 
-from conftest import chain_genome, fig1_genome, packed_inputs
+from conftest import chain_genome, fig1_genome, packed_inputs, with_forward_genes
 
 ALL_OPERATORS = [
     reorder_original,
@@ -332,16 +331,8 @@ class TestRepair:
         num_in, num_out, fset = shape
         params = GraphParams(num_in, num_out, 30, fset)
         rng = np.random.default_rng(seed)
-        g = random_genome(params, rng)
+        g = with_forward_genes(random_genome(params, rng), rng)
         active = decode_active(g)
-        arities = params.functions().arities
-        for idx, node in enumerate(g.computational):
-            conns = list(node.connections)
-            for k in range(ARITY):
-                free = not active.bitmap[idx] or k >= arities[node.function_id]
-                if free and rng.random() < 0.5:
-                    conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
-            g.computational[idx] = NodeGene(node.function_id, tuple(conns))
         expected = Genotype(params, list(g.computational), g.output_connections)
         loop_rng = np.random.default_rng(seed + 1)
         redrawn = 0
