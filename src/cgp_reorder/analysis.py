@@ -35,12 +35,6 @@ class PositionalBiasHistogram:
             return [0.0]
         return [i / (n - 1) for i in range(n)]
 
-    def decile_means(self) -> list[float]:
-        """Mean probability over ten contiguous position blocks."""
-        edges = np.linspace(0, self.num_positions, 11).astype(int)
-        probs = np.asarray(self.probabilities)
-        return [float(np.mean(probs[a:b])) for a, b in zip(edges, edges[1:])]
-
 
 @dataclass
 class SummaryRow:

@@ -197,10 +197,6 @@ def finalize(settings: Settings) -> Settings:
     if not settings.benchmark:
         raise ConfigError("no benchmark given (config key `benchmark` or flag --bench)")
     kind = benchmark_kind(settings.benchmark)
-    if settings.variant not in REORDER_KINDS:
-        raise ConfigError(
-            f"unknown variant {settings.variant!r}; expected one of {REORDER_KINDS}"
-        )
     resolved = replace(settings)
     if resolved.max_iterations is None:
         resolved.max_iterations = (
@@ -219,7 +215,7 @@ def finalize(settings: Settings) -> Settings:
             raise ConfigError(f"{name} must be >= 1, got {getattr(resolved, name)}")
     if any(n < 1 for n in resolved.nodes_grid or []):
         raise ConfigError(f"nodes_grid entries must be >= 1, got {resolved.nodes_grid}")
-    # constructing the strategies validates variant/p_reorder compatibility
+    # constructing the strategies validates the variant and its p_reorder
     for p in [resolved.p_reorder, *(resolved.p_grid or [])]:
         ReorderStrategy(resolved.variant, p)
     return resolved
@@ -320,19 +316,17 @@ def execute_batch(settings: Settings, cache_dir: str | None = None) -> list[RunR
 # ---------------------------------------------------------------------------
 # result files
 
+# the `RunResult` fields a results.jsonl record holds, next to its config
+RECORD_FIELDS = (
+    "seed", "converged", "iterations", "evaluations", "final_train_fitness",
+    "final_test_fitness", "active_count", "active_bitmap", "union_active_bitmap",
+)
+
+
 def result_record(result: RunResult, config: dict) -> dict:
-    return {
-        "seed": result.seed,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "evaluations": result.evaluations,
-        "final_train_fitness": result.final_train_fitness,
-        "final_test_fitness": result.final_test_fitness,
-        "active_count": result.active_count,
-        "active_bitmap": result.active_bitmap,
-        "union_active_bitmap": result.union_active_bitmap,
-        "config": config,
-    }
+    record = {name: getattr(result, name) for name in RECORD_FIELDS}
+    record["config"] = config
+    return record
 
 
 def write_results_jsonl(path: str, results: list[RunResult], config: dict) -> None:
@@ -366,17 +360,11 @@ def read_trace_csv(path: str) -> ConvergenceTrace:
 
 
 def record_to_result(record: dict, trace: ConvergenceTrace | None = None) -> RunResult:
+    *required, union = RECORD_FIELDS
     return RunResult(
-        seed=record["seed"],
-        converged=record["converged"],
-        iterations=record["iterations"],
-        evaluations=record["evaluations"],
-        final_train_fitness=record["final_train_fitness"],
-        final_test_fitness=record["final_test_fitness"],
-        active_count=record["active_count"],
-        active_bitmap=record["active_bitmap"],
+        **{name: record[name] for name in required},
         trace=trace or ConvergenceTrace(),
-        union_active_bitmap=record.get("union_active_bitmap"),
+        union_active_bitmap=record.get(union),
     )
 
 

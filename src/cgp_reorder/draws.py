@@ -9,7 +9,9 @@ method (Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019) from one 32-bit half of a PCG64 word, low half first, and keeps the
 unused high half for the next such draw; a float takes a whole word.  The
 feed does the same integer arithmetic on words it fetches in blocks, which
-costs far less than a numpy call per draw.  :meth:`DrawFeed.flush` writes
+costs far less than a numpy call per draw.  An array of bounds is drawn one
+element at a time: repair, its only user, draws a few bounds per call, where
+a vectorised pass costs more than it saves.  :meth:`DrawFeed.flush` writes
 the feed's position back into the generator, which then goes on as if it
 had made every draw itself.
 """
@@ -84,59 +86,36 @@ class DrawFeed:
         self._block = np.concatenate((rest, fresh))
         self._cursor = 0
 
-    def _uint32(self) -> int:
-        if self._has_half:
-            self._has_half = False
-            return self._half
-        word = self._word()
-        self._has_half = True
-        self._half = word >> 32
-        return word & _MASK32
-
     def integers(self, bound):
         """A uniform int in [0, bound), or an int64 array of them, one per
         element of an array ``bound``, drawn in element order.  A bound of
         1 draws nothing."""
         if type(bound) is not int:
-            return self._integers_array(bound)
+            # every bound is checked before the first draw, as numpy does
+            bounds = bound.tolist()
+            if bounds and not (1 <= min(bounds) and max(bounds) < _LIMIT):
+                raise ValueError(
+                    f"a draw feed serves bounds in [1, 2^32), got {min(bounds)}..{max(bounds)}"
+                )
+            return np.array([self.integers(b) for b in bounds], np.int64)
         if not 1 <= bound < _LIMIT:
             raise ValueError(f"a draw feed serves bounds in [1, 2^32), got {bound}")
         if bound == 1:
             return 0
-        product = self._uint32() * bound
-        if product & _MASK32 < bound:
-            threshold = (_LIMIT - bound) % bound
-            while product & _MASK32 < threshold:
-                product = self._uint32() * bound
-        return product >> 32
-
-    def _integers_array(self, bounds: np.ndarray) -> np.ndarray:
-        if not len(bounds):
-            return np.zeros(0, np.int64)
-        low, high = int(bounds.min()), int(bounds.max())
-        if low < 1 or high >= _LIMIT:
-            raise ValueError(f"a draw feed serves bounds in [1, 2^32), got {low}..{high}")
-        scale = bounds.astype(np.uint64)
-        # the halves of the words these draws take when no bound is 1 and
-        # no draw is rejected, as 32-bit values in draw order
-        buffered = int(self._has_half)
-        num_words = (len(scale) - buffered + 1) // 2
-        words = self._peek(num_words)
-        halves = words.astype("<u8", copy=False).view("<u4")
-        if buffered:
-            halves = np.concatenate((np.array([self._half], halves.dtype), halves))
-        products = halves[: len(scale)] * scale
-        # every rejection threshold lies below its bound, so leftovers of
-        # at least the largest bound reject nothing
-        if low == 1 or int((products & _MASK32).min()) < high:
-            # a bound of 1 draws nothing, and a rejection draws again: the
-            # halves shift, so draw one at a time
-            return np.array([self.integers(b) for b in scale.tolist()], np.int64)
-        self._cursor += num_words
-        if num_words:
-            self._half = int(words[-1] >> 32)
-        self._has_half = bool((len(scale) - buffered) % 2)
-        return (products >> 32).view(np.int64)
+        while True:
+            if self._has_half:
+                self._has_half = False
+                product = self._half * bound
+            else:
+                word = self._word()
+                self._has_half = True
+                self._half = word >> 32
+                product = (word & _MASK32) * bound
+            # every rejection threshold lies below its bound, so the modulo
+            # is needed only for leftovers below the bound
+            leftover = product & _MASK32
+            if leftover >= bound or leftover >= (_LIMIT - bound) % bound:
+                return product >> 32
 
     def random(self, size: int | None = None):
         """A uniform float in [0, 1), or an array of ``size`` of them."""

@@ -1,4 +1,4 @@
-"""Single-row CGP genotype: construction, validation, decoding, evaluation.
+"""Single-row CGP genotype: construction, decoding, evaluation, flat text.
 
 Global node numbering runs input nodes first, then computational nodes, then
 output nodes.  A computational node carries one function gene and a fixed
@@ -445,44 +445,6 @@ def evaluate_batch(
     return np.column_stack(outputs)
 
 
-def validate(genome: Genotype) -> list[str]:
-    """Check every genotype invariant; returns one message per violation."""
-    params = genome.params
-    fset = params.functions()
-    start = params.comp_start
-    report: list[str] = []
-    if len(genome.computational) != params.num_computational:
-        report.append(
-            f"expected {params.num_computational} computational nodes, "
-            f"got {len(genome.computational)}"
-        )
-    for idx, node in enumerate(genome.computational):
-        position = start + idx
-        if not 0 <= node.function_id < fset.size:
-            report.append(f"node {position}: function id {node.function_id} out of range")
-        if len(node.connections) != ARITY:
-            report.append(
-                f"node {position}: expected {ARITY} connection genes, "
-                f"got {len(node.connections)}"
-            )
-        for k, conn in enumerate(node.connections):
-            if not 0 <= conn < position:
-                report.append(
-                    f"node {position}: connection {k} -> {conn} is not feed-forward"
-                )
-    if len(genome.output_connections) != params.num_outputs:
-        report.append(
-            f"expected {params.num_outputs} output connections, "
-            f"got {len(genome.output_connections)}"
-        )
-    for k, conn in enumerate(genome.output_connections):
-        if not 0 <= conn < params.num_connectable:
-            report.append(
-                f"output {k} -> {conn} must reference an input or computational position"
-            )
-    return report
-
-
 def to_flat_text(genome: Genotype) -> str:
     """Flat serialization: one `pos function_id conn...` line per node,
     then one `out_i conn` line per output. Shape metadata rides in comments."""
@@ -498,55 +460,3 @@ def to_flat_text(genome: Genotype) -> str:
     for k, conn in enumerate(genome.output_connections):
         lines.append(f"out_{k} {conn}")
     return "\n".join(lines) + "\n"
-
-
-def from_flat_text(text: str) -> Genotype:
-    """Parse the output of :func:`to_flat_text` (header comment required).
-
-    Text that is not such a dump raises :class:`ConfigError`.
-    """
-    header = None
-    node_lines: list[list[str]] = []
-    output_lines: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header is None and "inputs=" in line:
-                header = line.lstrip("# ").split()
-            continue
-        fields = line.split()
-        if fields[0].startswith("out_"):
-            output_lines.append(fields)
-        else:
-            node_lines.append(fields)
-    if header is None:
-        raise ConfigError("flat genome text is missing its shape header comment")
-    try:
-        shape = dict(part.split("=", 1) for part in header)
-        if int(shape["arity"]) != ARITY:
-            raise ConfigError(f"flat genome text has arity {shape['arity']}, expected {ARITY}")
-        params = GraphParams(
-            num_inputs=int(shape["inputs"]),
-            num_outputs=int(shape["outputs"]),
-            num_computational=int(shape["nodes"]),
-            function_set=shape["function_set"],
-        )
-        nodes = [
-            NodeGene(int(fields[1]), tuple(int(c) for c in fields[2:]))
-            for fields in sorted(node_lines, key=lambda f: int(f[0]))
-        ]
-        outputs = tuple(
-            int(fields[1])
-            for fields in sorted(output_lines, key=lambda f: int(f[0].split("_")[1]))
-        )
-    except KeyError as exc:
-        raise ConfigError(f"flat genome text header lacks {exc.args[0]}=") from None
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"flat genome text is malformed: {exc}") from None
-    genome = Genotype(params, nodes, outputs)
-    problems = validate(genome)
-    if problems:
-        raise ConfigError("flat genome text is invalid: " + "; ".join(problems))
-    return genome

@@ -189,6 +189,51 @@ def packed_inputs(num_inputs: int) -> tuple[list[int], int]:
     return masks, (1 << rows) - 1
 
 
+def validate(genome: Genotype) -> list[str]:
+    """Check every genotype invariant; returns one message per violation."""
+    params = genome.params
+    fset = params.functions()
+    start = params.comp_start
+    report: list[str] = []
+    if len(genome.computational) != params.num_computational:
+        report.append(
+            f"expected {params.num_computational} computational nodes, "
+            f"got {len(genome.computational)}"
+        )
+    for idx, node in enumerate(genome.computational):
+        position = start + idx
+        if not 0 <= node.function_id < fset.size:
+            report.append(f"node {position}: function id {node.function_id} out of range")
+        if len(node.connections) != ARITY:
+            report.append(
+                f"node {position}: expected {ARITY} connection genes, "
+                f"got {len(node.connections)}"
+            )
+        for k, conn in enumerate(node.connections):
+            if not 0 <= conn < position:
+                report.append(
+                    f"node {position}: connection {k} -> {conn} is not feed-forward"
+                )
+    if len(genome.output_connections) != params.num_outputs:
+        report.append(
+            f"expected {params.num_outputs} output connections, "
+            f"got {len(genome.output_connections)}"
+        )
+    for k, conn in enumerate(genome.output_connections):
+        if not 0 <= conn < params.num_connectable:
+            report.append(
+                f"output {k} -> {conn} must reference an input or computational position"
+            )
+    return report
+
+
+def decile_means(probabilities: list[float]) -> list[float]:
+    """Mean probability over ten contiguous position blocks."""
+    edges = np.linspace(0, len(probabilities), 11).astype(int)
+    probs = np.asarray(probabilities)
+    return [float(np.mean(probs[a:b])) for a, b in zip(edges, edges[1:])]
+
+
 BOOLEAN_SHAPES = {
     "parity3": (3, 1),
     "encode16_4": (16, 4),

@@ -14,6 +14,8 @@ from cgp_reorder.analysis import (
 from cgp_reorder.errors import AggregationError
 from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
+from conftest import decile_means
+
 CONFIG = {"benchmark": "parity3", "variant": "none", "nodes": 4, "p_reorder": 1.0}
 
 
@@ -58,7 +60,7 @@ class TestActiveDistribution:
 
     def test_decile_means_cover_all_positions(self):
         hist = active_distribution([make_result(bitmap="1" * 50)])
-        assert hist.decile_means() == [1.0] * 10
+        assert decile_means(hist.probabilities) == [1.0] * 10
 
 
 class TestSummarize:

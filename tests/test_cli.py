@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from cgp_reorder.cli import (
@@ -11,6 +12,7 @@ from cgp_reorder.cli import (
     Settings,
     build_parser,
     build_settings,
+    execute_batch,
     finalize,
     main,
     parse_config_file,
@@ -18,7 +20,9 @@ from cgp_reorder.cli import (
     write_atomic,
 )
 from cgp_reorder.errors import ConfigError
-from cgp_reorder.genome import from_flat_text, validate
+from cgp_reorder.genome import GraphParams, random_genome, to_flat_text
+
+from conftest import validate
 
 
 def run_cli(*argv):
@@ -242,16 +246,17 @@ class TestRunCommand:
             tmp_path / "parallel" / "results.jsonl"
         ).read_bytes()
 
-    def test_dump_genome_flag_writes_parsable_genomes(self, tmp_path):
+    def test_dump_genome_flag_writes_final_genomes(self, tmp_path):
         out = tmp_path / "run"
         run_cli(
             "run", "--bench", "parity3", "--nodes", "20", "--seeds", "0..1",
             "--workers", "1", "--out", str(out), "--dump-genome",
         )
-        for seed in range(2):
-            text = (out / "genomes" / f"genome_seed{seed}.txt").read_text()
-            genome = from_flat_text(text)
-            assert validate(genome) == []
+        settings = finalize(Settings(benchmark="parity3", nodes=20, seeds=[0, 1], workers=1))
+        for result in execute_batch(settings):
+            text = (out / "genomes" / f"genome_seed{result.seed}.txt").read_text()
+            assert text == to_flat_text(result.final_genome)
+            assert validate(result.final_genome) == []
 
     def test_regression_run_caches_dataset(self, tmp_path):
         out = tmp_path / "reg"
@@ -320,6 +325,13 @@ class TestRunCommand:
         code = run_cli("run", "--bench", "sudoku", "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_variant_exits_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("run", "--bench", "parity3", "--variant", "bogus", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGridCommand:
@@ -460,11 +472,12 @@ class TestAnalyzeCommand:
 
 
 class TestDumpGenomeCommand:
-    def test_stdout_parses_and_validates(self, capsys):
+    def test_stdout_is_the_seeded_genome(self, capsys):
         code = run_cli("dump-genome", "--bench", "multiply3", "--nodes", "15", "--seed", "3")
         assert code == EXIT_OK
-        genome = from_flat_text(capsys.readouterr().out)
-        assert genome.params.num_inputs == 6
+        # multiply3 multiplies two 3-bit numbers into a 6-bit product
+        genome = random_genome(GraphParams(6, 6, 15, "boolean"), np.random.default_rng(3))
+        assert capsys.readouterr().out == to_flat_text(genome)
         assert validate(genome) == []
 
     def test_explicit_shape(self, capsys):
@@ -473,9 +486,9 @@ class TestDumpGenomeCommand:
             "--function-set", "regression", "--seed", "0",
         )
         assert code == EXIT_OK
-        genome = from_flat_text(capsys.readouterr().out)
-        assert genome.params.num_outputs == 3
-        assert genome.params.function_set == "regression"
+        genome = random_genome(GraphParams(2, 3, 7, "regression"), np.random.default_rng(0))
+        assert capsys.readouterr().out == to_flat_text(genome)
+        assert validate(genome) == []
 
     def test_deterministic_output(self, capsys):
         run_cli("dump-genome", "--bench", "parity3", "--seed", "9")

@@ -79,11 +79,15 @@ def test_other_bit_generators_rejected():
 @pytest.mark.parametrize("bound", [0, -3, 2**32, 2**40])
 def test_bounds_numpy_draws_otherwise_rejected(bound):
     # at 2^32 and above numpy draws whole words; below 1 it raises
-    feed = DrawFeed(np.random.default_rng(0))
+    generator = np.random.default_rng(0)
+    feed = DrawFeed(generator)
     with pytest.raises(ValueError, match="bounds"):
         feed.integers(bound)
     with pytest.raises(ValueError, match="bounds"):
         feed.integers(np.array([5, bound], dtype=np.int64))
+    # numpy checks every bound before it draws, so the bound of 5 drew nothing
+    feed.flush()
+    assert generator.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def repaired(genome, rng):

@@ -11,10 +11,8 @@ from cgp_reorder.genome import (
     decode_active,
     evaluate_batch,
     evaluate_packed,
-    from_flat_text,
     random_genome,
     to_flat_text,
-    validate,
 )
 
 from conftest import (
@@ -23,6 +21,7 @@ from conftest import (
     full_forward_pass,
     packed_inputs,
     parity3_xor_genome,
+    validate,
 )
 
 
@@ -209,48 +208,12 @@ class TestBatchEvaluation:
 
 
 class TestFlatSerialization:
-    def test_round_trip(self):
-        params = GraphParams(3, 2, 12, "boolean")
-        for seed in range(10):
-            g = random_genome(params, np.random.default_rng(seed))
-            assert from_flat_text(to_flat_text(g)) == g
-
     def test_format_lines(self):
         text = to_flat_text(fig1_genome())
         lines = text.strip().splitlines()
         assert "arity=2" in lines[0].split()
         assert lines[1] == "2 3 0 1"
         assert lines[-1] == "out_0 4"
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ConfigError):
-            from_flat_text("2 0 0 1\nout_0 2\n")
-
-    @pytest.mark.parametrize("genes", [("0",), ("0", "1", "1")])
-    def test_other_arity_rejected(self, genes):
-        # a consistent dump whose nodes carry other than two connection genes
-        arity = len(genes)
-        text = (
-            f"# inputs=2 outputs=1 nodes=2 arity={arity} function_set=boolean\n"
-            f"2 0 {' '.join(genes)}\n3 1 {' '.join(genes)}\nout_0 3\n"
-        )
-        with pytest.raises(ConfigError, match="arity"):
-            from_flat_text(text)
-
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "# inputs=2 outputs=1 nodes=1 function_set=boolean\n2 0 0 1\nout_0 2\n",
-            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 x 1\nout_0 2\n",
-            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 0 1\nfoo\nout_0 2\n",
-            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 0 1\nout_0\n",
-        ],
-        ids=["no-arity", "non-integer-gene", "stray-line", "output-without-gene"],
-    )
-    def test_malformed_text_rejected(self, text):
-        with pytest.raises(ConfigError, match="flat genome text"):
-            from_flat_text(text)
 
 
 class TestFullPassEquivalence:

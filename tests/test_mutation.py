@@ -9,11 +9,10 @@ from cgp_reorder.genome import (
     NodeGene,
     decode_active,
     random_genome,
-    validate,
 )
 from cgp_reorder.mutation import single_mutation
 
-from conftest import chain_genome
+from conftest import chain_genome, validate
 
 
 def gene_diffs(a: Genotype, b: Genotype) -> list[str]:

@@ -16,7 +16,6 @@ from cgp_reorder.genome import (
     evaluate_batch,
     evaluate_packed,
     random_genome,
-    validate,
 )
 from cgp_reorder.reorder import (
     _distinct_positions,
@@ -33,7 +32,13 @@ from cgp_reorder.reorder import (
     repair_forward_connections,
 )
 
-from conftest import chain_genome, fig1_genome, packed_inputs, with_forward_genes
+from conftest import (
+    chain_genome,
+    fig1_genome,
+    packed_inputs,
+    validate,
+    with_forward_genes,
+)
 
 ALL_OPERATORS = [
     reorder_original,
