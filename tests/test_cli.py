@@ -9,6 +9,7 @@ import pytest
 from cgp_reorder.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    RECORD_FIELDS,
     Settings,
     build_parser,
     build_settings,
@@ -17,6 +18,7 @@ from cgp_reorder.cli import (
     main,
     parse_config_file,
     parse_seed_spec,
+    record_to_result,
     write_atomic,
 )
 from cgp_reorder.errors import ConfigError
@@ -257,6 +259,30 @@ class TestRunCommand:
             text = (out / "genomes" / f"genome_seed{result.seed}.txt").read_text()
             assert text == to_flat_text(result.final_genome)
             assert validate(result.final_genome) == []
+
+    @pytest.mark.parametrize(
+        "bench, union", [("parity3", False), ("keijzer6", True)], ids=["parity3", "keijzer6-union"]
+    )
+    def test_records_read_back_as_the_run_results(self, tmp_path, bench, union):
+        # what grid resume and analyze rebuild from results.jsonl
+        args = ["--bench", bench, "--nodes", "20", "--seeds", "0..1", "--max-iterations", "40"]
+        code = run_cli(
+            "run", *args, "--workers", "1", "--out", str(tmp_path),
+            *(["--track-union-active"] if union else []),
+        )
+        assert code == EXIT_OK
+        settings = finalize(
+            Settings(
+                benchmark=bench, nodes=20, seeds=[0, 1], max_iterations=40, workers=1,
+                track_union_active=union,
+            )
+        )
+        lines = (tmp_path / "results.jsonl").read_text().splitlines()
+        for line, result in zip(lines, execute_batch(settings), strict=True):
+            read = record_to_result(json.loads(line))
+            for name in RECORD_FIELDS:
+                assert getattr(read, name) == getattr(result, name), name
+            assert (read.union_active_bitmap is not None) == union
 
     def test_regression_run_caches_dataset(self, tmp_path):
         out = tmp_path / "reg"

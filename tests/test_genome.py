@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,13 +211,65 @@ class TestBatchEvaluation:
             assert np.all(np.isfinite(evaluate_batch(g, xs)))
 
 
+def _benchmark_reference():
+    # perfbench/reference.py: the reader the benchmark's checker parses dumps with
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _benchmark_reference()
+
+# the errors the checker turns into a failed "structure" check
+DUMP_REJECTED = (ValueError, KeyError)
+
+
 class TestFlatSerialization:
+    """`to_flat_text` against the benchmark checker's own dump reader."""
+
+    def test_round_trip(self):
+        shapes = [GraphParams(3, 2, 12, "boolean"), GraphParams(2, 3, 15, "regression")]
+        for params in shapes:
+            for seed in range(10):
+                g = random_genome(params, np.random.default_rng(seed))
+                assert reference.parse_flat(to_flat_text(g)) == reference.from_program(g)
+
     def test_format_lines(self):
         text = to_flat_text(fig1_genome())
         lines = text.strip().splitlines()
         assert "arity=2" in lines[0].split()
         assert lines[1] == "2 3 0 1"
         assert lines[-1] == "out_0 4"
+
+    def test_missing_header_rejected(self):
+        with pytest.raises(DUMP_REJECTED):
+            reference.parse_flat("2 0 0 1\nout_0 2\n")
+
+    @pytest.mark.parametrize("genes", [("0",), ("0", "1", "1")])
+    def test_other_arity_rejected(self, genes):
+        # the header says two connection genes, the nodes carry another count
+        text = (
+            "# inputs=2 outputs=1 nodes=2 arity=2 function_set=boolean\n"
+            f"2 0 {' '.join(genes)}\n3 1 {' '.join(genes)}\nout_0 3\n"
+        )
+        with pytest.raises(ValueError, match="connection genes"):
+            reference.parse_flat(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# inputs=2 outputs=1 nodes=1 function_set=boolean\n2 0 0 1\nout_0 2\n",
+            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 x 1\nout_0 2\n",
+            "# inputs=2 outputs=1 nodes=1 arity=2 function_set=boolean\n2 0 0 1\nstray line\nout_0 2\n",
+        ],
+        ids=["no-arity", "non-integer-gene", "stray-line"],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(DUMP_REJECTED):
+            reference.parse_flat(text)
 
 
 class TestFullPassEquivalence:
