@@ -6,8 +6,10 @@ packed column-wise into integer bitmasks so a genome can be scored against
 every row with a handful of bitwise operations.
 
 Regression benchmarks are sampled or gridded datasets; fitness is the mean
-absolute error over a split.  Randomly sampled datasets are reproducible
-from the generator they are built with and can be cached to CSV.
+absolute error over a split.  A dataset is a function of the benchmark and
+the generator it is built with alone: nguyen7 and koza3 are sampled from
+it, pagie1 and keijzer6 are grids that ignore it.  `write_dataset` writes a
+CSV record of a dataset; nothing reads one back.
 
 Bit conventions: the encoder/decoder index is binary least-significant-bit
 first, while the multiplier reads its operand and product bit vectors
@@ -128,38 +130,23 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def build_regression(
-    name: str,
-    rng: np.random.Generator,
-    cache_dir: str | None = None,
-    cache_key: str | None = None,
-) -> RegressionBenchmark:
-    """Construct one of the four regression benchmarks.
-
-    When ``cache_dir`` is given, the generated splits are written to (or,
-    when already present, read back from) CSV files keyed by ``cache_key``.
-    """
-    key = cache_key or name
-    if cache_dir is not None:
-        cached = _load_cached(name, cache_dir, key)
-        if cached is not None:
-            return cached
-
+def build_regression(name: str, rng: np.random.Generator) -> RegressionBenchmark:
+    """Construct one of the four regression benchmarks."""
     if name == "nguyen7":
         xs = rng.uniform(0.0, 2.0, 20)
         ys = np.log(xs + 1.0) + np.log(xs**2 + 1.0)
-        bench = RegressionBenchmark(name, 1, DataSplit(xs.reshape(-1, 1), ys))
-    elif name == "koza3":
+        return RegressionBenchmark(name, 1, DataSplit(xs.reshape(-1, 1), ys))
+    if name == "koza3":
         xs = rng.uniform(-1.0, 1.0, 20)
         ys = xs**6 - 2.0 * xs**4 + xs**2
-        bench = RegressionBenchmark(name, 1, DataSplit(xs.reshape(-1, 1), ys))
-    elif name == "pagie1":
+        return RegressionBenchmark(name, 1, DataSplit(xs.reshape(-1, 1), ys))
+    if name == "pagie1":
         axis = _grid(-5.0, 5.0, 0.4)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         xs = np.column_stack([gx.ravel(), gy.ravel()])
         ys = 1.0 / (1.0 + xs[:, 0] ** -4) + 1.0 / (1.0 + xs[:, 1] ** -4)
-        bench = RegressionBenchmark(name, 2, DataSplit(xs, ys))
-    elif name == "keijzer6":
+        return RegressionBenchmark(name, 2, DataSplit(xs, ys))
+    if name == "keijzer6":
         harmonic = np.cumsum(1.0 / np.arange(1, 121, dtype=np.float64))
         train = DataSplit(
             np.arange(1, 51, dtype=np.float64).reshape(-1, 1), harmonic[:50].copy()
@@ -167,15 +154,10 @@ def build_regression(
         test = DataSplit(
             np.arange(1, 121, dtype=np.float64).reshape(-1, 1), harmonic.copy()
         )
-        bench = RegressionBenchmark(name, 1, train, test)
-    else:
-        raise ConfigError(
-            f"unknown regression benchmark {name!r}; expected one of {REGRESSION_NAMES}"
-        )
-
-    if cache_dir is not None:
-        _write_cache(bench, cache_dir, key)
-    return bench
+        return RegressionBenchmark(name, 1, train, test)
+    raise ConfigError(
+        f"unknown regression benchmark {name!r}; expected one of {REGRESSION_NAMES}"
+    )
 
 
 def benchmark_kind(name: str) -> str:
@@ -188,17 +170,12 @@ def benchmark_kind(name: str) -> str:
     )
 
 
-def build_benchmark(
-    name: str,
-    dataset_rng: np.random.Generator | None = None,
-    cache_dir: str | None = None,
-    cache_key: str | None = None,
-):
+def build_benchmark(name: str, dataset_rng: np.random.Generator | None = None):
     if benchmark_kind(name) == "boolean":
         return build_boolean(name)
     if dataset_rng is None:
         raise ConfigError(f"regression benchmark {name!r} needs a dataset rng")
-    return build_regression(name, dataset_rng, cache_dir, cache_key)
+    return build_regression(name, dataset_rng)
 
 
 def graph_params(bench, num_computational: int) -> GraphParams:
@@ -253,8 +230,10 @@ def mae_fitness(
         raise ConfigError("mean-absolute-error scoring expects a single output")
     preds = evaluate_batch(genome, data.xs, active, parent)[:, 0]
     errors = np.abs(data.ys - preds)
-    # np.mean's own sum and division, without its dispatch overhead
-    return float(np.add.reduce(errors) / len(errors))
+    # np.mean's own sum and division, without its dispatch overhead; a sum
+    # past the largest float is the score inf, not a fault
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(errors) / len(errors))
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -271,43 +250,15 @@ def write_atomic(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _split_path(cache_dir: str, key: str, split: str) -> str:
-    return os.path.join(cache_dir, f"{key}_{split}.csv")
-
-
-def _write_split_csv(path: str, split: DataSplit) -> None:
-    dims = split.xs.shape[1]
-    header = ",".join([f"x{i}" for i in range(dims)] + ["y"])
-    lines = [header]
-    for row, y in zip(split.xs, split.ys):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(y))]))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _read_split_csv(path: str) -> DataSplit:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    dims = len(lines[0].split(",")) - 1
-    xs, ys = [], []
-    for line in lines[1:]:
-        parts = [float(v) for v in line.split(",")]
-        xs.append(parts[:dims])
-        ys.append(parts[dims])
-    return DataSplit(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-
-
-def _write_cache(bench: RegressionBenchmark, cache_dir: str, key: str) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    _write_split_csv(_split_path(cache_dir, key, "train"), bench.train)
-    if bench.test is not None:
-        _write_split_csv(_split_path(cache_dir, key, "test"), bench.test)
-
-
-def _load_cached(name: str, cache_dir: str, key: str) -> RegressionBenchmark | None:
-    train_path = _split_path(cache_dir, key, "train")
-    if not os.path.exists(train_path):
-        return None
-    train = _read_split_csv(train_path)
-    test_path = _split_path(cache_dir, key, "test")
-    test = _read_split_csv(test_path) if os.path.exists(test_path) else None
-    return RegressionBenchmark(name, train.xs.shape[1], train, test)
+def write_dataset(bench: RegressionBenchmark, directory: str, key: str) -> None:
+    """Write each split of ``bench`` to ``<directory>/<key>_<split>.csv``: a
+    header ``x0[,x1],y``, then one row per point, every value spelled by
+    ``repr`` so that it reads back exactly."""
+    os.makedirs(directory, exist_ok=True)
+    for split_name, split in (("train", bench.train), ("test", bench.test)):
+        if split is None:
+            continue
+        lines = [",".join([f"x{i}" for i in range(split.xs.shape[1])] + ["y"])]
+        for row, y in zip(split.xs, split.ys):
+            lines.append(",".join([repr(float(v)) for v in row] + [repr(float(y))]))
+        write_atomic(os.path.join(directory, f"{key}_{split_name}.csv"), "\n".join(lines) + "\n")

@@ -14,6 +14,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -36,11 +37,11 @@ from .analysis import (
     write_histogram_csv,
     write_summary_jsonl,
 )
-from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic
+from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
 from .errors import AggregationError, ConfigError, InvariantViolation
-from .evolution import ConvergenceTrace, ESConfig, RunResult, run_es
+from .evolution import OFFSPRING_PER_ITERATION, ConvergenceTrace, ESConfig, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
-from .genome import GraphParams, random_genome, to_flat_text
+from .genome import ARITY, GraphParams, random_genome, to_flat_text
 from .reorder import REORDER_KINDS, ReorderStrategy
 
 EXIT_OK = 0
@@ -229,10 +230,10 @@ def effective_config(settings: Settings) -> dict:
         "variant": settings.variant,
         "p_reorder": settings.p_reorder,
         "nodes": settings.nodes,
-        "arity": 2,
+        "arity": ARITY,
         "function_set": kind,
         "mu": 1,
-        "lambda": 4,
+        "lambda": OFFSPRING_PER_ITERATION,
         "max_iterations": settings.max_iterations,
         "convergence_threshold": settings.threshold,
         "master_seed": settings.master_seed,
@@ -247,9 +248,6 @@ def effective_config(settings: Settings) -> dict:
 # ---------------------------------------------------------------------------
 # batch execution
 
-_WORKER_STATE: dict = {}
-
-
 def _dataset_rng(dataset_seed: int, name: str) -> np.random.Generator:
     import zlib
 
@@ -258,23 +256,22 @@ def _dataset_rng(dataset_seed: int, name: str) -> np.random.Generator:
     )
 
 
-def _build_bench(settings: Settings, cache_dir: str | None):
-    return build_benchmark(
-        settings.benchmark,
-        dataset_rng=_dataset_rng(settings.dataset_seed, settings.benchmark),
-        cache_dir=cache_dir,
-        cache_key=f"{settings.benchmark}_s{settings.dataset_seed}",
+def _build_bench(settings: Settings, dataset_dir: str | None):
+    """The batch's benchmark, a function of its name and dataset seed alone.
+
+    When ``dataset_dir`` is given, a regression dataset is also written there
+    as ``<bench>_s<dataset_seed>_{train,test}.csv``, a record of what the
+    batch ran on that nothing reads back.
+    """
+    bench = build_benchmark(
+        settings.benchmark, _dataset_rng(settings.dataset_seed, settings.benchmark)
     )
+    if dataset_dir is not None and bench.function_set == "regression":
+        write_dataset(bench, dataset_dir, f"{settings.benchmark}_s{settings.dataset_seed}")
+    return bench
 
 
-def _init_worker(payload: dict) -> None:
-    settings = Settings(**payload["settings"])
-    _WORKER_STATE["bench"] = _build_bench(settings, payload["cache_dir"])
-    _WORKER_STATE["settings"] = settings
-
-
-def _run_seed(seed: int) -> RunResult:
-    settings: Settings = _WORKER_STATE["settings"]
+def _run_seed(settings: Settings, bench, seed: int) -> RunResult:
     config = ESConfig(
         num_computational=settings.nodes,
         strategy=ReorderStrategy(settings.variant, settings.p_reorder),
@@ -285,7 +282,7 @@ def _run_seed(seed: int) -> RunResult:
         trace_full=settings.trace_full,
         track_union_active=settings.track_union_active,
     )
-    return run_es(config, _WORKER_STATE["bench"])
+    return run_es(config, bench)
 
 
 def effective_workers(settings: Settings) -> int:
@@ -295,21 +292,19 @@ def effective_workers(settings: Settings) -> int:
     return min(workers, len(settings.seeds))
 
 
-def execute_batch(settings: Settings, cache_dir: str | None = None) -> list[RunResult]:
-    """Run every seed of a finalized settings object, in parallel when asked."""
-    if cache_dir is not None:
-        # materialize any dataset cache before workers start reading it
-        _build_bench(settings, cache_dir)
-    payload = {"settings": settings.__dict__.copy(), "cache_dir": cache_dir}
+def execute_batch(settings: Settings, dataset_dir: str | None = None) -> list[RunResult]:
+    """Run every seed of a finalized settings object, in parallel when asked.
+
+    The benchmark is built once, here (see `_build_bench` for
+    ``dataset_dir``); worker processes receive it with each seed.
+    """
+    run = functools.partial(_run_seed, settings, _build_bench(settings, dataset_dir))
     workers = effective_workers(settings)
     if workers <= 1:
-        _init_worker(payload)
-        results = [_run_seed(seed) for seed in settings.seeds]
+        results = [run(seed) for seed in settings.seeds]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            results = list(pool.map(_run_seed, settings.seeds))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, settings.seeds))
     return sorted(results, key=lambda r: r.seed)
 
 
@@ -412,8 +407,7 @@ def _write_meta(outdir: str, started: float, workers: int) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
     started = time.time()
-    cache_dir = os.path.join(settings.out, "datasets")
-    results = execute_batch(settings, cache_dir)
+    results = execute_batch(settings, os.path.join(settings.out, "datasets"))
     summary = _write_run_outputs(settings.out, settings, results)
     _write_meta(settings.out, started, effective_workers(settings))
     print(summary.format_line())

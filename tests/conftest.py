@@ -227,6 +227,15 @@ def validate(genome: Genotype) -> list[str]:
     return report
 
 
+def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs, one row per point, and the targets of a dataset record
+    (a header, then ``x0[,x1],y`` rows), each value parsed by ``float``."""
+    with open(path) as fh:
+        _, *lines = fh.read().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    return rows[:, :-1], rows[:, -1]
+
+
 def decile_means(probabilities: list[float]) -> list[float]:
     """Mean probability over ten contiguous position blocks."""
     edges = np.linspace(0, len(probabilities), 11).astype(int)

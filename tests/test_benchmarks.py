@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cgp_reorder.benchmarks import (
+    REGRESSION_NAMES,
     DataSplit,
     RegressionBenchmark,
     benchmark_kind,
@@ -10,11 +13,12 @@ from cgp_reorder.benchmarks import (
     build_regression,
     graph_params,
     mae_fitness,
+    write_dataset,
 )
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene
 
-from conftest import parity3_xor_genome
+from conftest import parity3_xor_genome, read_dataset_csv
 
 
 def constant_zero_genome(num_inputs, num_outputs, nodes=4):
@@ -178,23 +182,24 @@ class TestRegressionDatasets:
         with pytest.raises(ConfigError):
             build_regression("vladislavleva4", rng)
 
-    def test_cache_round_trip_bit_identical(self, rng, tmp_path):
-        cache = str(tmp_path)
-        first = build_regression("nguyen7", rng, cache_dir=cache, cache_key="n7_s1")
-        reloaded = build_regression(
-            "nguyen7", np.random.default_rng(0), cache_dir=cache, cache_key="n7_s1"
-        )
-        np.testing.assert_array_equal(first.train.xs, reloaded.train.xs)
-        np.testing.assert_array_equal(first.train.ys, reloaded.train.ys)
+    @pytest.mark.parametrize("name", REGRESSION_NAMES)
+    def test_record_round_trip_bit_identical(self, name, rng, tmp_path):
+        bench = build_regression(name, rng)
+        write_dataset(bench, str(tmp_path), f"{name}_s1")
+        for split_name, split in (("train", bench.train), ("test", bench.test)):
+            path = tmp_path / f"{name}_s1_{split_name}.csv"
+            if split is None:
+                assert not path.exists()
+                continue
+            xs, ys = read_dataset_csv(path)
+            assert xs.shape == split.xs.shape and xs.tobytes() == split.xs.tobytes()
+            assert ys.shape == split.ys.shape and ys.tobytes() == split.ys.tobytes()
 
-    def test_keijzer6_cache_includes_test_split(self, rng, tmp_path):
-        cache = str(tmp_path)
-        build_regression("keijzer6", rng, cache_dir=cache, cache_key="k6")
-        reloaded = build_regression(
-            "keijzer6", np.random.default_rng(0), cache_dir=cache, cache_key="k6"
-        )
-        assert reloaded.test is not None
-        np.testing.assert_array_equal(reloaded.test.xs[:, 0], np.arange(1, 121))
+    def test_keijzer6_record_includes_test_split(self, rng, tmp_path):
+        write_dataset(build_regression("keijzer6", rng), str(tmp_path), "k6")
+        xs, _ = read_dataset_csv(tmp_path / "k6_test.csv")
+        assert xs.shape == (120, 1)
+        np.testing.assert_array_equal(xs[:, 0], np.arange(1, 121))
 
 
 class TestMaeFitness:
@@ -221,6 +226,14 @@ class TestMaeFitness:
         )
         expected = float(np.mean(np.abs(bench.train.ys)))
         assert mae_fitness(genome, bench.train) == pytest.approx(expected, rel=0, abs=0)
+
+    def test_overflowing_sum_scores_inf_without_warning(self):
+        params = GraphParams(1, 1, 1, "regression")
+        genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
+        split = DataSplit(np.array([[1.7e308], [1.7e308]]), np.array([0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mae_fitness(genome, split) == np.inf
 
     def test_empty_split_rejected(self):
         params = GraphParams(1, 1, 1, "regression")

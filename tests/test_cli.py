@@ -238,15 +238,44 @@ class TestRunCommand:
                 tmp_path / "b" / trace
             ).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bench, budget",
+        [("parity3", []), ("nguyen7", ["--max-iterations", "200"])],
+        ids=["parity3", "nguyen7"],
+    )
+    def test_parallel_matches_serial(self, tmp_path, bench, budget):
+        # workers receive the benchmark the batch built, pickled
+        args = ["run", "--bench", bench, *budget, "--nodes", "25", "--seeds", "0..3"]
+        trees = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run_cli(*args, "--workers", workers, "--out", str(out)) == EXIT_OK
+            trees[workers] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in out.rglob("*")
+                if path.is_file() and path.name != "run_meta.json"
+            }
+        assert trees["1"] == trees["2"]
+        names = set(trees["1"])
+        assert {"results.jsonl", *(f"traces/trace_seed{s}.csv" for s in range(4))} <= names
+        if bench == "nguyen7":
+            assert "datasets/nguyen7_s1_train.csv" in names
+
+    def test_edited_dataset_record_is_not_read(self, tmp_path):
         args = [
-            "run", "--bench", "parity3", "--nodes", "25", "--seeds", "0..3",
+            "run", "--bench", "nguyen7", "--nodes", "20", "--seeds", "0..1",
+            "--max-iterations", "100", "--workers", "1", "--out", str(tmp_path),
         ]
-        run_cli(*args, "--workers", "1", "--out", str(tmp_path / "serial"))
-        run_cli(*args, "--workers", "2", "--out", str(tmp_path / "parallel"))
-        assert (tmp_path / "serial" / "results.jsonl").read_bytes() == (
-            tmp_path / "parallel" / "results.jsonl"
-        ).read_bytes()
+        assert run_cli(*args) == EXIT_OK
+        results = (tmp_path / "results.jsonl").read_bytes()
+        record = tmp_path / "datasets" / "nguyen7_s1_train.csv"
+        generated = record.read_text()
+        lines = generated.splitlines(keepends=True)
+        lines[1] = "1.0,0.5\n"
+        record.write_text("".join(lines))
+        assert run_cli(*args) == EXIT_OK
+        assert (tmp_path / "results.jsonl").read_bytes() == results
+        assert record.read_text() == generated
 
     def test_dump_genome_flag_writes_final_genomes(self, tmp_path):
         out = tmp_path / "run"
@@ -284,7 +313,7 @@ class TestRunCommand:
                 assert getattr(read, name) == getattr(result, name), name
             assert (read.union_active_bitmap is not None) == union
 
-    def test_regression_run_caches_dataset(self, tmp_path):
+    def test_regression_run_records_dataset(self, tmp_path):
         out = tmp_path / "reg"
         code = run_cli(
             "run", "--bench", "keijzer6", "--nodes", "20", "--seeds", "0..1",
