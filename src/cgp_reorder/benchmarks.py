@@ -253,7 +253,7 @@ def write_atomic(path: str, text: str) -> None:
 def write_dataset(bench: RegressionBenchmark, directory: str, key: str) -> None:
     """Write each split of ``bench`` to ``<directory>/<key>_<split>.csv``: a
     header ``x0[,x1],y``, then one row per point, every value spelled by
-    ``repr`` so that it reads back exactly."""
+    ``repr`` so that a reader recovers it exactly."""
     os.makedirs(directory, exist_ok=True)
     for split_name, split in (("train", bench.train), ("test", bench.test)):
         if split is None:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from cgp_reorder import cli
 from cgp_reorder.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -312,6 +313,21 @@ class TestRunCommand:
             for name in RECORD_FIELDS:
                 assert getattr(read, name) == getattr(result, name), name
             assert (read.union_active_bitmap is not None) == union
+
+    def test_run_builds_its_benchmark_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_benchmark
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_benchmark", counted)
+        code = run_cli(
+            "run", "--bench", "nguyen7", "--nodes", "20", "--seeds", "0..1",
+            "--max-iterations", "20", "--workers", "1", "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK and len(calls) == 1
 
     def test_regression_run_records_dataset(self, tmp_path):
         out = tmp_path / "reg"
