@@ -2,7 +2,7 @@
 """Compare two checkouts on every benchmark workload, in alternating pairs.
 
     python3 scripts/bench_compare.py --parent DIR --change DIR --pairs N \\
-        --seed K --seconds S --pr P
+        --seed K --seconds S --pr P [--tier1]
 
 Each pair runs `perfbench/run.py --trace 0` once per workload in each
 checkout, one right after the other, and the side that runs first
@@ -13,7 +13,10 @@ median and quartiles, the ratio of the medians and how many pairs the
 change won (by the metric's `better` direction; ties count for neither),
 and writes all of it, with every run's figures, the failed-check counts and
 each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
-current directory.  Standard library only.
+current directory.  With `--tier1`, after the pairs it runs the tier-1 test
+command once in each checkout, one after the other, and records the wall
+seconds and the passed, failed and skipped counts under `tier1`.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -22,13 +25,19 @@ import argparse
 import glob
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
 # perfbench/run.py starts no round after 100 s and gives a round 120 s
 RUN_TIMEOUT_S = 600
+# the tier-1 suite, as ROADMAP.md gives it, run from a checkout's root
+TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_TIMEOUT_S = 3 * 3600
+TIER1_OUTCOMES = ("passed", "failed", "skipped", "errors")
 
 
 def src_lines(checkout: str) -> int:
@@ -59,6 +68,30 @@ def run_workload(checkout: str, workload: str, seed: int, seconds: float) -> dic
     return json.loads(lines[-1])
 
 
+def run_tier1(checkout: str) -> dict:
+    """Wall seconds and outcome counts of one tier-1 run in ``checkout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in ("src", env.get("PYTHONPATH")) if part
+    )
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, *TIER1_COMMAND],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=TIER1_TIMEOUT_S,
+    )
+    wall = time.monotonic() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {outcome: 0 for outcome in TIER1_OUTCOMES}
+    for number, outcome in re.findall(r"(\d+) (passed|failed|skipped|errors?)\b", summary):
+        counts["errors" if outcome.startswith("error") else outcome] += int(number)
+    return {"wall_s": wall, **counts, "exit_code": proc.returncode, "summary": summary}
+
+
 def spread(values: list[float]) -> dict:
     if len(values) > 1:
         q1, median, q3 = statistics.quantiles(values, n=4)
@@ -75,6 +108,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
+    parser.add_argument(
+        "--tier1", action="store_true", help="also time the tier-1 tests in each checkout"
+    )
     args = parser.parse_args()
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
@@ -145,6 +181,12 @@ def main() -> int:
               f"change {entry['failed']['change']}")
     print(f"src lines: parent {report['src_lines']['parent']}, "
           f"change {report['src_lines']['change']}")
+
+    if args.tier1:
+        report["tier1"] = {}
+        for side in SIDES:
+            result = report["tier1"][side] = run_tier1(checkouts[side])
+            print(f"tier-1 {side}: {result['wall_s']:.0f} s, {result['summary']}")
 
     out = f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as f:

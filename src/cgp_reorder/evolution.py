@@ -188,9 +188,10 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     test_fitness = None
     if isinstance(bench, RegressionBenchmark) and bench.test is not None:
         test_fitness = mae_fitness(parent, bench.test, parent_active)
-    # a kept vector would hold a node value per position in every result,
-    # and workers would send those back
-    parent.values = None
+    # a kept vector, or a carried active set with its reader index, would
+    # hold an entry per position in every result, and workers would send
+    # those back
+    parent.values = parent.active = None
     draws.flush()
 
     return RunResult(

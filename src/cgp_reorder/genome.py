@@ -24,10 +24,10 @@ computed again.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, islice
+from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,10 +128,19 @@ class ActiveSet:
     A caller that knows the positions already passes them as the second
     argument.  An active set is never mutated after construction, so sets
     may share their lists.
+
+    The reader index, built on first use by :meth:`readers`, lists for each
+    node the active nodes whose consumed genes read it.  A set that
+    :func:`decode_active` derived from a parent's keeps ``source``: the
+    parent's set, the parent's nodes and the nodes whose consumed genes
+    may differ between the two.  Its index is then derived from the
+    parent's, and ``source`` is dropped.
     """
 
     consumers: list[int]
     _positions: list[int] | None = field(default=None, repr=False, compare=False)
+    _readers: list | None = field(default=None, repr=False, compare=False)
+    source: tuple | None = field(default=None, repr=False, compare=False)
 
     def positions(self) -> list[int]:
         """Ascending computational indices of the active nodes.
@@ -150,6 +159,29 @@ class ActiveSet:
     def bitmap(self) -> list[bool]:
         """Whether each node is active, as a new list."""
         return list(map(bool, self.consumers))
+
+    def readers(self, nodes: list[NodeGene], arities: Sequence[int], start: int) -> list:
+        """Per computational index, the active nodes whose consumed genes
+        read it, one entry per gene, in no set order.
+
+        ``nodes`` are the nodes of a genome with this active set.  Computed
+        on first use and shared by later calls: do not mutate it.
+        """
+        if self._readers is None:
+            source, self.source = self.source, None
+            if source is not None and source[0]._readers is not None:
+                self._readers = _derived_readers(self, nodes, arities, start, *source)
+            else:
+                readers = [[] for _ in self.consumers]
+                for idx in self.positions():
+                    node = nodes[idx]
+                    first, second = node.connections
+                    if first >= start:
+                        readers[first - start].append(idx)
+                    if second >= start and arities[node.function_id] > 1:
+                        readers[second - start].append(idx)
+                self._readers = readers
+        return self._readers
 
 
 def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
@@ -202,6 +234,31 @@ def _deactivate(nodes, arities, start, consumers, stack) -> list[int]:
     return removed
 
 
+def _derived_readers(active, nodes, arities, start, parent_active, parent_nodes, touched):
+    """The reader index of ``active`` from that of ``parent_active``: every
+    node in ``touched`` stops reading what it read as a parent-active node
+    and reads what it reads as an active node of ``nodes``.  Only those
+    entries are replaced; the others are shared with the parent's index."""
+    readers = parent_active._readers.copy()
+    consumers, parent_consumers = active.consumers, parent_active.consumers
+    for idx in dict.fromkeys(touched):
+        old: list[int] = []
+        new: list[int] = []
+        if parent_consumers[idx]:
+            _consumed(parent_nodes[idx], arities, start, old)
+        if consumers[idx]:
+            _consumed(nodes[idx], arities, start, new)
+        if old == new:
+            continue
+        for target in old:
+            entry = list(readers[target])
+            entry.remove(idx)
+            readers[target] = entry
+        for target in new:
+            readers[target] = [*readers[target], idx]
+    return readers
+
+
 def decode_active(
     genome: Genotype,
     parent: Genotype | None = None,
@@ -235,19 +292,20 @@ def decode_active(
     old_consumers = parent_active.consumers
     released: list[int] = []
     gained: list[int] = []
-    for idx in delta.nodes:
-        if old_consumers[idx]:
-            _consumed(old_nodes[idx], arities, start, released)
-            _consumed(nodes[idx], arities, start, gained)
+    changed = [idx for idx in delta.nodes if old_consumers[idx]]
+    for idx in changed:
+        _consumed(old_nodes[idx], arities, start, released)
+        _consumed(nodes[idx], arities, start, gained)
     for k in delta.outputs:
         old, new = parent.output_connections[k], genome.output_connections[k]
         if old >= start:
             released.append(old - start)
         if new >= start:
             gained.append(new - start)
-    if released == gained:
+    if released == gained and len(changed) < 2:
         # no gene moved, as when only a function gene of the same arity or
-        # an unconsumed gene changed: the active graph is the parent's
+        # an unconsumed gene changed: the active graph is the parent's, and
+        # so is every node's list of readers
         delta.activated = delta.released = []
         return parent_active
 
@@ -257,10 +315,11 @@ def decode_active(
     # neither activated again nor released
     activated = delta.activated = _activate(nodes, arities, start, consumers, gained)
     delta.released = _deactivate(nodes, arities, start, consumers, released)
+    source = (parent_active, old_nodes, changed + activated + delta.released)
     if activated or delta.released:
-        return ActiveSet(consumers)
+        return ActiveSet(consumers, source=source)
     # no count crossed zero: the same nodes are active
-    return ActiveSet(consumers, parent_active.positions())
+    return ActiveSet(consumers, parent_active.positions(), source=source)
 
 
 def _walk(
@@ -282,17 +341,17 @@ def _walk(
     ``genome`` is a mutant of ``parent`` whose active set was derived from
     the parent's.  Then the walk starts from the parent's vector, copied on
     the first value that differs, and computes again the changed and the
-    newly activated active nodes, and beyond those only the nodes that
-    consume a position whose value differs from the parent's, as
-    ``differs(new, old)`` tells.  A node whose new value equals the
-    parent's does not mark its consumers, and the walk ends once it has
-    passed every consumer of a changed position, which the consumer counts
-    of ``active`` tell.  The entries of inactive nodes are None.
+    newly activated active nodes, and beyond those only the readers of a
+    node whose value differs from the parent's, as ``differs(new, old)``
+    tells.  It visits those nodes alone, lowest position first, from the
+    parent's reader index: a reader sits above what it reads, so every
+    value a node reads is final when the node is computed.  A reader that
+    the mutant released is skipped, and one whose genes the mutant changed
+    is computed anyway.  The entries of inactive nodes are None.
     """
     params = genome.params
     start = params.num_inputs
     nodes = genome.computational
-    positions = active.positions()
     delta = genome.delta
     if (
         parent is None
@@ -301,7 +360,7 @@ def _walk(
         or delta.activated is None
     ):
         vector = inputs() + [None] * params.num_computational
-        for idx in positions:
+        for idx in active.positions():
             node = nodes[idx]
             conns = node.connections
             vector[start + idx] = operations[node.function_id](
@@ -309,46 +368,35 @@ def _walk(
             )
         return vector
 
+    arities = params.functions().arities
+    source = active.source
+    if source is not None and source[1] is parent.computational:
+        # the set was derived from the parent's, whose index serves
+        readers = source[0].readers(source[1], arities, start)
+    else:
+        # the parent's set itself, or one whose index is built already
+        readers = active.readers(nodes, arities, start)
+    consumers = active.consumers
     # copied on the first value that differs from the parent's
     vector = base = parent.values
     # a node the same change activated and released again is not computed
-    changed = list(filter(active.consumers.__getitem__, (*delta.nodes, *delta.activated)))
-    if len(changed) > 1:
-        changed = sorted(set(changed))
-    arities = params.functions().arities
-    consumers = active.consumers
-    outputs = genome.output_connections
-    dirty: set[int] = set()
-    # consumed genes of active nodes that read a dirty position, not passed yet
-    pending = 0
-    k = 0
-    while k < len(changed):
-        # nothing is pending: jump to the next changed node
-        target = changed[k]
-        for idx in islice(positions, bisect_left(positions, target), None):
-            node = nodes[idx]
-            conns = node.connections
-            if pending:
-                hits = conns[0] in dirty
-                if conns[1] in dirty and arities[node.function_id] > 1:
-                    hits += 1
-                if hits:
-                    pending -= hits
-                elif idx != target:
-                    continue
-            if idx == target:
-                k += 1
-                target = changed[k] if k < len(changed) else -1
-            value = operations[node.function_id](vector[conns[0]], vector[conns[1]], context)
-            position = start + idx
-            if differs(value, vector[position]):
-                if vector is base:
-                    vector = base.copy()
-                vector[position] = value
-                dirty.add(position)
-                pending += consumers[idx] - outputs.count(position)
-            if not pending:
-                break
+    queued = set(filter(consumers.__getitem__, (*delta.nodes, *delta.activated)))
+    # a heap, lowest position first
+    queue = sorted(queued)
+    while queue:
+        idx = heappop(queue)
+        node = nodes[idx]
+        conns = node.connections
+        value = operations[node.function_id](vector[conns[0]], vector[conns[1]], context)
+        position = start + idx
+        if differs(value, vector[position]):
+            if vector is base:
+                vector = base.copy()
+            vector[position] = value
+            for reader in readers[idx]:
+                if reader not in queued and consumers[reader]:
+                    queued.add(reader)
+                    heappush(queue, reader)
     if delta.released:
         # a value no active node reads any more would only hold memory
         if vector is base:

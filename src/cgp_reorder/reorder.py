@@ -21,12 +21,15 @@ semantics.  Inactive nodes can end up with connection genes that point
 forward afterwards; those genes are resampled by
 :func:`repair_forward_connections`.
 
-Every operator builds one ``position_map`` from old to new global positions
-and shares one remap path: all connection genes are remapped at once as an
-``(N, ARITY)`` array, and the source genome's active set and evaluation
-vector are permuted along with the nodes and returned in the new genome's
-``active`` and ``values`` fields instead of being decoded and evaluated
-again.
+Every operator that moves a node builds one ``position_map`` from old to
+new global positions and shares one remap path: all connection genes are
+remapped at once as an ``(N, ARITY)`` array, and the source genome's active
+set and evaluation vector are permuted along with the nodes and returned in
+the new genome's ``active`` and ``values`` fields instead of being decoded
+and evaluated again.  A placement whose targets are the active nodes' own
+positions moves nothing and skips all of that: it returns a new genome with
+the source's nodes, active set and vector.  Under negbias most placements
+are such, since the active nodes sit at the tail already.
 """
 
 from __future__ import annotations
@@ -225,7 +228,11 @@ def _place(
 
     ``targets(start, end, count, rng)`` gives the ascending positions of the
     active nodes.  Inactive nodes fill the remaining slots in their old
-    order, every gene is remapped, and forward genes are repaired.
+    order, every gene is remapped, and forward genes are repaired.  When the
+    targets are the active nodes' own positions, every node keeps its
+    place: the result is a new genome that shares the source's nodes,
+    active set and vector, and no check, remap or repair runs, since such
+    targets are valid and a valid genome has no forward gene.
     """
     if active is None:
         active = decode_active(genome)
@@ -233,9 +240,13 @@ def _place(
         return genome
     params = genome.params
     start, end = params.comp_start, params.comp_end
-    active_to, inactive_to = placement_positions(
-        start, end, targets(start, end, active.count, rng)
-    )
+    drawn = targets(start, end, active.count, rng)
+    if np.subtract(drawn, start).tolist() == active.positions():
+        return Genotype(
+            params, list(genome.computational), genome.output_connections, active,
+            values=genome.values,
+        )
+    active_to, inactive_to = placement_positions(start, end, drawn)
     is_active = np.fromiter(active.consumers, bool, params.num_computational)
     position_map = np.arange(start + params.num_computational)
     position_map[start + np.flatnonzero(is_active)] = active_to

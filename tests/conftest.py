@@ -157,6 +157,32 @@ def oracle_active(genome: Genotype) -> tuple[list[bool], int, list[int]]:
     return active, sum(active), consumers
 
 
+def oracle_readers(genome: Genotype) -> list[list[int]]:
+    """Per computational index, the ascending active nodes whose consumed
+    genes read it, one entry per gene, from the oracle's bitmap."""
+    params = genome.params
+    arities = params.functions().arities
+    start = params.comp_start
+    bitmap, _, _ = oracle_active(genome)
+    readers = [[] for _ in range(params.num_computational)]
+    for idx in (i for i, on in enumerate(bitmap) if on):
+        node = genome.computational[idx]
+        for conn in node.connections[: arities[node.function_id]]:
+            if conn >= start:
+                readers[conn - start].append(idx)
+    return readers
+
+
+def assert_readers_match(active, genome: Genotype) -> None:
+    """The active set's reader index, carried, derived or built, holds the
+    oracle's readers for ``genome``; entries may list them in any order."""
+    params = genome.params
+    index = active.readers(
+        genome.computational, params.functions().arities, params.comp_start
+    )
+    assert [sorted(entry) for entry in index] == oracle_readers(genome)
+
+
 def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
     """A copy whose inactive nodes' genes, and unary nodes' unused genes,
     point forward at random, as a placement leaves them before repair."""

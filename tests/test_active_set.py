@@ -7,7 +7,8 @@ edits and reorders, every set must equal the oracle in `conftest.py` in
 bitmap, count and consumer counts, and so must a full decode.  Each step
 starts from the previous step's derived set, so an error would carry on.
 A derived set also reports the nodes it activated, in the mutant's
-`delta.activated`, which the cone walk evaluates anew.
+`delta.activated`, which the cone walk evaluates anew, and its reader
+index, derived from the parent's, must hold the oracle's readers.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from cgp_reorder.reorder import (
     reorder_uniform,
 )
 
-from conftest import chain_genome, edited, fig1_genome, oracle_active
+from conftest import assert_readers_match, chain_genome, edited, fig1_genome, oracle_active
 
 REORDERS = {
     "original": reorder_original,
@@ -119,6 +120,7 @@ def test_chains_of_edits_and_reorders_match_the_oracle(shape, seed, steps):
     genome = random_genome(shape, rng)
     active = decode_active(genome)
     assert_matches_oracle(active, genome)
+    assert_readers_match(active, genome)
     for step in steps:
         if step in REORDERS:
             reordered = REORDERS[step](genome, rng, active)
@@ -135,6 +137,7 @@ def test_chains_of_edits_and_reorders_match_the_oracle(shape, seed, steps):
             assert_activated(child.delta.activated, active, child_active)
             assert child_active == decode_active(child)
             genome, active = child, child_active
+        assert_readers_match(active, genome)
 
 
 def test_removal_cascades_through_a_chain():

@@ -9,6 +9,8 @@ and along (1+4)-ES chains, every child's outputs must equal
 (regression) bit for bit.  Each step continues from the previous step's
 child, so a stale vector entry would carry on; a second child of every
 parent checks that evaluating the first left the parent's vector as it was.
+The walk visits only the readers of changed values, from the parent's
+reader index, which along the ES chains must hold the oracle's readers.
 """
 
 import numpy as np
@@ -40,6 +42,7 @@ from cgp_reorder.reorder import (
 )
 
 from conftest import (
+    assert_readers_match,
     chain_genome,
     edited,
     fig1_genome,
@@ -229,6 +232,54 @@ def test_value_cut_off_and_consumer_spread(monkeypatch):
         assert outputs == full_forward_pass(child, masks, full)
 
 
+class CountingNodes(list):
+    """A node list that counts the records read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, idx):
+        self.reads += 1
+        return super().__getitem__(idx)
+
+
+def test_walk_visits_the_changed_cone_alone(monkeypatch):
+    # a long chain feeds one output, and a side node at the top reads the
+    # bottom node, which a child switches from AND to OR: the walk computes
+    # and visits the bottom node and the side node, not the chain between
+    calls = []
+
+    def count(fn):
+        def counted(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setitem(BOOLEAN_SET.__dict__, "functions", tuple(map(count, BOOLEAN_SET.functions)))
+    length = 40
+    params = GraphParams(2, 2, length + 2, "boolean")
+    bottom, side = 0, length + 1
+    nodes = [NodeGene(0, (0, 1)), NodeGene(0, (0, 1))]
+    nodes += [NodeGene(0, (params.comp_start + i - 1, 0)) for i in range(2, side)]
+    nodes.append(NodeGene(0, (params.comp_start + bottom, 1)))
+    genome = Genotype(params, nodes, (params.comp_end - 1, params.comp_end))
+    masks, full = packed_inputs(2)
+    active = decode_active(genome)
+    assert active.count == length + 2
+    evaluate_packed(genome, masks, full, active)
+    # the index a first child's walk would build
+    active.readers(genome.computational, BOOLEAN_SET.arities, params.comp_start)
+    child = edited(genome, nodes={bottom: NodeGene(1, (0, 1))})
+    child_active = decode_active(child, genome, active)
+    child.computational = CountingNodes(child.computational)
+    calls.clear()
+    outputs = evaluate_packed(child, masks, full, child_active, genome)
+    assert len(calls) == 2
+    assert child.computational.reads == 2
+    assert outputs == full_forward_pass(child, masks, full)
+    assert outputs != full_forward_pass(genome, masks, full)
+
+
 def test_grandparent_values_are_not_reused():
     # the top node is cut off from the chain below it and pointed back at
     # it a generation later; in between, the chain changed underneath
@@ -296,12 +347,16 @@ def test_es_chains_match_the_oracle(num_inputs, nodes, seed, steps):
             assert_matches_oracle(child, xs, preds)
             # the arrays of released nodes are not kept
             assert_inactive_hold_none(child, child_active)
+            # the index the walk read the parent's readers from
+            assert_readers_match(parent_active, parent)
             children.append((child, child_active))
             fitnesses.append(mae(ys, preds))
         choice = select_parent(parent_fitness, fitnesses, maximize=False)
         if choice is not None:
             parent, parent_active = children[choice]
             parent_fitness = fitnesses[choice]
+        # carried by a reorder, or derived from the survivor's parent's
+        assert_readers_match(parent_active, parent)
 
 
 def test_reorders_and_unconsumed_genes_keep_values():
@@ -374,16 +429,20 @@ def test_sign_of_zero_change_reaches_consumers():
     assert_matches_oracle(child, xs, outputs)
 
 
+@pytest.mark.parametrize("variant", ["none", "equidistant"])
 @pytest.mark.parametrize("kind", ["boolean", "regression"])
-def test_run_returns_a_genome_without_vector(kind):
-    # thresholds no run reaches, so both run their 30 iterations
+def test_run_returns_a_genome_without_vector(kind, variant):
+    # thresholds no run reaches, so both run their 30 iterations; with a
+    # reorder every iteration, the regression run's final genome is one the
+    # operator built, which carried an active set
     if kind == "boolean":
         bench, threshold = build_boolean("parity3"), 2.0
     else:
         xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
         bench = RegressionBenchmark("line", 1, DataSplit(xs, xs[:, 0] * 3.0))
         threshold = -1.0
-    config = ESConfig(12, ReorderStrategy("none"), 30, threshold, seed=0)
+    config = ESConfig(12, ReorderStrategy(variant), 30, threshold, seed=0)
     result = run_es(config, bench)
     assert result.final_genome is not None
     assert result.final_genome.values is None
+    assert result.final_genome.active is None

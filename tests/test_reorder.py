@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import DrawFeed
@@ -35,6 +35,7 @@ from cgp_reorder.reorder import (
 from conftest import (
     chain_genome,
     fig1_genome,
+    hard_points,
     packed_inputs,
     validate,
     with_forward_genes,
@@ -235,8 +236,15 @@ class TestIdentityCases:
     @pytest.mark.parametrize("operator", PLACEMENT_OPERATORS)
     def test_all_nodes_active_is_fixpoint(self, operator):
         g = chain_genome(12)
-        assert decode_active(g).count == 12
-        assert operator(g, np.random.default_rng(3)) == g
+        active = decode_active(g)
+        assert active.count == 12
+        evaluate_packed(g, *packed_inputs(2), active)
+        h = operator(g, np.random.default_rng(3), active)
+        assert h == g
+        # a new genome that carries the same set and vector
+        assert h is not g
+        assert h.active is active
+        assert h.values is g.values
 
     @pytest.mark.parametrize("operator", ALL_OPERATORS)
     def test_no_active_nodes_is_identity(self, operator):
@@ -244,6 +252,54 @@ class TestIdentityCases:
         g = Genotype(params, [NodeGene(0, (0, 1)) for _ in range(8)], (0,))
         assert decode_active(g).count == 0
         assert operator(g, np.random.default_rng(0)) == g
+
+
+class TestIdentityPlacement:
+    """A placement whose targets are the active nodes' own positions moves
+    nothing: it returns a new genome equal to its input, with the input's
+    active set and vector, draws no more than its targets and repairs
+    nothing.  Equidistant and negbias targets depend on the active count
+    alone, so their second application is such a placement."""
+
+    @given(
+        num_inputs=st.integers(1, 6),
+        num_outputs=st.integers(1, 4),
+        num_nodes=st.integers(1, 40),
+        function_set=st.sampled_from(["boolean", "regression"]),
+        seed=st.integers(0, 2**32 - 1),
+        operator=st.sampled_from([reorder_equidistant, reorder_negbias]),
+    )
+    def test_second_placement_moves_nothing(
+        self, num_inputs, num_outputs, num_nodes, function_set, seed, operator
+    ):
+        import cgp_reorder.reorder as reorder_mod
+
+        params = GraphParams(num_inputs, num_outputs, num_nodes, function_set)
+        rng = np.random.default_rng(seed)
+        draws = DrawFeed(rng)
+        g = random_genome(params, draws)
+        active = decode_active(g)
+        assume(active.count)
+        if function_set == "boolean":
+            evaluate_packed(g, *packed_inputs(num_inputs), active)
+        else:
+            evaluate_batch(g, hard_points(num_inputs, rng), active)
+        placed = operator(g, draws, active)
+        draws.flush()
+        state = rng.bit_generator.state
+        repairs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                reorder_mod, "repair_forward_connections", lambda *args: repairs.append(args)
+            )
+            again = operator(placed, draws, placed.active)
+        draws.flush()
+        assert again is not placed
+        assert again == placed
+        assert again.active is placed.active
+        assert again.values is placed.values
+        assert rng.bit_generator.state == state
+        assert repairs == []
 
 
 class TestOriginalReorder:
