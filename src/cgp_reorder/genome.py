@@ -161,8 +161,8 @@ class ActiveSet:
         return list(map(bool, self.consumers))
 
     def readers(self, nodes: list[NodeGene], arities: Sequence[int], start: int) -> list:
-        """Per computational index, the active nodes whose consumed genes
-        read it, one entry per gene, in no set order.
+        """Per computational index, a tuple of the active nodes whose
+        consumed genes read it, one entry per gene, in no set order.
 
         ``nodes`` are the nodes of a genome with this active set.  Computed
         on first use and shared by later calls: do not mutate it.
@@ -172,14 +172,17 @@ class ActiveSet:
             if source is not None and source[0]._readers is not None:
                 self._readers = _derived_readers(self, nodes, arities, start, *source)
             else:
-                readers = [[] for _ in self.consumers]
+                # tuples of ints, which the garbage collector stops
+                # tracking: lists would add hundreds of live containers to
+                # every collection while the index lives
+                readers = [()] * len(self.consumers)
                 for idx in self.positions():
                     node = nodes[idx]
                     first, second = node.connections
                     if first >= start:
-                        readers[first - start].append(idx)
+                        readers[first - start] += (idx,)
                     if second >= start and arities[node.function_id] > 1:
-                        readers[second - start].append(idx)
+                        readers[second - start] += (idx,)
                 self._readers = readers
         return self._readers
 
@@ -253,9 +256,9 @@ def _derived_readers(active, nodes, arities, start, parent_active, parent_nodes,
         for target in old:
             entry = list(readers[target])
             entry.remove(idx)
-            readers[target] = entry
+            readers[target] = tuple(entry)
         for target in new:
-            readers[target] = [*readers[target], idx]
+            readers[target] += (idx,)
     return readers
 
 
@@ -296,13 +299,15 @@ def decode_active(
     for idx in changed:
         _consumed(old_nodes[idx], arities, start, released)
         _consumed(nodes[idx], arities, start, gained)
+    # with one changed node, equal lists mean that it reads what it read
+    reads_kept = len(changed) < 2 and released == gained
     for k in delta.outputs:
         old, new = parent.output_connections[k], genome.output_connections[k]
         if old >= start:
             released.append(old - start)
         if new >= start:
             gained.append(new - start)
-    if released == gained and len(changed) < 2:
+    if reads_kept and released == gained:
         # no gene moved, as when only a function gene of the same arity or
         # an unconsumed gene changed: the active graph is the parent's, and
         # so is every node's list of readers

@@ -197,3 +197,43 @@ def test_node_read_again_through_a_new_path_is_not_activated():
     assert_matches_oracle(derived, child)
     assert derived.consumers == [1, 1, 1]
     assert child.delta.activated == [1]
+
+
+def test_a_read_moved_from_a_node_to_an_output_is_not_shared():
+    # the multiplier becomes a sine and stops reading Y, and an output reads
+    # Y instead: every count stays, but Y's readers change, so the child
+    # cannot share its parent's set and reader index
+    params = GraphParams(2, 2, 3, "regression")
+    add, mul, sin = 0, 2, 4
+    genome = Genotype(
+        params,
+        [NodeGene(add, (0, 1)), NodeGene(add, (0, 1)), NodeGene(mul, (2, 3))],
+        (4, 0),
+    )
+    active = decode_active(genome)
+    assert_readers_match(active, genome)
+    child = edited(genome, nodes={2: NodeGene(sin, (2, 3))}, outputs={1: 3})
+    child_active = decode_active(child, genome, active)
+    assert child_active == active
+    assert child_active is not active
+    assert_readers_match(child_active, child)
+
+
+def test_a_read_moved_between_two_nodes_is_not_shared():
+    # one sine becomes an adder that also reads Y, and the sine that read Y
+    # reads an input instead: the changed genes move the same counts, but Y
+    # has a new reader
+    params = GraphParams(2, 2, 4, "regression")
+    add, sin = 0, 4
+    genome = Genotype(
+        params,
+        [NodeGene(add, (0, 1)), NodeGene(add, (0, 1))]
+        + [NodeGene(sin, (2, 0)), NodeGene(sin, (3, 0))],
+        (4, 5),
+    )
+    active = decode_active(genome)
+    child = edited(genome, nodes={2: NodeGene(add, (2, 3)), 3: NodeGene(sin, (0, 0))})
+    child_active = decode_active(child, genome, active)
+    assert child_active == active
+    assert child_active is not active
+    assert_readers_match(child_active, child)

@@ -255,7 +255,8 @@ def test_walk_visits_the_changed_cone_alone(monkeypatch):
 
         return counted
 
-    monkeypatch.setitem(BOOLEAN_SET.__dict__, "functions", tuple(map(count, BOOLEAN_SET.functions)))
+    counting = tuple(map(count, BOOLEAN_SET.functions))
+    monkeypatch.setitem(BOOLEAN_SET.__dict__, "functions", counting)
     length = 40
     params = GraphParams(2, 2, length + 2, "boolean")
     bottom, side = 0, length + 1
