@@ -283,7 +283,7 @@ class TestIdentityPlacement:
         if function_set == "boolean":
             evaluate_packed(g, *packed_inputs(num_inputs), active)
         else:
-            evaluate_batch(g, hard_points(num_inputs, rng), active)
+            evaluate_batch(g, hard_points(num_inputs, np.random.default_rng(0)), active)
         placed = operator(g, draws, active)
         draws.flush()
         state = rng.bit_generator.state
