@@ -10,8 +10,9 @@ Only the first genome of a run is decoded and evaluated in full.  A reorder
 carries the parent's active set and evaluation vector over to the new
 positions.  A mutant's active set is derived from its parent's by the genes
 the mutation changed, and its evaluation walks only the nodes whose value
-that change can reach, starting from its parent's vector.  The vector is
-run state: the final genome a run returns carries none.
+that change can reach, starting from its parent's vector.  The vector and
+the active set are run state: the final genome a run returns carries
+neither.
 
 Iterations-to-solution is the number of iterations run; a run that exhausts
 its budget reports the budget itself as its iteration count.  Exactly four

@@ -18,7 +18,8 @@ truth-table column for the Boolean set, a read-only float64 array over the
 batch of points for the regression set.  A genome keeps the vector of its
 last evaluation, and a mutant is evaluated from its parent's vector: only
 what its mutation changed, and the nodes that read a changed value, are
-computed again.
+computed again.  The walk finds those readers in a reader index that the
+parent's active set carries.
 """
 
 from __future__ import annotations
