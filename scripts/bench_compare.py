@@ -9,9 +9,10 @@ checkout, one right after the other, and the side that runs first
 alternates from pair to pair, so that a drift in machine speed falls on
 both sides alike.  The workloads are those the change's `BENCHMARK.json`
 lists.  For every workload and end-to-end metric it prints each side's
-median and quartiles, the ratio of the medians and how many pairs the
-change won (by the metric's `better` direction; ties count for neither),
-and writes all of it, with every run's figures, the failed-check counts and
+median and quartiles, the ratio of the medians, how many pairs the
+change won (by the metric's `better` direction; ties count for neither)
+and a verdict against the metric's `bound` (see `verdict`), and writes all
+of it, with every run's figures, the failed-check counts and
 each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
 current directory.  With `--tier1`, after the pairs it runs the tier-1 test
 command once in each checkout, one after the other, and records the wall
@@ -100,6 +101,20 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(spec: dict, parent: dict, change: dict) -> str:
+    """``unresolved`` when the parent's quartile spread is wider than the
+    metric's bound, else ``worse`` when the change's median is worse than
+    the parent's by more than the bound, else ``ok``.  The bound is a
+    fraction of the parent's median."""
+    allowed = spec["bound"] * parent["median"]
+    if parent["q3"] - parent["q1"] > allowed:
+        return "unresolved"
+    loss = change["median"] - parent["median"]
+    if spec["better"] == "higher":
+        loss = -loss
+    return "worse" if loss > allowed else "ok"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -165,16 +180,18 @@ def main() -> int:
             entry[name] = {
                 "unit": spec["unit"],
                 "better": spec["better"],
+                "bound": spec["bound"],
                 **figures,
                 "ratio": ratio,
                 "change_wins": wins,
+                "verdict": verdict(spec, figures["parent"], figures["change"]),
             }
             print(
                 f"{workload:26} {name:13} parent {figures['parent']['median']:10.4g} "
                 f"[{figures['parent']['q1']:.4g}, {figures['parent']['q3']:.4g}]  "
                 f"change {figures['change']['median']:10.4g} "
                 f"[{figures['change']['q1']:.4g}, {figures['change']['q3']:.4g}]  "
-                f"x{ratio:.3f}  wins {wins}/{args.pairs}"
+                f"x{ratio:.3f}  wins {wins}/{args.pairs}  {entry[name]['verdict']}"
             )
         report["workloads"][workload] = entry
         print(f"{workload:26} failed checks: parent {entry['failed']['parent']}, "

@@ -193,6 +193,14 @@ def build_settings(args: argparse.Namespace) -> Settings:
     return settings
 
 
+def _check_non_negative(**values: int) -> None:
+    """Seeds and worker counts below 0 are configuration errors, not values
+    numpy would reject deep in a run or ``workers`` would read as 0."""
+    for name, value in values.items():
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+
+
 def finalize(settings: Settings) -> Settings:
     """Fill benchmark-dependent defaults and validate the combination."""
     if not settings.benchmark:
@@ -214,6 +222,12 @@ def finalize(settings: Settings) -> Settings:
     for name in ("nodes", "max_iterations", "seeds_per_cell"):
         if getattr(resolved, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(resolved, name)}")
+    _check_non_negative(
+        seeds=min(resolved.seeds),
+        master_seed=resolved.master_seed,
+        dataset_seed=resolved.dataset_seed,
+        workers=resolved.workers,
+    )
     if any(n < 1 for n in resolved.nodes_grid or []):
         raise ConfigError(f"nodes_grid entries must be >= 1, got {resolved.nodes_grid}")
     # constructing the strategies validates the variant and its p_reorder
@@ -530,6 +544,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_genome(args: argparse.Namespace) -> int:
+    _check_non_negative(seed=args.seed, dataset_seed=args.dataset_seed)
     if args.bench:
         bench = build_benchmark(
             args.bench, dataset_rng=_dataset_rng(args.dataset_seed, args.bench)

@@ -1,17 +1,14 @@
 """One run's random draws, served from prefetched PCG64 words.
 
 A :class:`DrawFeed` wraps a run's ``numpy.random.Generator`` and returns
-exactly the values the generator would, in the same order, for the four
-forms the evolutionary strategy draws: ``integers(bound)``,
-``integers(bounds)`` for an array of bounds, ``random()`` and
-``random(n)``.  numpy draws an integer below a bound under 2^32 by Lemire's
+exactly the values the generator would, in the same order, for the three
+forms the evolutionary strategy draws: ``integers(bound)``, ``random()``
+and ``random(n)``.  numpy draws an integer below a bound under 2^32 by Lemire's
 method (Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019) from one 32-bit half of a PCG64 word, low half first, and keeps the
 unused high half for the next such draw; a float takes a whole word.  The
 feed does the same integer arithmetic on words it fetches in blocks, which
-costs far less than a numpy call per draw.  An array of bounds is drawn one
-element at a time: repair, its only user, draws a few bounds per call, where
-a vectorised pass costs more than it saves.  :meth:`DrawFeed.flush` writes
+costs far less than a numpy call per draw.  :meth:`DrawFeed.flush` writes
 the feed's position back into the generator, which then goes on as if it
 had made every draw itself.
 """
@@ -86,18 +83,8 @@ class DrawFeed:
         self._block = np.concatenate((rest, fresh))
         self._cursor = 0
 
-    def integers(self, bound):
-        """A uniform int in [0, bound), or an int64 array of them, one per
-        element of an array ``bound``, drawn in element order.  A bound of
-        1 draws nothing."""
-        if type(bound) is not int:
-            # every bound is checked before the first draw, as numpy does
-            bounds = bound.tolist()
-            if bounds and not (1 <= min(bounds) and max(bounds) < _LIMIT):
-                raise ValueError(
-                    f"a draw feed serves bounds in [1, 2^32), got {min(bounds)}..{max(bounds)}"
-                )
-            return np.array([self.integers(b) for b in bounds], np.int64)
+    def integers(self, bound: int) -> int:
+        """A uniform int in [0, bound).  A bound of 1 draws nothing."""
         if not 1 <= bound < _LIMIT:
             raise ValueError(f"a draw feed serves bounds in [1, 2^32), got {bound}")
         if bound == 1:

@@ -6,13 +6,14 @@ mutant whenever it is at least as fit as the parent; the equal-fitness
 replacement is what lets inactive genes drift.  Reordering never changes
 the parent's phenotype, so its fitness carries over without re-evaluation.
 
-Only the first genome of a run is decoded and evaluated in full.  A reorder
-carries the parent's active set and evaluation vector over to the new
-positions.  A mutant's active set is derived from its parent's by the genes
+Only the first genome of a run is decoded and evaluated in full.  An active
+set is one list: for every node, the genes that read it.  A reorder carries
+the parent's set and evaluation vector over to the new positions.  A
+mutant's set is derived from its parent's by moving the reads of the genes
 the mutation changed, and its evaluation walks only the nodes whose value
-that change can reach, starting from its parent's vector.  The vector and
-the active set are run state: the final genome a run returns carries
-neither.
+that change can reach, from the readers its own set lists, starting from
+its parent's vector.  The vector and the active set are run state: the
+final genome a run returns carries neither.
 
 Iterations-to-solution is the number of iterations run; a run that exhausts
 its budget reports the budget itself as its iteration count.  Exactly four
@@ -189,9 +190,8 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     test_fitness = None
     if isinstance(bench, RegressionBenchmark) and bench.test is not None:
         test_fitness = mae_fitness(parent, bench.test, parent_active)
-    # a kept vector, or a carried active set with its reader index, would
-    # hold an entry per position in every result, and workers would send
-    # those back
+    # a kept vector, or a carried active set, would hold an entry per
+    # position in every result, and workers would send those back
     parent.values = parent.active = None
     draws.flush()
 
@@ -203,7 +203,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
         final_train_fitness=parent_fitness,
         final_test_fitness=test_fitness,
         active_count=parent_active.count,
-        active_bitmap="".join("1" if c else "0" for c in parent_active.consumers),
+        active_bitmap="".join("1" if r else "0" for r in parent_active.readers),
         trace=trace,
         final_genome=parent,
         union_active_bitmap=(

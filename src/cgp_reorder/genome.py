@@ -18,15 +18,15 @@ truth-table column for the Boolean set, a read-only float64 array over the
 batch of points for the regression set.  A genome keeps the vector of its
 last evaluation, and a mutant is evaluated from its parent's vector: only
 what its mutation changed, and the nodes that read a changed value, are
-computed again.  The walk finds those readers in a reader index that the
-parent's active set carries.
+computed again.  The walk finds those readers in the mutant's active set,
+which lists for every node the genes that read it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Callable, Sequence
@@ -70,8 +70,17 @@ class GraphParams:
         """Positions an output connection may target (inputs + computational)."""
         return self.num_inputs + self.num_computational
 
-    def functions(self) -> FunctionSet:
+    @cached_property
+    def _functions(self) -> FunctionSet:
         return get_function_set(self.function_set)
+
+    def functions(self) -> FunctionSet:
+        """The function set, looked up on first use only."""
+        return self._functions
+
+    def __getstate__(self) -> dict:
+        # the looked-up set stays out of a pickle, which holds the fields
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(slots=True)
@@ -117,31 +126,27 @@ class Genotype:
     values: list | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class ActiveSet:
-    """Which computational nodes lie on a path to an output.
+    """Which computational nodes lie on a path to an output, and what reads
+    each of them.
 
-    ``consumers[i]`` is indexed by computational position (0-based, not
-    global): the number of output genes and consumed connection genes of
-    active nodes that reference node i.  A node is active exactly when it
-    has a consumer, so the counts are the only stored copy of the set; the
-    bitmap, the count and the ascending positions are derived from them.
-    A caller that knows the positions already passes them as the second
-    argument.  An active set is never mutated after construction, so sets
-    may share their lists.
-
-    The reader index, built on first use by :meth:`readers`, lists for each
-    node the active nodes whose consumed genes read it.  A set that
-    :func:`decode_active` derived from a parent's keeps ``source``: the
-    parent's set, the parent's nodes and the nodes whose consumed genes
-    may differ between the two.  Its index is then derived from the
-    parent's, and ``source`` is dropped.
+    ``readers[i]`` is indexed by computational position (0-based, not
+    global): a tuple with one entry per gene that reads node i, an output
+    gene k as ``num_computational + k`` and a consumed connection gene of an
+    active node as that node's index, in no set order.  A node is active
+    exactly when its tuple is non-empty, so this list is the only stored
+    copy of the set; the bitmap, the count and the ascending positions are
+    derived from it.  A caller that knows the positions already passes them
+    as the second argument.  An active set is never mutated after
+    construction, so sets may share their lists, and two sets compare equal
+    only when they are the same object.  Its entries are tuples of ints,
+    which the garbage collector stops tracking: lists would add hundreds of
+    live containers to every collection while the set lives.
     """
 
-    consumers: list[int]
-    _positions: list[int] | None = field(default=None, repr=False, compare=False)
-    _readers: list | None = field(default=None, repr=False, compare=False)
-    source: tuple | None = field(default=None, repr=False, compare=False)
+    readers: list[tuple[int, ...]]
+    _positions: list[int] | None = field(default=None, repr=False)
 
     def positions(self) -> list[int]:
         """Ascending computational indices of the active nodes.
@@ -149,7 +154,7 @@ class ActiveSet:
         Computed on first use and shared by later calls: do not mutate it.
         """
         if self._positions is None:
-            self._positions = list(compress(range(len(self.consumers)), self.consumers))
+            self._positions = list(compress(range(len(self.readers)), self.readers))
         return self._positions
 
     @property
@@ -159,33 +164,7 @@ class ActiveSet:
     @property
     def bitmap(self) -> list[bool]:
         """Whether each node is active, as a new list."""
-        return list(map(bool, self.consumers))
-
-    def readers(self, nodes: list[NodeGene], arities: Sequence[int], start: int) -> list:
-        """Per computational index, a tuple of the active nodes whose
-        consumed genes read it, one entry per gene, in no set order.
-
-        ``nodes`` are the nodes of a genome with this active set.  Computed
-        on first use and shared by later calls: do not mutate it.
-        """
-        if self._readers is None:
-            source, self.source = self.source, None
-            if source is not None and source[0]._readers is not None:
-                self._readers = _derived_readers(self, nodes, arities, start, *source)
-            else:
-                # tuples of ints, which the garbage collector stops
-                # tracking: lists would add hundreds of live containers to
-                # every collection while the index lives
-                readers = [()] * len(self.consumers)
-                for idx in self.positions():
-                    node = nodes[idx]
-                    first, second = node.connections
-                    if first >= start:
-                        readers[first - start] += (idx,)
-                    if second >= start and arities[node.function_id] > 1:
-                        readers[second - start] += (idx,)
-                self._readers = readers
-        return self._readers
+        return list(map(bool, self.readers))
 
 
 def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
@@ -203,64 +182,46 @@ def random_genome(params: GraphParams, rng: np.random.Generator) -> Genotype:
     return Genotype(params, nodes, outputs)
 
 
-def _consumed(node: NodeGene, arities: Sequence[int], start: int, into: list) -> None:
-    """Append the computational indices ``node``'s function reads to ``into``."""
+def _consumed(node: NodeGene, idx: int, arities: Sequence[int], start: int, into: list) -> None:
+    """Append a ``(target, idx)`` pair to ``into`` for every computational
+    node ``target`` that ``node``, at index ``idx``, reads through a gene its
+    function consumes."""
     for conn in node.connections[: arities[node.function_id]]:
         if conn >= start:
-            into.append(conn - start)
+            into.append((conn - start, idx))
 
 
-def _activate(nodes, arities, start, consumers, stack) -> list[int]:
-    """Count one more consumer for every node on ``stack``; a node whose
-    count goes from 0 to 1 becomes active and counts, depth first, the
-    nodes its function reads.  Returns the nodes that became active."""
+def _activate(nodes, arities, start, readers, moves) -> list[int]:
+    """Add the reader of every ``(target, reader)`` pair on ``moves`` to the
+    target's entry; a target whose entry was empty becomes active and adds
+    itself, depth first, to the entries of the nodes its function reads.
+    Returns the nodes that became active."""
     added = []
-    while stack:
-        idx = stack.pop()
-        consumers[idx] += 1
-        if consumers[idx] == 1:
+    while moves:
+        idx, reader = moves.pop()
+        entry = readers[idx]
+        readers[idx] = entry + (reader,)
+        if not entry:
             added.append(idx)
-            _consumed(nodes[idx], arities, start, stack)
+            _consumed(nodes[idx], idx, arities, start, moves)
     return added
 
 
-def _deactivate(nodes, arities, start, consumers, stack) -> list[int]:
-    """Count one consumer less for every node on ``stack``; a node whose
-    count goes from 1 to 0 becomes inactive and releases, in turn, the
-    nodes its function reads.  Returns the nodes that became inactive."""
+def _deactivate(nodes, arities, start, readers, moves) -> list[int]:
+    """Remove the reader of every ``(target, reader)`` pair on ``moves``
+    from the target's entry, once; a target whose entry empties becomes
+    inactive and leaves, in turn, the entries of the nodes its function
+    reads.  Returns the nodes that became inactive."""
     removed = []
-    while stack:
-        idx = stack.pop()
-        consumers[idx] -= 1
-        if not consumers[idx]:
+    while moves:
+        idx, reader = moves.pop()
+        entry = readers[idx]
+        cut = entry.index(reader)
+        entry = readers[idx] = entry[:cut] + entry[cut + 1 :]
+        if not entry:
             removed.append(idx)
-            _consumed(nodes[idx], arities, start, stack)
+            _consumed(nodes[idx], idx, arities, start, moves)
     return removed
-
-
-def _derived_readers(active, nodes, arities, start, parent_active, parent_nodes, touched):
-    """The reader index of ``active`` from that of ``parent_active``: every
-    node in ``touched`` stops reading what it read as a parent-active node
-    and reads what it reads as an active node of ``nodes``.  Only those
-    entries are replaced; the others are shared with the parent's index."""
-    readers = parent_active._readers.copy()
-    consumers, parent_consumers = active.consumers, parent_active.consumers
-    for idx in dict.fromkeys(touched):
-        old: list[int] = []
-        new: list[int] = []
-        if parent_consumers[idx]:
-            _consumed(parent_nodes[idx], arities, start, old)
-        if consumers[idx]:
-            _consumed(nodes[idx], arities, start, new)
-        if old == new:
-            continue
-        for target in old:
-            entry = list(readers[target])
-            entry.remove(idx)
-            readers[target] = tuple(entry)
-        for target in new:
-            readers[target] += (idx,)
-    return readers
 
 
 def decode_active(
@@ -275,57 +236,82 @@ def decode_active(
 
     Given the ``parent`` of a mutant that records its :class:`Delta`, and
     the parent's active set, the result is derived from that set instead of
-    a full walk, and the delta's ``activated`` is filled in.  The genes of
-    the changed parent-active nodes and the changed output genes move
-    consumer counts; a node that gains its first consumer is activated depth
-    first, and one that loses its last is released, cascading.  The work is
-    proportional to what changed, not to the size of the genome.
+    a full walk, and the delta's ``activated`` and ``released`` are filled
+    in.  Every read of a changed parent-active node or a changed output
+    gene moves as a ``(target, reader)`` pair: the old reads leave their
+    targets' entries and the new ones join them.  A node whose entry fills
+    is activated depth first, and one whose entry empties is released,
+    cascading.  The work is proportional to what changed, not to the size
+    of the genome.
     """
     params = genome.params
     arities = params.functions().arities
     start = params.comp_start
+    num = params.num_computational
     nodes = genome.computational
     delta = genome.delta
     if parent is None or parent_active is None or delta is None:
-        consumers = [0] * params.num_computational
-        stack = [conn - start for conn in genome.output_connections if conn >= start]
-        _activate(nodes, arities, start, consumers, stack)
-        return ActiveSet(consumers)
+        readers: list[tuple[int, ...]] = [()] * num
+        moves = [
+            (conn - start, num + k)
+            for k, conn in enumerate(genome.output_connections)
+            if conn >= start
+        ]
+        _activate(nodes, arities, start, readers, moves)
+        return ActiveSet(readers)
 
     old_nodes = parent.computational
-    old_consumers = parent_active.consumers
-    released: list[int] = []
-    gained: list[int] = []
-    changed = [idx for idx in delta.nodes if old_consumers[idx]]
-    for idx in changed:
-        _consumed(old_nodes[idx], arities, start, released)
-        _consumed(nodes[idx], arities, start, gained)
-    # with one changed node, equal lists mean that it reads what it read
-    reads_kept = len(changed) < 2 and released == gained
+    released: list[tuple[int, int]] = []
+    gained: list[tuple[int, int]] = []
+    for idx in delta.nodes:
+        if parent_active.readers[idx]:
+            _consumed(old_nodes[idx], idx, arities, start, released)
+            _consumed(nodes[idx], idx, arities, start, gained)
     for k in delta.outputs:
         old, new = parent.output_connections[k], genome.output_connections[k]
         if old >= start:
-            released.append(old - start)
+            released.append((old - start, num + k))
         if new >= start:
-            gained.append(new - start)
-    if reads_kept and released == gained:
-        # no gene moved, as when only a function gene of the same arity or
-        # an unconsumed gene changed: the active graph is the parent's, and
-        # so is every node's list of readers
+            gained.append((new - start, num + k))
+    if released == gained:
+        # no read moved, as when only a function gene of the same arity or
+        # an unconsumed gene changed: the child's set is the parent's
         delta.activated = delta.released = []
         return parent_active
 
-    consumers = old_consumers.copy()
+    readers = parent_active.readers.copy()
     # gains first: a parent-active node that the delta releases but that a
-    # newly activated node consumes again never reaches zero, so it is
-    # neither activated again nor released
-    activated = delta.activated = _activate(nodes, arities, start, consumers, gained)
-    delta.released = _deactivate(nodes, arities, start, consumers, released)
-    source = (parent_active, old_nodes, changed + activated + delta.released)
+    # newly activated node reads again never empties, so it is neither
+    # activated again nor released
+    activated = delta.activated = _activate(nodes, arities, start, readers, gained)
+    delta.released = _deactivate(nodes, arities, start, readers, released)
     if activated or delta.released:
-        return ActiveSet(consumers, source=source)
-    # no count crossed zero: the same nodes are active
-    return ActiveSet(consumers, parent_active.positions(), source=source)
+        return ActiveSet(readers)
+    # no entry filled or emptied: the same nodes are active
+    return ActiveSet(readers, parent_active.positions())
+
+
+def listed_active(
+    params: GraphParams, nodes: list[NodeGene], outputs: tuple[int, ...], positions: list[int]
+) -> ActiveSet:
+    """The active set of a genome whose active nodes are known: ``positions``,
+    ascending.  Their readers are listed from the nodes' genes and the
+    output genes in one pass, with no reachability walk."""
+    arities = params.functions().arities
+    start = params.comp_start
+    num = params.num_computational
+    readers: list[tuple[int, ...]] = [()] * num
+    for idx in positions:
+        node = nodes[idx]
+        first, second = node.connections
+        if first >= start:
+            readers[first - start] += (idx,)
+        if second >= start and arities[node.function_id] > 1:
+            readers[second - start] += (idx,)
+    for k, conn in enumerate(outputs):
+        if conn >= start:
+            readers[conn - start] += (num + k,)
+    return ActiveSet(readers, positions)
 
 
 def _walk(
@@ -350,10 +336,10 @@ def _walk(
     newly activated active nodes, and beyond those only the readers of a
     node whose value differs from the parent's, as ``differs(new, old)``
     tells.  It visits those nodes alone, lowest position first, from the
-    parent's reader index: a reader sits above what it reads, so every
-    value a node reads is final when the node is computed.  A reader that
-    the mutant released is skipped, and one whose genes the mutant changed
-    is computed anyway.  The entries of inactive nodes are None.
+    readers the mutant's own set lists, which are all active: a reader sits
+    above what it reads, so every value a node reads is final when the node
+    is computed.  Output entries are skipped.  The entries of inactive
+    nodes are None.
     """
     params = genome.params
     start = params.num_inputs
@@ -374,19 +360,12 @@ def _walk(
             )
         return vector
 
-    arities = params.functions().arities
-    source = active.source
-    if source is not None and source[1] is parent.computational:
-        # the set was derived from the parent's, whose index serves
-        readers = source[0].readers(source[1], arities, start)
-    else:
-        # the parent's set itself, or one whose index is built already
-        readers = active.readers(nodes, arities, start)
-    consumers = active.consumers
+    readers = active.readers
+    num = params.num_computational
     # copied on the first value that differs from the parent's
     vector = base = parent.values
     # a node the same change activated and released again is not computed
-    queued = set(filter(consumers.__getitem__, (*delta.nodes, *delta.activated)))
+    queued = set(filter(readers.__getitem__, (*delta.nodes, *delta.activated)))
     # a heap, lowest position first
     queue = sorted(queued)
     while queue:
@@ -400,7 +379,7 @@ def _walk(
                 vector = base.copy()
             vector[position] = value
             for reader in readers[idx]:
-                if reader not in queued and consumers[reader]:
+                if reader < num and reader not in queued:
                     queued.add(reader)
                     heappush(queue, reader)
     if delta.released:

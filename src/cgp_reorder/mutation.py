@@ -75,7 +75,7 @@ def single_mutation(
             conns = list(node.connections)
             conns[conn_idx] = _resample_excluding(rng, position, conns[conn_idx])
             nodes[node_idx] = NodeGene(node.function_id, tuple(conns))
-        if active.consumers[node_idx]:
+        if active.readers[node_idx]:
             changed_nodes = (node_idx,)
             break
 

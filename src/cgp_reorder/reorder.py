@@ -23,13 +23,14 @@ forward afterwards; those genes are resampled by
 
 Every operator that moves a node builds one ``position_map`` from old to
 new global positions and shares one remap path: all connection genes are
-remapped at once as an ``(N, ARITY)`` array, and the source genome's active
-set and evaluation vector are permuted along with the nodes and returned in
-the new genome's ``active`` and ``values`` fields instead of being decoded
-and evaluated again.  A placement whose targets are the active nodes' own
-positions moves nothing and skips all of that: it returns a new genome with
-the source's nodes, active set and vector.  Under negbias most placements
-are such, since the active nodes sit at the tail already.
+remapped at once as an ``(N, ARITY)`` array, the evaluation vector is
+permuted along with the nodes, and the active set's readers are listed
+anew from the moved nodes in one pass, with no reachability walk.  Both go
+into the new genome's ``active`` and ``values`` fields instead of being
+decoded and evaluated again.  A placement whose targets are the active
+nodes' own positions moves nothing and skips all of that: it returns a new
+genome with the source's nodes, active set and vector.  Under negbias most
+placements are such, since the active nodes sit at the tail already.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .genome import ARITY, ActiveSet, Genotype, NodeGene, decode_active
+from .genome import ARITY, ActiveSet, Genotype, NodeGene, decode_active, listed_active
 
 REORDER_KINDS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
 GATED_KINDS = ("negbias", "leftskew")
@@ -153,12 +154,11 @@ def repair_forward_connections(
 
     Mutates ``genome`` in place and returns the number of repaired genes.
     A forward gene that an active node's function actually consumes would
-    change the phenotype, so that case raises instead of repairing: it means
-    an operator mixed up the active ordering.  The forward genes are drawn
-    in one call, in node-then-gene order, which yields the same values as
-    one draw per gene in that order.  ``conn`` is ``genome``'s connection
-    array when the caller has it already; it is repaired along with the
-    genome.
+    change the phenotype, so that case raises instead of repairing, before
+    the genome changes: it means an operator mixed up the active ordering.
+    The forward genes are drawn one at a time, in node-then-gene order.
+    ``conn`` is ``genome``'s connection array when the caller has it
+    already; it is repaired along with the genome.
     """
     params = genome.params
     start = params.comp_start
@@ -174,12 +174,12 @@ def repair_forward_connections(
     nodes = genome.computational
     rows_list = rows.tolist()
     for idx, k in zip(rows_list, cols.tolist()):
-        if active.consumers[idx] and k < arities[nodes[idx].function_id]:
+        if active.readers[idx] and k < arities[nodes[idx].function_id]:
             raise InvariantViolation(
                 f"active node at position {start + idx} consumes a forward "
                 f"connection to {conn[idx, k]}"
             )
-    conn[rows, cols] = rng.integers(positions[rows])
+        conn[idx, k] = rng.integers(start + idx)
     for idx in dict.fromkeys(rows_list):
         nodes[idx] = NodeGene(nodes[idx].function_id, tuple(conn[idx].tolist()))
     return len(rows_list)
@@ -211,13 +211,12 @@ def _remap(
     ):
         new_nodes[idx] = NodeGene(nodes[old_idx].function_id, tuple(genes))
     outputs = tuple(position_map[list(genome.output_connections)].tolist())
-    order_list = order.tolist()
-    consumers = active.consumers
-    carried = ActiveSet([consumers[i] for i in order_list])
+    targets = position_map[start + np.array(active.positions(), dtype=np.intp)]
+    carried = listed_active(params, new_nodes, outputs, (np.sort(targets) - start).tolist())
     values = genome.values
     if values is not None:
         moved = values[start:]
-        values = values[:start] + [moved[i] for i in order_list]
+        values = values[:start] + [moved[i] for i in order.tolist()]
     return Genotype(params, new_nodes, outputs, carried, values=values), remapped
 
 
@@ -247,7 +246,7 @@ def _place(
             values=genome.values,
         )
     active_to, inactive_to = placement_positions(start, end, drawn)
-    is_active = np.fromiter(active.consumers, bool, params.num_computational)
+    is_active = np.fromiter(map(bool, active.readers), bool, params.num_computational)
     position_map = np.arange(start + params.num_computational)
     position_map[start + np.flatnonzero(is_active)] = active_to
     position_map[start + np.flatnonzero(~is_active)] = inactive_to

@@ -158,29 +158,42 @@ def oracle_active(genome: Genotype) -> tuple[list[bool], int, list[int]]:
 
 
 def oracle_readers(genome: Genotype) -> list[list[int]]:
-    """Per computational index, the ascending active nodes whose consumed
-    genes read it, one entry per gene, from the oracle's bitmap."""
+    """Per computational index, the ascending readers of the node, from the
+    oracle's bitmap: one entry per consumed gene of an active node that
+    reads it, as that node's index, and one per output gene k that reads
+    it, as ``num_computational + k``."""
     params = genome.params
     arities = params.functions().arities
     start = params.comp_start
+    num = params.num_computational
     bitmap, _, _ = oracle_active(genome)
-    readers = [[] for _ in range(params.num_computational)]
+    readers = [[] for _ in range(num)]
     for idx in (i for i, on in enumerate(bitmap) if on):
         node = genome.computational[idx]
         for conn in node.connections[: arities[node.function_id]]:
             if conn >= start:
                 readers[conn - start].append(idx)
-    return readers
+    for k, conn in enumerate(genome.output_connections):
+        if conn >= start:
+            readers[conn - start].append(num + k)
+    return [sorted(entry) for entry in readers]
+
+
+def sorted_readers(active) -> list[list[int]]:
+    """An active set's entries, each sorted: two sets hold the same readers
+    exactly when these are equal, whatever order their tuples list them in."""
+    return [sorted(entry) for entry in active.readers]
+
+
+def consumer_counts(active) -> list[int]:
+    """How many genes read each node, from an active set's entries."""
+    return [len(entry) for entry in active.readers]
 
 
 def assert_readers_match(active, genome: Genotype) -> None:
-    """The active set's reader index, carried, derived or built, holds the
-    oracle's readers for ``genome``; entries may list them in any order."""
-    params = genome.params
-    index = active.readers(
-        genome.computational, params.functions().arities, params.comp_start
-    )
-    assert [sorted(entry) for entry in index] == oracle_readers(genome)
+    """The active set, decoded, derived or carried, holds the oracle's
+    readers for ``genome``; its entries may list them in any order."""
+    assert sorted_readers(active) == oracle_readers(genome)
 
 
 def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
@@ -193,7 +206,7 @@ def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
     for idx, node in enumerate(genome.computational):
         conns = list(node.connections)
         for k in range(ARITY):
-            free = not active.consumers[idx] or k >= arities[node.function_id]
+            free = not active.readers[idx] or k >= arities[node.function_id]
             if free and rng.random() < 0.5:
                 conns[k] = int(rng.integers(params.comp_start + idx, params.num_connectable))
         nodes.append(NodeGene(node.function_id, tuple(conns)))

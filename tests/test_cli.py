@@ -197,6 +197,35 @@ class TestFinalize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--bench", "parity3", "--seeds=-1"], "seeds must be >= 0, got -1"),
+            (["run", "--bench", "parity3", "--seeds=-2..3"], "seeds must be >= 0, got -2"),
+            (["run", "--bench", "parity3", "--master-seed", "-1"],
+             "master_seed must be >= 0, got -1"),
+            (["run", "--bench", "koza3", "--dataset-seed", "-1"],
+             "dataset_seed must be >= 0, got -1"),
+            (["run", "--bench", "parity3", "--workers", "-2"], "workers must be >= 0, got -2"),
+            (["grid", "--bench", "parity3", "--nodes-grid", "10", "--master-seed", "-1"],
+             "master_seed must be >= 0, got -1"),
+            (["grid", "--bench", "koza3", "--nodes-grid", "10", "--dataset-seed", "-1"],
+             "dataset_seed must be >= 0, got -1"),
+            (["grid", "--bench", "parity3", "--nodes-grid", "10", "--workers", "-2"],
+             "workers must be >= 0, got -2"),
+        ],
+        ids=[
+            "seeds", "seed-range", "master-seed", "dataset-seed", "workers",
+            "grid-master-seed", "grid-dataset-seed", "grid-workers",
+        ],
+    )
+    def test_negative_seeds_and_workers_are_config_errors(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 def _read_records(path):
     return [json.loads(line) for line in open(path) if line.strip()]
@@ -566,6 +595,20 @@ class TestDumpGenomeCommand:
         first = capsys.readouterr().out
         run_cli("dump-genome", "--bench", "parity3", "--seed", "9")
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--dataset-seed", "-1"], "dataset_seed must be >= 0, got -1"),
+        ],
+        ids=["seed", "dataset-seed"],
+    )
+    def test_negative_seed_is_config_error(self, argv, message, capsys):
+        assert run_cli("dump-genome", "--bench", "pagie1", *argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
 
 
 class TestParser:

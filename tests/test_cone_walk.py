@@ -9,9 +9,11 @@ and along (1+4)-ES chains, every child's outputs must equal
 (regression) bit for bit.  Each step continues from the previous step's
 child, so a stale vector entry would carry on; a second child of every
 parent checks that evaluating the first left the parent's vector as it was.
-The walk visits only the readers of changed values, from the parent's
-reader index, which along the ES chains must hold the oracle's readers.
+The walk visits only the readers of changed values, from the child's
+active set, which along the ES chains must hold the oracle's readers.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -164,7 +166,7 @@ def assert_inactive_hold_none(genome, active) -> None:
     """Only inputs and active nodes hold a value in the genome's vector."""
     start = genome.params.comp_start
     values = genome.values[start:]
-    stale = [i for i, c in enumerate(active.consumers) if not c and values[i] is not None]
+    stale = [i for i, r in enumerate(active.readers) if not r and values[i] is not None]
     assert stale == []
 
 
@@ -268,8 +270,6 @@ def test_walk_visits_the_changed_cone_alone(monkeypatch):
     active = decode_active(genome)
     assert active.count == length + 2
     evaluate_packed(genome, masks, full, active)
-    # the index a first child's walk would build
-    active.readers(genome.computational, BOOLEAN_SET.arities, params.comp_start)
     child = edited(genome, nodes={bottom: NodeGene(1, (0, 1))})
     child_active = decode_active(child, genome, active)
     child.computational = CountingNodes(child.computational)
@@ -279,6 +279,67 @@ def test_walk_visits_the_changed_cone_alone(monkeypatch):
     assert child.computational.reads == 2
     assert outputs == full_forward_pass(child, masks, full)
     assert outputs != full_forward_pass(genome, masks, full)
+
+
+AND, OR, NAND, NOR = range(4)
+
+
+def recorded_pushes(monkeypatch) -> list:
+    """Every reader the walk queues from now on, in order."""
+    pushed = []
+
+    def push(queue, item):
+        pushed.append(item)
+        heapq.heappush(queue, item)
+
+    monkeypatch.setattr(genome_module, "heappush", push)
+    return pushed
+
+
+def test_node_read_by_an_output_and_a_node(monkeypatch):
+    # X feeds output 0 and Y, which feeds output 1: a child that switches X
+    # from AND to NAND changes both outputs, and its walk queues Y from X's
+    # entry but neither output entry
+    params = GraphParams(2, 2, 3, "boolean")
+    nodes = [NodeGene(AND, (0, 1)), NodeGene(OR, (2, 0)), NodeGene(AND, (0, 0))]
+    genome = Genotype(params, nodes, (2, 3))
+    masks, full = packed_inputs(2)
+    active = decode_active(genome)
+    # Y, and output 0 as num_computational + 0
+    assert sorted(active.readers[0]) == [1, 3]
+    evaluate_packed(genome, masks, full, active)
+    pushed = recorded_pushes(monkeypatch)
+    child = edited(genome, nodes={0: NodeGene(NAND, (0, 1))})
+    child_active = decode_active(child, genome, active)
+    outputs = evaluate_packed(child, masks, full, child_active, genome)
+    assert outputs == full_forward_pass(child, masks, full)
+    before = full_forward_pass(genome, masks, full)
+    assert all(new != old for new, old in zip(outputs, before))
+    assert pushed == [1]
+
+
+@pytest.mark.parametrize("was_active", [True, False], ids=["active", "inactive"])
+def test_output_moved_onto_a_node_the_same_mutation_changes(monkeypatch, was_active):
+    # output 1 moves from an input onto Z while Z switches from OR to NOR:
+    # Z is computed anew, as a changed active node that W reads twice or as
+    # a node the move activates, and the output's entry in Z's readers is
+    # never queued
+    params = GraphParams(2, 2, 3, "boolean")
+    w_reads = (3, 3) if was_active else (2, 2)
+    nodes = [NodeGene(AND, (0, 1)), NodeGene(OR, (2, 0)), NodeGene(AND, w_reads)]
+    genome = Genotype(params, nodes, (4, 0))
+    masks, full = packed_inputs(2)
+    active = decode_active(genome)
+    assert active.bitmap[1] == was_active
+    evaluate_packed(genome, masks, full, active)
+    pushed = recorded_pushes(monkeypatch)
+    child = edited(genome, nodes={1: NodeGene(NOR, (2, 0))}, outputs={1: 3})
+    child_active = decode_active(child, genome, active)
+    # W's two genes when it reads Z, and output 1 as num_computational + 1
+    assert sorted(child_active.readers[1]) == ([2, 2, 4] if was_active else [4])
+    outputs = evaluate_packed(child, masks, full, child_active, genome)
+    assert outputs == full_forward_pass(child, masks, full)
+    assert pushed == ([2] if was_active else [])
 
 
 def test_grandparent_values_are_not_reused():
@@ -348,8 +409,9 @@ def test_es_chains_match_the_oracle(num_inputs, nodes, seed, steps):
             assert_matches_oracle(child, xs, preds)
             # the arrays of released nodes are not kept
             assert_inactive_hold_none(child, child_active)
-            # the index the walk read the parent's readers from
+            # the set the child's was derived from
             assert_readers_match(parent_active, parent)
+            assert_readers_match(child_active, child)
             children.append((child, child_active))
             fitnesses.append(mae(ys, preds))
         choice = select_parent(parent_fitness, fitnesses, maximize=False)

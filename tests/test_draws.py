@@ -56,8 +56,8 @@ def test_interleavings_match_the_generator(seed, buffered, steps):
         if kind == "integer":
             assert feed.integers(arg) == expected.integers(arg)
         elif kind == "integers":
-            bounds = np.array(arg, dtype=np.intp)
-            assert feed.integers(bounds).tolist() == expected.integers(bounds).tolist()
+            # a run of scalar draws, as repair makes over its forward genes
+            assert [feed.integers(b) for b in arg] == [expected.integers(b) for b in arg]
         elif kind == "float":
             assert feed.random() == expected.random()
         elif kind == "floats":
@@ -81,13 +81,13 @@ def test_bounds_numpy_draws_otherwise_rejected(bound):
     # at 2^32 and above numpy draws whole words; below 1 it raises
     generator = np.random.default_rng(0)
     feed = DrawFeed(generator)
+    expected = np.random.default_rng(0)
+    assert feed.integers(5) == expected.integers(5)
     with pytest.raises(ValueError, match="bounds"):
         feed.integers(bound)
-    with pytest.raises(ValueError, match="bounds"):
-        feed.integers(np.array([5, bound], dtype=np.int64))
-    # numpy checks every bound before it draws, so the bound of 5 drew nothing
+    # the rejected bound drew nothing
     feed.flush()
-    assert generator.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert generator.bit_generator.state == expected.bit_generator.state
 
 
 def repaired(genome, rng):

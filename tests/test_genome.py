@@ -1,4 +1,5 @@
 import importlib.util
+import pickle
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cgp_reorder.errors import ConfigError
+from cgp_reorder.functions import REGRESSION_SET
 from cgp_reorder.genome import (
     GraphParams,
     Genotype,
@@ -25,6 +27,7 @@ from conftest import (
     full_forward_pass,
     packed_inputs,
     parity3_xor_genome,
+    sorted_readers,
     validate,
 )
 
@@ -45,6 +48,17 @@ class TestGraphParams:
         assert p.comp_start == 2
         assert p.comp_end == 4
         assert p.num_connectable == 5
+
+    def test_function_set_looked_up_once_and_kept_out_of_pickles(self):
+        p = GraphParams(2, 1, 3, "regression")
+        fresh = pickle.dumps(p)
+        assert p.functions() is REGRESSION_SET
+        assert p.functions() is p.functions()
+        # the kept set changes neither the pickle, nor equality, nor the hash
+        assert pickle.dumps(p) == fresh
+        copy = pickle.loads(fresh)
+        assert copy == p and hash(copy) == hash(p)
+        assert copy.functions() is REGRESSION_SET
 
 
 class TestDecodeActive:
@@ -75,7 +89,7 @@ class TestDecodeActive:
 
     def test_idempotent_pure_function(self):
         g = fig1_genome()
-        assert decode_active(g) == decode_active(g)
+        assert sorted_readers(decode_active(g)) == sorted_readers(decode_active(g))
 
 
 class TestEvaluate:
