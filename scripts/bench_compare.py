@@ -16,7 +16,9 @@ of it, with every run's figures, the failed-check counts and
 each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
 current directory.  With `--tier1`, after the pairs it runs the tier-1 test
 command once in each checkout, one after the other, and records the wall
-seconds and the passed, failed and skipped counts under `tier1`.
+seconds and the passed, failed and skipped counts under `tier1`.  It exits
+with 1, after writing the file, when any run reported failed checks or any
+verdict is `worse` (see `exit_status`), so that it can gate a change.
 Standard library only.
 """
 
@@ -115,6 +117,17 @@ def verdict(spec: dict, parent: dict, change: dict) -> str:
     return "worse" if loss > allowed else "ok"
 
 
+def exit_status(report: dict) -> int:
+    """1 when a run on either side reported failed checks, or when a
+    metric's verdict on any workload is ``worse``; else 0."""
+    for entry in report["workloads"].values():
+        if any(entry["failed"].values()):
+            return 1
+        if any(figures.get("verdict") == "worse" for figures in entry.values()):
+            return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -210,7 +223,10 @@ def main() -> int:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {out}")
-    return 0
+    status = exit_status(report)
+    if status:
+        print("gate failed: a run reported failed checks or a metric is worse")
+    return status
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -230,6 +231,11 @@ def finalize(settings: Settings) -> Settings:
     )
     if any(n < 1 for n in resolved.nodes_grid or []):
         raise ConfigError(f"nodes_grid entries must be >= 1, got {resolved.nodes_grid}")
+    # a repeated seed, or grid value, would be run or read back twice over
+    for name in ("seeds", "nodes_grid", "p_grid"):
+        repeated = [v for v, n in Counter(getattr(resolved, name) or []).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"{name} lists {repeated[0]} more than once")
     # constructing the strategies validates the variant and its p_reorder
     for p in [resolved.p_reorder, *(resolved.p_grid or [])]:
         ReorderStrategy(resolved.variant, p)

@@ -21,27 +21,27 @@ semantics.  Inactive nodes can end up with connection genes that point
 forward afterwards; those genes are resampled by
 :func:`repair_forward_connections`.
 
-Every operator that moves a node builds one ``position_map`` from old to
-new global positions and shares one remap path: all connection genes are
-remapped at once as an ``(N, ARITY)`` array, the evaluation vector is
+Every operator that moves a node gives ``order``, the old index of the
+node placed at each index, to one remap path, :func:`_remap`: a single
+Python pass over the node records that shares every node below the first
+moved index and rebuilds, from there on, only the nodes whose position or
+genes change.  No connection array is built.  The evaluation vector is
 permuted along with the nodes, and the active set's readers are listed
-anew from the moved nodes in one pass, with no reachability walk.  Both go
-into the new genome's ``active`` and ``values`` fields instead of being
-decoded and evaluated again.  A placement whose targets are the active
-nodes' own positions moves nothing and skips all of that: it returns a new
-genome with the source's nodes, active set and vector.  Under negbias most
-placements are such, since the active nodes sit at the tail already.
+anew from the moved nodes, with no reachability walk; both go into the new
+genome's ``active`` and ``values`` fields.  A placement whose targets are
+the active nodes' own positions moves nothing and skips all of that.
+Under negbias most placements are such, since the active nodes sit at the
+tail already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .genome import ARITY, ActiveSet, Genotype, NodeGene, decode_active, listed_active
+from .genome import ActiveSet, Genotype, NodeGene, decode_active, listed_active
 
 REORDER_KINDS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
 GATED_KINDS = ("negbias", "leftskew")
@@ -137,18 +137,11 @@ def _distinct_positions(sorted_values, start: int, end: int) -> np.ndarray:
     return ranks + np.minimum.accumulate(pushed[::-1])[::-1]
 
 
-def _connection_array(genome: Genotype) -> np.ndarray:
-    """The connection genes as an (N, ARITY) int array, one row per node."""
-    nodes = genome.computational
-    genes = chain.from_iterable([node.connections for node in nodes])
-    return np.fromiter(genes, np.intp, len(nodes) * ARITY).reshape(len(nodes), ARITY)
-
-
 def repair_forward_connections(
     genome: Genotype,
     rng: np.random.Generator,
     active: ActiveSet | None = None,
-    conn: np.ndarray | None = None,
+    rows: list[int] | None = None,
 ) -> int:
     """Resample every forward-pointing connection gene uniformly from [0, pos).
 
@@ -157,67 +150,76 @@ def repair_forward_connections(
     change the phenotype, so that case raises instead of repairing, before
     the genome changes: it means an operator mixed up the active ordering.
     The forward genes are drawn one at a time, in node-then-gene order.
-    ``conn`` is ``genome``'s connection array when the caller has it
-    already; it is repaired along with the genome.
+    ``rows`` are the ascending indices of the nodes that hold a forward
+    gene, when the caller has them already (:func:`_remap` returns them);
+    otherwise every node is scanned.
     """
     params = genome.params
     start = params.comp_start
-    if conn is None:
-        conn = _connection_array(genome)
-    positions = np.arange(start, start + params.num_computational)
-    rows, cols = np.nonzero(conn >= positions[:, None])
-    if not len(rows):
+    nodes = genome.computational
+    if rows is None:
+        genes = enumerate([node.connections for node in nodes], start)
+        rows = [position - start for position, (a, b) in genes if a >= position or b >= position]
+    forward = [
+        (idx, k, conn) for idx in rows
+        for k, conn in enumerate(nodes[idx].connections) if conn >= start + idx
+    ]
+    if not forward:
         return 0
     if active is None:
         active = decode_active(genome)
     arities = params.functions().arities
-    nodes = genome.computational
-    rows_list = rows.tolist()
-    for idx, k in zip(rows_list, cols.tolist()):
+    for idx, k, conn in forward:
         if active.readers[idx] and k < arities[nodes[idx].function_id]:
             raise InvariantViolation(
                 f"active node at position {start + idx} consumes a forward "
-                f"connection to {conn[idx, k]}"
+                f"connection to {conn}"
             )
-        conn[idx, k] = rng.integers(start + idx)
-    for idx in dict.fromkeys(rows_list):
-        nodes[idx] = NodeGene(nodes[idx].function_id, tuple(conn[idx].tolist()))
-    return len(rows_list)
+    for idx in rows:
+        node, position = nodes[idx], start + idx
+        genes = [int(rng.integers(position)) if c >= position else c for c in node.connections]
+        nodes[idx] = NodeGene(node.function_id, tuple(genes))
+    return len(forward)
 
 
 def _remap(
-    genome: Genotype, active: ActiveSet, conn: np.ndarray, position_map: np.ndarray
-) -> tuple[Genotype, np.ndarray]:
-    """Move every node to the position ``position_map`` gives it (inputs map
-    to themselves), remap every connection and output gene through the same
-    map, and carry the active set and the evaluation vector over to the new
-    positions.  Returns the new genome and its connection array.
-
-    ``conn`` is ``genome``'s connection array.  A node that keeps its
-    position and its genes is shared with ``genome``, as mutation shares
-    untouched nodes.
+    genome: Genotype, active: ActiveSet, order: list[int]
+) -> tuple[Genotype, list[int]]:
+    """Place at index i the node that sat at index ``order[i]``, remap every
+    connection and output gene to the new positions (inputs keep theirs),
+    and carry the active set and the evaluation vector over.  Returns the
+    new genome and the ascending indices of its nodes that hold a forward
+    gene.  Nodes below the first index ``order`` moves keep their place and
+    read only unmoved positions, so they and their vector entries are
+    shared; past it, only a node whose position or genes change is rebuilt.
     """
     params = genome.params
     start = params.comp_start
-    index = np.arange(params.num_computational)
-    order = np.empty_like(index)
-    order[position_map[start:] - start] = index
-    remapped = position_map[conn[order]]
-    changed = np.flatnonzero((order != index) | (remapped != conn).any(axis=1))
+    num = params.num_computational
+    lo = next((i for i, old in enumerate(order) if i != old), num)
+    moved = order[lo:]
+    position_map = list(range(start + num))
+    for position, old in enumerate(moved, start + lo):
+        position_map[start + old] = position
     nodes = genome.computational
-    new_nodes = list(nodes)
-    for idx, old_idx, genes in zip(
-        changed.tolist(), order[changed].tolist(), remapped[changed].tolist()
-    ):
-        new_nodes[idx] = NodeGene(nodes[old_idx].function_id, tuple(genes))
-    outputs = tuple(position_map[list(genome.output_connections)].tolist())
-    targets = position_map[start + np.array(active.positions(), dtype=np.intp)]
-    carried = listed_active(params, new_nodes, outputs, (np.sort(targets) - start).tolist())
+    new_nodes = nodes[:lo]
+    forward = []
+    for position, old in enumerate(moved, start + lo):
+        node = nodes[old]
+        first, second = node.connections
+        genes = (position_map[first], position_map[second])
+        if position != start + old or genes != node.connections:
+            node = NodeGene(node.function_id, genes)
+        new_nodes.append(node)
+        if genes[0] >= position or genes[1] >= position:
+            forward.append(position - start)
+    outputs = tuple([position_map[conn] for conn in genome.output_connections])
+    targets = sorted([position_map[start + idx] - start for idx in active.positions()])
+    carried = listed_active(params, new_nodes, outputs, targets)
     values = genome.values
     if values is not None:
-        moved = values[start:]
-        values = values[:start] + [moved[i] for i in order.tolist()]
-    return Genotype(params, new_nodes, outputs, carried, values=values), remapped
+        values = values[: start + lo] + [values[start + old] for old in moved]
+    return Genotype(params, new_nodes, outputs, carried, values=values), forward
 
 
 def _place(
@@ -226,12 +228,12 @@ def _place(
     """Shared body of the placement operators.
 
     ``targets(start, end, count, rng)`` gives the ascending positions of the
-    active nodes.  Inactive nodes fill the remaining slots in their old
-    order, every gene is remapped, and forward genes are repaired.  When the
-    targets are the active nodes' own positions, every node keeps its
-    place: the result is a new genome that shares the source's nodes,
-    active set and vector, and no check, remap or repair runs, since such
-    targets are valid and a valid genome has no forward gene.
+    active nodes; inactive nodes fill the free slots in their old order, and
+    the forward genes :func:`_remap` finds are repaired.  Targets that are
+    the active nodes' own positions move nothing: the result is a new genome
+    that shares the source's nodes, active set and vector, and no check,
+    remap or repair runs, since such targets are valid and a valid genome
+    has no forward gene.
     """
     if active is None:
         active = decode_active(genome)
@@ -246,12 +248,11 @@ def _place(
             values=genome.values,
         )
     active_to, inactive_to = placement_positions(start, end, drawn)
-    is_active = np.fromiter(map(bool, active.readers), bool, params.num_computational)
-    position_map = np.arange(start + params.num_computational)
-    position_map[start + np.flatnonzero(is_active)] = active_to
-    position_map[start + np.flatnonzero(~is_active)] = inactive_to
-    placed, conn = _remap(genome, active, _connection_array(genome), position_map)
-    repair_forward_connections(placed, rng, placed.active, conn)
+    order = np.empty(params.num_computational, dtype=np.intp)
+    order[active_to - start] = active.positions()
+    order[inactive_to - start] = [idx for idx, entry in enumerate(active.readers) if not entry]
+    placed, rows = _remap(genome, active, order.tolist())
+    repair_forward_connections(placed, rng, placed.active, rows)
     return placed
 
 
@@ -264,7 +265,8 @@ def reorder_original(
     candidate; one candidate is drawn uniformly at random and appended to the
     new ordering until all nodes are placed.  Because literal genes of both
     active and inactive nodes are respected, no connection can point forward
-    afterwards and no repair is needed.
+    afterwards and no repair is needed.  The graph is read from the node
+    records in one loop, and the new ordering goes to :func:`_remap`.
     """
     if active is None:
         active = decode_active(genome)
@@ -273,20 +275,15 @@ def reorder_original(
     params = genome.params
     start = params.comp_start
     num = params.num_computational
-
-    conn = _connection_array(genome)
-    # every gene that references a node, grouped by the referenced node and
-    # in (node, gene) order within a group
-    referenced = conn - start
-    is_node = referenced >= 0
-    sources, _ = np.nonzero(is_node)
-    targets = referenced[is_node]
-    by_target = np.argsort(targets, kind="stable")
-    dependents = sources[by_target].tolist()
-    bounds = np.searchsorted(targets[by_target], np.arange(num + 1)).tolist()
-    unresolved = np.count_nonzero(is_node, axis=1).tolist()
-
-    ready = [i for i in range(num) if unresolved[i] == 0]
+    # per position, the nodes that read it, once per gene, in (node, gene) order
+    dependents: list[list[int]] = [[] for _ in range(start + num)]
+    unresolved = []
+    for idx, node in enumerate(genome.computational):
+        first, second = node.connections
+        dependents[first].append(idx)
+        dependents[second].append(idx)
+        unresolved.append((first >= start) + (second >= start))
+    ready = [i for i in range(num) if not unresolved[i]]
     order: list[int] = []
     # one batched draw covers the whole shuffle; int(u * len) keeps each
     # pick uniform over the current candidate set
@@ -297,16 +294,13 @@ def reorder_original(
         ready[pick], ready[-1] = ready[-1], ready[pick]
         old_idx = ready.pop()
         order.append(old_idx)
-        for dep in dependents[bounds[old_idx] : bounds[old_idx + 1]]:
+        for dep in dependents[start + old_idx]:
             unresolved[dep] -= 1
             if unresolved[dep] == 0:
                 ready.append(dep)
     if len(order) != num:
         raise InvariantViolation("feed-forward genome has no topological completion")
-
-    position_map = np.arange(start + num)
-    position_map[start + np.array(order)] = np.arange(start, start + num)
-    return _remap(genome, active, conn, position_map)[0]
+    return _remap(genome, active, order)[0]
 
 
 def _equidistant_targets(start, end, count, rng):

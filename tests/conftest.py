@@ -213,6 +213,52 @@ def with_forward_genes(genome: Genotype, rng: np.random.Generator) -> Genotype:
     return Genotype(params, nodes, genome.output_connections)
 
 
+def reference_original(genome: Genotype, rng) -> Genotype:
+    """The topological shuffle of `reorder_original`, set up with arrays:
+    every gene that reads a node, grouped by the node it reads through a
+    stable argsort (so in (node, gene) order within a group), the group
+    bounds by ``searchsorted``, and the unresolved counts by
+    ``count_nonzero``.  The Kahn loop and its single batched draw are the
+    operator's.  The shuffled genome is remapped through an array position
+    map and carries no active set or vector."""
+    params = genome.params
+    start = params.comp_start
+    num = params.num_computational
+    if decode_active(genome).count == 0:
+        return genome
+    conn = np.array([node.connections for node in genome.computational], dtype=np.intp)
+    referenced = conn - start
+    is_node = referenced >= 0
+    sources, _ = np.nonzero(is_node)
+    targets = referenced[is_node]
+    by_target = np.argsort(targets, kind="stable")
+    dependents = sources[by_target].tolist()
+    bounds = np.searchsorted(targets[by_target], np.arange(num + 1)).tolist()
+    unresolved = np.count_nonzero(is_node, axis=1).tolist()
+    ready = [i for i in range(num) if unresolved[i] == 0]
+    order = []
+    for u in rng.random(num).tolist():
+        if not ready:
+            break
+        pick = int(u * len(ready))
+        ready[pick], ready[-1] = ready[-1], ready[pick]
+        old_idx = ready.pop()
+        order.append(old_idx)
+        for dep in dependents[bounds[old_idx] : bounds[old_idx + 1]]:
+            unresolved[dep] -= 1
+            if unresolved[dep] == 0:
+                ready.append(dep)
+    assert len(order) == num
+    position_map = np.arange(start + num)
+    position_map[start + np.array(order)] = np.arange(start, start + num)
+    nodes = [
+        NodeGene(genome.computational[old].function_id, tuple(genes))
+        for old, genes in zip(order, position_map[conn[order]].tolist())
+    ]
+    outputs = tuple(position_map[list(genome.output_connections)].tolist())
+    return Genotype(params, nodes, outputs)
+
+
 def random_genomes(params: GraphParams, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     return [random_genome(params, rng) for _ in range(count)]

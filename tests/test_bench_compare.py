@@ -1,4 +1,5 @@
-"""The verdict `scripts/bench_compare.py` gives a metric on one workload."""
+"""The verdict `scripts/bench_compare.py` gives a metric on one workload,
+and the exit status it derives from all of them."""
 
 import importlib.util
 from pathlib import Path
@@ -35,3 +36,32 @@ def test_parent_spread_wider_than_the_bound_is_unresolved():
     assert bench_compare.verdict(LOWER, wide, {"median": 100.0}) == "unresolved"
     # the same spread lies within the looser bound, so the verdict stands
     assert bench_compare.verdict(HIGHER, wide, {"median": 50.0}) == "worse"
+
+
+def report(failed=(0, 0), verdicts=("ok",)):
+    """A report of one workload besides a clean one, in the layout
+    `bench_compare.main` writes."""
+    clean = {"attempted": {"parent": 5, "change": 5}, "failed": {"parent": 0, "change": 0},
+             "iter_per_s": {"verdict": "ok"}}
+    entry = {
+        "attempted": {"parent": 5, "change": 5},
+        "failed": dict(zip(bench_compare.SIDES, failed)),
+        **{f"metric_{i}": {"verdict": v, "ratio": 1.0} for i, v in enumerate(verdicts)},
+    }
+    return {"pr": "x", "workloads": {"clean": clean, "checked": entry}}
+
+
+@pytest.mark.parametrize(
+    "failed,verdicts,expected",
+    [
+        ((0, 0), ("ok", "ok"), 0),
+        ((0, 0), ("ok", "unresolved"), 0),
+        ((0, 0), ("ok", "worse"), 1),
+        ((0, 2), ("ok",), 1),
+        ((1, 0), ("ok",), 1),
+        ((0, 1), ("unresolved", "worse"), 1),
+    ],
+    ids=["ok", "unresolved", "worse", "change-failed", "parent-failed", "both"],
+)
+def test_exit_status_gates_on_failed_checks_and_worse_verdicts(failed, verdicts, expected):
+    assert bench_compare.exit_status(report(failed, verdicts)) == expected

@@ -200,6 +200,31 @@ class TestFinalize:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (["run", "--bench", "parity3", "--seeds", "1,1"], "seeds lists 1 more than once"),
+            (["run", "--bench", "parity3", "--seeds", "4,2,7,2"],
+             "seeds lists 2 more than once"),
+            (["grid", "--bench", "parity3", "--nodes-grid", "10,20,10"],
+             "nodes_grid lists 10 more than once"),
+            (["grid", "--bench", "parity3", "--variant", "negbias", "--nodes-grid", "10",
+              "--p-grid", "0.5,0.9,0.50"], "p_grid lists 0.5 more than once"),
+        ],
+        ids=["seeds", "seeds-list", "nodes-grid", "p-grid"],
+    )
+    def test_repeated_values_rejected_before_any_output(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_repeated_seeds_in_a_config_file_rejected(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("benchmark = parity3\nseeds = 3,3\n")
+        with pytest.raises(ConfigError, match="seeds lists 3 more than once"):
+            finalize(build_settings(build_parser().parse_args(["run", "--config", str(config)])))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (["run", "--bench", "parity3", "--seeds=-1"], "seeds must be >= 0, got -1"),
             (["run", "--bench", "parity3", "--seeds=-2..3"], "seeds must be >= 0, got -2"),
             (["run", "--bench", "parity3", "--master-seed", "-1"],

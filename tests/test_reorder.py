@@ -19,6 +19,7 @@ from cgp_reorder.genome import (
 )
 from cgp_reorder.reorder import (
     _distinct_positions,
+    _remap,
     ReorderStrategy,
     beta61_from_uniform,
     lin_space,
@@ -33,10 +34,12 @@ from cgp_reorder.reorder import (
 )
 
 from conftest import (
+    assert_readers_match,
     chain_genome,
     fig1_genome,
     hard_points,
     packed_inputs,
+    reference_original,
     validate,
     with_forward_genes,
 )
@@ -302,7 +305,105 @@ class TestIdentityPlacement:
         assert repairs == []
 
 
+@st.composite
+def literal_genomes(draw):
+    """Genomes of either function set whose nodes read any earlier
+    positions, one earlier node through both genes, or inputs only."""
+    function_set = draw(st.sampled_from(["boolean", "regression"]))
+    num_inputs = draw(st.integers(1, 4))
+    num_outputs, num_nodes = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    params = GraphParams(num_inputs, num_outputs, num_nodes, function_set)
+    nodes = []
+    for position in range(num_inputs, num_inputs + params.num_computational):
+        reads = draw(st.sampled_from(["any", "twice", "inputs"]))
+        if reads == "twice":
+            genes = (draw(st.integers(0, position - 1)),) * 2
+        else:
+            top = num_inputs - 1 if reads == "inputs" else position - 1
+            genes = (draw(st.integers(0, top)), draw(st.integers(0, top)))
+        nodes.append(NodeGene(draw(st.integers(0, params.functions().size - 1)), genes))
+    outputs = st.integers(0, params.num_connectable - 1)
+    return Genotype(params, nodes, tuple(draw(outputs) for _ in range(params.num_outputs)))
+
+
+def evaluated(genome):
+    """Evaluate ``genome`` in full, so that it holds its vector, and return
+    its active set."""
+    active = decode_active(genome)
+    if genome.params.function_set == "boolean":
+        evaluate_packed(genome, *packed_inputs(genome.params.num_inputs), active)
+    else:
+        xs = hard_points(genome.params.num_inputs, np.random.default_rng(0))
+        evaluate_batch(genome, xs, active)
+    return active
+
+
+def forward_rows(genome):
+    start = genome.params.comp_start
+    return [
+        idx for idx, node in enumerate(genome.computational)
+        if max(node.connections) >= start + idx
+    ]
+
+
+class TestRemap:
+    @given(genome=literal_genomes(), data=st.data())
+    def test_shares_everything_below_the_first_moved_index(self, genome, data):
+        params = genome.params
+        start, num = params.comp_start, params.num_computational
+        assume(num >= 2)
+        active = evaluated(genome)
+        lo = data.draw(st.integers(0, num - 2))
+        tail = data.draw(st.permutations(range(lo, num)))
+        assume(tail[0] != lo)
+        order = [*range(lo), *tail]
+        h, rows = _remap(genome, active, order)
+        for idx in range(lo):
+            assert h.computational[idx] is genome.computational[idx]
+        for position in range(start + lo):
+            assert h.values[position] is genome.values[position]
+        position_map = list(range(start + num))
+        for new, old in enumerate(order):
+            position_map[start + old] = start + new
+        for new, old in enumerate(order):
+            node = genome.computational[old]
+            genes = tuple(position_map[c] for c in node.connections)
+            assert h.computational[new] == NodeGene(node.function_id, genes)
+            # a node that keeps its position and its genes is shared
+            kept = new == old and genes == node.connections
+            assert (h.computational[new] is node) == kept
+            assert h.values[start + new] is genome.values[start + old]
+        assert h.output_connections == tuple(position_map[c] for c in genome.output_connections)
+        assert rows == forward_rows(h)
+        # every reader moved with the node it reads, and with its reader
+        moved = [sorted(position_map[start + r] - start if r < num else r for r in entry)
+                 for entry in active.readers]
+        assert [sorted(entry) for entry in h.active.readers] == [
+            moved[old] for old in order
+        ]
+
+
 class TestOriginalReorder:
+    @given(genome=literal_genomes(), seed=st.integers(0, 2**32 - 1), feed=st.booleans())
+    def test_matches_the_array_reference(self, genome, seed, feed):
+        active = evaluated(genome)
+        reference_rng = np.random.default_rng(seed)
+        expected = reference_original(genome, reference_rng)
+        rng = np.random.default_rng(seed)
+        draws = DrawFeed(rng) if feed else rng
+        h = reorder_original(genome, draws, active)
+        if feed:
+            draws.flush()
+        assert h.computational == expected.computational
+        assert h.output_connections == expected.output_connections
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        if active.count:
+            assert_readers_match(h.active, expected)
+            again = Genotype(h.params, h.computational, h.output_connections)
+            evaluated(again)
+            value = lambda v: v.tobytes() if isinstance(v, np.ndarray) else v
+            assert list(map(value, h.values)) == list(map(value, again.values))
+
     def test_chain_order_unchanged(self):
         g = chain_genome(10)
         h = reorder_original(g, np.random.default_rng(0))
@@ -413,14 +514,59 @@ class TestRepair:
         assert g == expected
         assert repair_rng.bit_generator.state == loop_rng.bit_generator.state
 
+    @given(
+        st.sampled_from([(3, 1, "boolean"), (2, 1, "regression")]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_given_rows_match_the_full_scan(self, shape, seed, feed):
+        # handed the rows that hold a forward gene, repair redraws the same
+        # genes from the same draws as when it scans every node itself
+        num_in, num_out, fset = shape
+        params = GraphParams(num_in, num_out, 30, fset)
+        rng = np.random.default_rng(seed)
+        g = with_forward_genes(random_genome(params, rng), rng)
+        active = decode_active(g)
+        scanned = Genotype(params, list(g.computational), g.output_connections)
+        scan_rng = np.random.default_rng(seed + 1)
+        count = repair_forward_connections(scanned, scan_rng)
+        given_rng = np.random.default_rng(seed + 1)
+        draws = DrawFeed(given_rng) if feed else given_rng
+        assert repair_forward_connections(g, draws, active, forward_rows(g)) == count
+        if feed:
+            draws.flush()
+        assert g == scanned
+        assert validate(g) == []
+        assert given_rng.bit_generator.state == scan_rng.bit_generator.state
+
+    def test_raises_before_any_draw_or_change(self):
+        # node 3 holds a repairable forward gene; node 4, active, consumes
+        # one: repair raises with the genome and the generator untouched
+        params = GraphParams(2, 1, 4, "boolean")
+        nodes = [
+            NodeGene(0, (0, 1)),
+            NodeGene(0, (5, 0)),  # position 3, inactive, forward
+            NodeGene(0, (5, 0)),  # position 4, active, consumed forward gene
+            NodeGene(0, (0, 1)),
+        ]
+        g = Genotype(params, nodes, (4,))
+        before = Genotype(params, list(nodes), g.output_connections)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for rows in (None, [1, 2]):
+            with pytest.raises(InvariantViolation):
+                repair_forward_connections(g, rng, None, rows)
+            assert g == before
+            assert rng.bit_generator.state == state
+
     def test_negbias_typically_triggers_repairs_on_multiply_shape(self, monkeypatch):
         import cgp_reorder.reorder as reorder_mod
 
         counts = []
         original = reorder_mod.repair_forward_connections
 
-        def counting(genome, rng, active=None, conn=None):
-            repaired = original(genome, rng, active, conn)
+        def counting(genome, rng, active=None, rows=None):
+            repaired = original(genome, rng, active, rows)
             counts.append(repaired)
             return repaired
 
