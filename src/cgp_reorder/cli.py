@@ -441,7 +441,9 @@ def _grid_cells(settings: Settings) -> list[tuple[int, float]]:
 
 
 def _format_p(p: float) -> str:
-    return f"{p:g}".replace(".", "_")
+    """``p`` in a file name: ``{p:g}`` when that reads back as exactly p, else its repr."""
+    text = f"{p:g}"
+    return (text if float(text) == p else repr(p)).replace(".", "_")
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -502,20 +504,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not jsonl_files:
         raise ConfigError(f"no results.jsonl files under {results_dir!r}")
 
-    groups: dict[tuple, dict] = {}
+    # (benchmark, variant, nodes, p) -> (config, first file, {seed: (record, file)})
+    groups: dict[tuple, tuple[dict, str, dict]] = {}
     for path in jsonl_files:
         for record in _load_records(path):
-            cfg = record["config"]
+            cfg, seed = record["config"], record["seed"]
             key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
-            group = groups.setdefault(key, {"records": [], "config": cfg})
-            group["records"].append((record, path))
+            config, first, runs = groups.setdefault(key, (cfg, path, {}))
+            if cfg != config:
+                raise AggregationError(f"{first} and {path} ran {key} under different configs")
+            if seed in runs:
+                raise AggregationError(f"{runs[seed][1]} and {path} both ran seed {seed} of {key}")
+            runs[seed] = (record, path)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for key in sorted(groups):
-        group = groups[key]
+        config, _, runs = groups[key]
         results = []
-        for record, path in group["records"]:
+        for record, path in runs.values():
             trace_path = os.path.join(
                 os.path.dirname(path), "traces", f"trace_seed{record['seed']}.csv"
             )
@@ -532,7 +539,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         benchmark, variant, nodes, p = key
         tag = f"{benchmark}_{variant}_N{nodes}_p{_format_p(p)}"
-        config = group["config"]
         hist = active_distribution(results)
         write_histogram_csv(os.path.join(out_dir, f"histogram_{tag}.csv"), hist, config)
         traces = [r.trace for r in results if r.trace.samples]

@@ -15,86 +15,33 @@ phenotype) unchanged.  Five operators are provided:
 * ``leftskew``     -- like uniform, but positions are drawn from a
   Beta(6, 1) distribution, piling active nodes toward the output end.
 
-The four placement-based operators keep the relative order of active nodes
-(and of inactive nodes among themselves), which is what preserves program
-semantics.  Inactive nodes can end up with connection genes that point
-forward afterwards; those genes are resampled by
-:func:`repair_forward_connections`.
+The operators differ only in their order function, which gives ``order``,
+the old index of the node placed at each index, or None when nothing
+moves; one body, :func:`_reorder`, runs them all.  The placement orders
+keep the relative order of active nodes (and of inactive nodes among
+themselves), which preserves program semantics, but can leave inactive
+nodes with forward connection genes, which
+:func:`repair_forward_connections` resamples.  The topological order
+respects every literal gene and leaves none.
 
-Every operator that moves a node gives ``order``, the old index of the
-node placed at each index, to one remap path, :func:`_remap`: a single
-Python pass over the node records that shares every node below the first
-moved index and rebuilds, from there on, only the nodes whose position or
-genes change.  No connection array is built.  The evaluation vector is
+:func:`_remap` is a single Python pass over the node records that shares
+every node below the first moved index and rebuilds, from there on, only
+the nodes whose position or genes change.  The evaluation vector is
 permuted along with the nodes, and the active set's readers are listed
-anew from the moved nodes, with no reachability walk; both go into the new
-genome's ``active`` and ``values`` fields.  A placement whose targets are
-the active nodes' own positions moves nothing and skips all of that.
-Under negbias most placements are such, since the active nodes sit at the
-tail already.
+anew from the moved nodes, with no reachability walk.  A None order skips
+all of that: under negbias most placements are such, since the active
+nodes sit at the tail already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .genome import ActiveSet, Genotype, NodeGene, decode_active, listed_active
-
-REORDER_KINDS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
-GATED_KINDS = ("negbias", "leftskew")
-
-
-@dataclass(frozen=True)
-class ReorderStrategy:
-    """Which operator to run, and how often (for the gated operators)."""
-
-    kind: str
-    p_reorder: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in REORDER_KINDS:
-            raise ConfigError(
-                f"unknown reorder kind {self.kind!r}; expected one of {REORDER_KINDS}"
-            )
-        if not 0.0 <= self.p_reorder <= 1.0:
-            raise ConfigError(f"p_reorder must be in [0, 1], got {self.p_reorder}")
-        if self.kind not in GATED_KINDS and self.p_reorder != 1.0:
-            raise ConfigError(
-                f"p_reorder is fixed to 1.0 for kind {self.kind!r}"
-            )
-
-
-def placement_positions(
-    start: int, end: int, active_positions
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target positions of the active nodes, checked, and of the inactive
-    nodes: the free slots of [start, end] in ascending order.
-
-    Both arrays are strictly increasing, disjoint, and together cover exactly
-    the computational range [start, end].
-    """
-    positions = np.asarray(active_positions, dtype=np.intp)
-    span = end - start + 1
-    if len(positions) > span:
-        raise InvariantViolation(
-            f"{len(positions)} active positions do not fit in [{start}, {end}]"
-        )
-    steps = np.diff(positions)
-    if np.any(steps == 0):
-        raise InvariantViolation("active positions must be distinct")
-    if np.any(steps < 0):
-        raise InvariantViolation("active positions must be ascending")
-    if len(positions) and not (start <= positions[0] and positions[-1] <= end):
-        raise InvariantViolation(
-            f"active positions {positions[0]}..{positions[-1]} "
-            f"outside [{start}, {end}]"
-        )
-    free = np.ones(span, dtype=bool)
-    free[positions - start] = False
-    return positions, np.flatnonzero(free) + start
 
 
 def lin_space(start: int, end: int, count: int) -> list[int]:
@@ -222,56 +169,37 @@ def _remap(
     return Genotype(params, new_nodes, outputs, carried, values=values), forward
 
 
-def _place(
-    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None, targets
+def _reorder(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None, order_of
 ) -> Genotype:
-    """Shared body of the placement operators.
+    """The body of every operator.
 
-    ``targets(start, end, count, rng)`` gives the ascending positions of the
-    active nodes; inactive nodes fill the free slots in their old order, and
-    the forward genes :func:`_remap` finds are repaired.  Targets that are
-    the active nodes' own positions move nothing: the result is a new genome
-    that shares the source's nodes, active set and vector, and no check,
-    remap or repair runs, since such targets are valid and a valid genome
-    has no forward gene.
+    ``order_of(genome, rng, active)`` gives ``order``, or None when nothing
+    moves: then the result is a new genome that shares the source's nodes,
+    active set and vector, and no remap or repair runs.  Otherwise the
+    forward genes :func:`_remap` finds are repaired.
     """
     if active is None:
         active = decode_active(genome)
     if active.count == 0:
         return genome
-    params = genome.params
-    start, end = params.comp_start, params.comp_end
-    drawn = targets(start, end, active.count, rng)
-    if np.subtract(drawn, start).tolist() == active.positions():
-        return Genotype(
-            params, list(genome.computational), genome.output_connections, active,
-            values=genome.values,
-        )
-    active_to, inactive_to = placement_positions(start, end, drawn)
-    order = np.empty(params.num_computational, dtype=np.intp)
-    order[active_to - start] = active.positions()
-    order[inactive_to - start] = [idx for idx, entry in enumerate(active.readers) if not entry]
-    placed, rows = _remap(genome, active, order.tolist())
+    order = order_of(genome, rng, active)
+    if order is None:
+        nodes, outputs = list(genome.computational), genome.output_connections
+        return Genotype(genome.params, nodes, outputs, active, values=genome.values)
+    placed, rows = _remap(genome, active, order)
     repair_forward_connections(placed, rng, placed.active, rows)
     return placed
 
 
-def reorder_original(
-    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
-) -> Genotype:
-    """Topological shuffle over the literal connection graph.
+def _topological_order(genome: Genotype, rng: np.random.Generator, active: ActiveSet) -> list[int]:
+    """A random topological order of the literal connection graph.
 
     Every node whose referenced nodes are all placed (or are inputs) is a
     candidate; one candidate is drawn uniformly at random and appended to the
-    new ordering until all nodes are placed.  Because literal genes of both
-    active and inactive nodes are respected, no connection can point forward
-    afterwards and no repair is needed.  The graph is read from the node
-    records in one loop, and the new ordering goes to :func:`_remap`.
+    order until all nodes are placed.  The graph is read from the node
+    records in one loop.
     """
-    if active is None:
-        active = decode_active(genome)
-    if active.count == 0:
-        return genome
     params = genome.params
     start = params.comp_start
     num = params.num_computational
@@ -300,33 +228,75 @@ def reorder_original(
                 ready.append(dep)
     if len(order) != num:
         raise InvariantViolation("feed-forward genome has no topological completion")
-    return _remap(genome, active, order)[0]
+    return order
 
 
-def _equidistant_targets(start, end, count, rng):
-    return lin_space(start, end, count)
+def _placement_order(targets):
+    """The order function of a placement operator.
+
+    ``targets(start, end, count, rng)`` gives the positions of the active
+    nodes.  Targets that are the active nodes' own positions give None.
+    Otherwise they must be strictly ascending and inside the computational
+    range, and each active node goes to its target while the inactive nodes
+    fill the free slots in their old order.
+    """
+
+    def order_of(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
+        params = genome.params
+        start, end = params.comp_start, params.comp_end
+        positions = active.positions()
+        to = np.subtract(targets(start, end, len(positions), rng), start).tolist()
+        if to == positions:
+            return None
+        valid = len(to) == len(positions) and 0 <= to[0] and to[-1] <= end - start
+        if not (valid and all(map(lt, to, to[1:]))):
+            raise InvariantViolation(f"targets {to} not ascending in [0, {end - start}]")
+        order = [-1] * params.num_computational
+        for idx, old in zip(to, positions):
+            order[idx] = old
+        inactive = iter([idx for idx, readers in enumerate(active.readers) if not readers])
+        return [old if old >= 0 else next(inactive) for old in order]
+
+    return order_of
 
 
-def _uniform_targets(start, end, count, rng):
-    width = end - start + 1
-    return _distinct_positions(np.sort(start + width * rng.random(count)), start, end)
+def _sampled_targets(transform):
+    """Targets from ``count`` uniforms mapped through ``transform`` onto
+    [0, 1), scaled over the width end - start + 1 of the integer slots,
+    sorted, and made distinct by :func:`_distinct_positions`."""
+
+    def targets(start, end, count, rng):
+        width = end - start + 1
+        samples = np.sort(start + width * transform(rng.random(count)))
+        return _distinct_positions(samples, start, end)
+
+    return targets
 
 
-def _negbias_targets(start, end, count, rng):
-    return np.arange(end - count + 1, end + 1)
+_equidistant_order = _placement_order(lambda start, end, count, rng: lin_space(start, end, count))
+_uniform_order = _placement_order(_sampled_targets(lambda u: u))
+_negbias_order = _placement_order(
+    lambda start, end, count, rng: np.arange(end - count + 1, end + 1)
+)
+_leftskew_order = _placement_order(_sampled_targets(beta61_from_uniform))
 
 
-def _leftskew_targets(start, end, count, rng):
-    width = end - start + 1
-    samples = np.sort(start + width * beta61_from_uniform(rng.random(count)))
-    return _distinct_positions(samples, start, end)
+def reorder_original(
+    genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
+) -> Genotype:
+    """Topological shuffle over the literal connection graph.
+
+    Because literal genes of both active and inactive nodes are respected,
+    no connection can point forward afterwards and repair finds nothing.
+    """
+    return _reorder(genome, rng, active, _topological_order)
 
 
 def reorder_equidistant(
     genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
 ) -> Genotype:
     """Spread the active nodes evenly across the computational range."""
-    return _place(genome, rng, active, _equidistant_targets)
+    return _reorder(genome, rng, active, _equidistant_order)
 
 
 def reorder_uniform(
@@ -338,21 +308,21 @@ def reorder_uniform(
     (continuous draw over a width of end - start + 1, floored); sorted
     samples keep the active order, and collisions shift to free slots.
     """
-    return _place(genome, rng, active, _uniform_targets)
+    return _reorder(genome, rng, active, _uniform_order)
 
 
 def reorder_negbias(
     genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
 ) -> Genotype:
     """Move every active node to the tail of the computational range."""
-    return _place(genome, rng, active, _negbias_targets)
+    return _reorder(genome, rng, active, _negbias_order)
 
 
 def reorder_leftskew(
     genome: Genotype, rng: np.random.Generator, active: ActiveSet | None = None
 ) -> Genotype:
     """Place active nodes at Beta(6, 1)-distributed positions over the range."""
-    return _place(genome, rng, active, _leftskew_targets)
+    return _reorder(genome, rng, active, _leftskew_order)
 
 
 _OPERATORS = {
@@ -362,6 +332,28 @@ _OPERATORS = {
     "negbias": reorder_negbias,
     "leftskew": reorder_leftskew,
 }
+REORDER_KINDS = ("none", *_OPERATORS)
+GATED_KINDS = ("negbias", "leftskew")
+
+
+@dataclass(frozen=True)
+class ReorderStrategy:
+    """Which operator to run, and how often (for the gated operators)."""
+
+    kind: str
+    p_reorder: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in REORDER_KINDS:
+            raise ConfigError(
+                f"unknown reorder kind {self.kind!r}; expected one of {REORDER_KINDS}"
+            )
+        if not 0.0 <= self.p_reorder <= 1.0:
+            raise ConfigError(f"p_reorder must be in [0, 1], got {self.p_reorder}")
+        if self.kind not in GATED_KINDS and self.p_reorder != 1.0:
+            raise ConfigError(
+                f"p_reorder is fixed to 1.0 for kind {self.kind!r}"
+            )
 
 
 def maybe_reorder(

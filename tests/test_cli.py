@@ -490,6 +490,27 @@ class TestGridCommand:
         assert marker.stat().st_mtime_ns == first_mtime
         assert (out / "cells" / "N16_p1" / "results.jsonl").read_bytes() == results
 
+    def test_p_values_that_print_alike_get_their_own_cells(self, tmp_path, capsys):
+        # both values read 0.123456 under {p:g}
+        out = tmp_path / "grid"
+        code = run_cli(
+            "grid", "--bench", "parity3", "--variant", "negbias", "--nodes-grid", "10",
+            "--p-grid", "0.1234561,0.1234564", "--seeds-per-cell", "1",
+            "--max-iterations", "5", "--workers", "1", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert sorted(os.listdir(out / "cells")) == ["N10_p0_1234561", "N10_p0_1234564"]
+        rows = _read_records(out / "grid_summary.jsonl")
+        assert sorted(r["p_reorder"] for r in rows) == [0.1234561, 0.1234564]
+        assert run_cli("analyze", str(out), "--out", str(tmp_path / "analysis")) == EXIT_OK
+        histograms = sorted(
+            name for name in os.listdir(tmp_path / "analysis") if name.startswith("histogram_")
+        )
+        assert histograms == [
+            "histogram_parity3_negbias_N10_p0_1234561.csv",
+            "histogram_parity3_negbias_N10_p0_1234564.csv",
+        ]
+
     def test_p_grid_on_plain_variant_rejected(self, tmp_path, capsys):
         code = run_cli(
             "grid", "--bench", "parity3", "--variant", "equidistant",
@@ -578,6 +599,45 @@ class TestAnalyzeCommand:
         rows = _read_records(tmp_path / "x" / "summary.jsonl")
         assert sorted(r["nodes"] for r in rows) == [16, 24]
         assert all(r["runs"] == 1 for r in rows)
+
+    @staticmethod
+    def _runs(out, *batches):
+        for sub, seeds, master_seed in batches:
+            assert run_cli(
+                "run", "--bench", "parity3", "--nodes", "20", "--seeds", seeds,
+                "--max-iterations", "30", "--master-seed", master_seed,
+                "--workers", "1", "--out", str(out / sub),
+            ) == EXIT_OK
+
+    def test_records_of_different_configs_are_not_merged(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        self._runs(out, ("a", "0..2", "0"), ("b", "0..2", "1"))
+        code = run_cli("analyze", str(out), "--out", str(tmp_path / "analysis"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "different configs" in err
+        assert str(out / "a" / "results.jsonl") in err
+        assert str(out / "b" / "results.jsonl") in err
+        assert not (tmp_path / "analysis").exists()
+
+    def test_a_seed_run_twice_is_not_merged(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        self._runs(out, ("a", "0..1", "0"), ("b", "1..2", "0"))
+        code = run_cli("analyze", str(out), "--out", str(tmp_path / "analysis"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed 1" in err
+        assert str(out / "a" / "results.jsonl") in err
+        assert str(out / "b" / "results.jsonl") in err
+        assert not (tmp_path / "analysis").exists()
+
+    def test_same_config_and_distinct_seeds_merge(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        self._runs(out, ("a", "0..1", "0"), ("b", "2", "0"))
+        code = run_cli("analyze", str(out), "--out", str(tmp_path / "analysis"))
+        assert code == EXIT_OK
+        rows = _read_records(tmp_path / "analysis" / "summary.jsonl")
+        assert [r["runs"] for r in rows] == [3]
 
     def test_analyze_multi_node_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid"

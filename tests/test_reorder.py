@@ -19,12 +19,13 @@ from cgp_reorder.genome import (
 )
 from cgp_reorder.reorder import (
     _distinct_positions,
+    _placement_order,
     _remap,
+    _reorder,
     ReorderStrategy,
     beta61_from_uniform,
     lin_space,
     maybe_reorder,
-    placement_positions,
     reorder_equidistant,
     reorder_leftskew,
     reorder_negbias,
@@ -109,31 +110,57 @@ class TestBetaSampler:
         assert np.mean(samples) == pytest.approx(6 / 7, abs=0.01)
 
 
+def fixed_targets(positions):
+    """A placement order whose targets are ``positions``; it draws nothing."""
+    return _placement_order(lambda start, end, count, rng: list(positions))
+
+
 class TestPlacementSets:
-    @given(st.integers(1, 10), st.integers(0, 30), st.data())
-    def test_complement_partition(self, start, span, data):
-        end = start + span
-        count = data.draw(st.integers(0, span + 1))
-        positions = sorted(
+    @given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
+    def test_complement_partition(self, num_inputs, num_nodes, seed, data):
+        params = GraphParams(num_inputs, 1, num_nodes, "boolean")
+        g = random_genome(params, np.random.default_rng(seed))
+        active = decode_active(g)
+        start, end = params.comp_start, params.comp_end
+        targets = sorted(
             data.draw(
                 st.lists(
                     st.integers(start, end),
-                    min_size=count,
-                    max_size=count,
+                    min_size=active.count,
+                    max_size=active.count,
                     unique=True,
                 )
             )
         )
-        active, inactive = placement_positions(start, end, positions)
-        both = np.concatenate([active, inactive])
-        assert sorted(both.tolist()) == list(range(start, end + 1))
-        assert all(a < b for a, b in zip(inactive, inactive[1:]))
+        order = fixed_targets(targets)(g, None, active)
+        to = [position - start for position in targets]
+        if to == active.positions():
+            assert order is None
+            return
+        assert sorted(order) == list(range(num_nodes))
+        # active nodes at their targets, in their order; inactive nodes in
+        # the free slots, in their old order
+        assert [order[idx] for idx in to] == active.positions()
+        free = [idx for idx in range(num_nodes) if idx not in to]
+        assert [order[idx] for idx in free] == [
+            idx for idx, bit in enumerate(active.bitmap) if not bit
+        ]
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize("targets", [[6], [3, 3], [4, 3]])
+    def test_rejects_invalid_targets_before_any_draw_or_change(self, targets):
+        # computational range [2, 5]; the node at 3 reads the node at 2, so
+        # an output on 3 makes two nodes active and an output on 2 one
+        params = GraphParams(2, 1, 4, "boolean")
+        nodes = [NodeGene(0, (0, 1)), NodeGene(0, (0, 2)), NodeGene(0, (1, 1)), NodeGene(0, (0, 1))]
+        g = Genotype(params, nodes, (1 + len(targets),))
+        assert decode_active(g).count == len(targets)
+        before = Genotype(params, list(nodes), g.output_connections)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(InvariantViolation):
-            placement_positions(2, 5, [6])
-        with pytest.raises(InvariantViolation):
-            placement_positions(2, 5, [3, 3])
+            _reorder(g, rng, None, fixed_targets(targets))
+        assert g == before
+        assert rng.bit_generator.state == state
 
 
 BOOLEAN_PRESERVATION_SHAPES = [(3, 1, 24), (4, 16, 24), (6, 6, 32)]
