@@ -2,7 +2,7 @@
 """Compare two checkouts on every benchmark workload, in alternating pairs.
 
     python3 scripts/bench_compare.py --parent DIR --change DIR --pairs N \\
-        --seed K --seconds S --pr P [--tier1]
+        --seed K --seconds S --pr P [--tier1] [--claim WORKLOAD:METRIC]
 
 Each pair runs `perfbench/run.py --trace 0` once per workload in each
 checkout, one right after the other, and the side that runs first
@@ -16,10 +16,12 @@ of it, with every run's figures, the failed-check counts and
 each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
 current directory.  With `--tier1`, after the pairs it runs the tier-1 test
 command once in each checkout, one after the other, and records the wall
-seconds and the passed, failed and skipped counts under `tier1`.  It exits
-with 1, after writing the file, when any run reported failed checks or any
-verdict is `worse` (see `exit_status`), so that it can gate a change.
-Standard library only.
+seconds and the passed, failed and skipped counts under `tier1`.  With
+`--claim`, it judges the gain a change claims on one workload's metric (see
+`judge_claim`) and writes the judgement under `claim`.  It exits with 1,
+after writing the file, when any run reported failed checks, any verdict is
+`worse` or the claim is not met (see `exit_status`), so that it can gate a
+change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -117,9 +119,46 @@ def verdict(spec: dict, parent: dict, change: dict) -> str:
     return "worse" if loss > allowed else "ok"
 
 
+def parse_claim(spec: str, workloads: list[str], metrics: dict) -> tuple[str, str]:
+    """``WORKLOAD:METRIC`` as a pair, checked against the declared names."""
+    workload, _, metric = spec.partition(":")
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(
+            f"--claim {spec!r}: expected WORKLOAD:METRIC with a workload of "
+            f"{workloads} and a metric of {sorted(metrics)}"
+        )
+    return workload, metric
+
+
+def judge_claim(figures: dict, pairs: int) -> dict:
+    """Whether a change may claim a gain on one metric of one workload.
+
+    ``figures`` is that metric's entry in the report.  The claim is met
+    when the change won at least nine tenths of the pairs run (ties count
+    for neither), and its median beats the parent's, in the metric's
+    ``better`` direction, by more than the parent's quartile spread.
+    """
+    parent, change = figures["parent"], figures["change"]
+    gain = change["median"] - parent["median"]
+    if figures["better"] == "lower":
+        gain = -gain
+    spread = parent["q3"] - parent["q1"]
+    wins = figures["change_wins"]
+    return {
+        "change_wins": wins,
+        "pairs": pairs,
+        "gain": gain,
+        "parent_spread": spread,
+        "met": 10 * wins >= 9 * pairs and gain > spread,
+    }
+
+
 def exit_status(report: dict) -> int:
-    """1 when a run on either side reported failed checks, or when a
-    metric's verdict on any workload is ``worse``; else 0."""
+    """1 when a run on either side reported failed checks, when a metric's
+    verdict on any workload is ``worse``, or when the report holds a claim
+    that is not met; else 0."""
+    if "claim" in report and not report["claim"]["met"]:
+        return 1
     for entry in report["workloads"].values():
         if any(entry["failed"].values()):
             return 1
@@ -139,6 +178,9 @@ def main() -> int:
     parser.add_argument(
         "--tier1", action="store_true", help="also time the tier-1 tests in each checkout"
     )
+    parser.add_argument(
+        "--claim", metavar="WORKLOAD:METRIC", help="judge the gain claimed on this metric"
+    )
     args = parser.parse_args()
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
@@ -146,6 +188,11 @@ def main() -> int:
         declared = json.load(f)
     workloads = [w["name"] for w in declared["workloads"]]
     metrics = {m["name"]: m for m in declared["end_to_end"]}
+    if args.claim:
+        try:
+            claimed = parse_claim(args.claim, workloads, metrics)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     # runs[workload][side] is a list of run results, one per pair
     runs = {w: {side: [] for side in SIDES} for w in workloads}
@@ -212,6 +259,17 @@ def main() -> int:
     print(f"src lines: parent {report['src_lines']['parent']}, "
           f"change {report['src_lines']['change']}")
 
+    if args.claim:
+        workload, name = claimed
+        claim = report["claim"] = {
+            "workload": workload,
+            "metric": name,
+            **judge_claim(report["workloads"][workload][name], args.pairs),
+        }
+        print(f"claim {args.claim}: {'met' if claim['met'] else 'NOT met'} "
+              f"(wins {claim['change_wins']}/{args.pairs}, gain {claim['gain']:.4g} "
+              f"against the parent's quartile spread {claim['parent_spread']:.4g})")
+
     if args.tier1:
         report["tier1"] = {}
         for side in SIDES:
@@ -225,7 +283,8 @@ def main() -> int:
     print(f"wrote {out}")
     status = exit_status(report)
     if status:
-        print("gate failed: a run reported failed checks or a metric is worse")
+        print("gate failed: a run reported failed checks, a metric is worse "
+              "or the claim is not met")
     return status
 
 

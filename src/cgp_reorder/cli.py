@@ -434,10 +434,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid_cells(settings: Settings) -> list[tuple[int, float]]:
-    nodes_axis = settings.nodes_grid or [settings.nodes]
-    p_axis = settings.p_grid or [settings.p_reorder]
-    return [(n, p) for n in nodes_axis for p in p_axis]
+def _grid_cells(settings: Settings) -> dict[str, Settings]:
+    """Every grid cell's settings, by the cell's directory."""
+    seeds = list(range(settings.seeds_per_cell))
+    return {
+        os.path.join(settings.out, "cells", f"N{n}_p{_format_p(p)}"):
+            replace(settings, nodes=n, p_reorder=p, seeds=seeds)
+        for n in settings.nodes_grid or [settings.nodes]
+        for p in settings.p_grid or [settings.p_reorder]
+    }
 
 
 def _format_p(p: float) -> str:
@@ -449,37 +454,36 @@ def _format_p(p: float) -> str:
 def cmd_grid(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
     cells = _grid_cells(settings)
-    cell_seeds = list(range(settings.seeds_per_cell))
     started = time.time()
+    # a done cell is read back, and only when its records echo this config
+    # and these seeds: any other is refused before a seed runs
+    done = {}
+    for cell_dir, cell in cells.items():
+        path = os.path.join(cell_dir, "results.jsonl")
+        if os.path.exists(os.path.join(cell_dir, "cell.done")):
+            done[cell_dir] = _load_records(path)
+            echoed = [(record["seed"], record["config"]) for record in done[cell_dir]]
+            if echoed != [(seed, effective_config(cell)) for seed in cell.seeds]:
+                raise ConfigError(f"{path} was run under another config or seed list")
     rows = []
-    for nodes, p in cells:
-        cell = replace(settings, nodes=nodes, p_reorder=p, seeds=cell_seeds)
-        cell_dir = os.path.join(settings.out, "cells", f"N{nodes}_p{_format_p(p)}")
-        marker = os.path.join(cell_dir, "cell.done")
-        if os.path.exists(marker):
-            records = _load_records(os.path.join(cell_dir, "results.jsonl"))
-            results = [record_to_result(rec) for rec in records]
+    for cell_dir, cell in cells.items():
+        if cell_dir in done:
+            results = [record_to_result(record) for record in done[cell_dir]]
             rows.append(summarize(results, effective_config(cell)))
         else:
             results = execute_batch(cell, os.path.join(settings.out, "datasets"))
             rows.append(_write_run_outputs(cell_dir, cell, results))
-            write_atomic(marker, "complete\n")
+            write_atomic(os.path.join(cell_dir, "cell.done"), "complete\n")
 
-    kind = benchmark_kind(settings.benchmark)
-    if kind == "boolean":
+    if benchmark_kind(settings.benchmark) == "boolean":
         rows.sort(key=lambda row: row.mean_iterations)
     else:
-        rows.sort(
-            key=lambda row: (
-                row.mean_test_fitness
-                if row.mean_test_fitness is not None
-                else row.mean_train_fitness
-            )
-        )
+        rows.sort(key=lambda row: row.mean_train_fitness
+                  if row.mean_test_fitness is None else row.mean_test_fitness)
     os.makedirs(settings.out, exist_ok=True)
     write_summary_jsonl(os.path.join(settings.out, "grid_summary.jsonl"), rows)
-    workers = effective_workers(replace(settings, seeds=cell_seeds))
-    _write_meta(settings.out, started, workers)
+    # every cell runs the same seeds on the same number of workers
+    _write_meta(settings.out, started, effective_workers(next(iter(cells.values()))))
     for row in rows:
         print(row.format_line())
     return EXIT_OK
@@ -504,11 +508,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not jsonl_files:
         raise ConfigError(f"no results.jsonl files under {results_dir!r}")
 
+    # every record is checked before any file is written
+    use_union = getattr(args, "use_union_bitmap", False)
     # (benchmark, variant, nodes, p) -> (config, first file, {seed: (record, file)})
     groups: dict[tuple, tuple[dict, str, dict]] = {}
     for path in jsonl_files:
         for record in _load_records(path):
             cfg, seed = record["config"], record["seed"]
+            if use_union and record.get("union_active_bitmap") is None:
+                raise AggregationError(
+                    f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
+                )
             key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
             config, first, runs = groups.setdefault(key, (cfg, path, {}))
             if cfg != config:
@@ -528,12 +538,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
             trace = read_trace_csv(trace_path) if os.path.exists(trace_path) else None
             result = record_to_result(record, trace)
-            if getattr(args, "use_union_bitmap", False):
-                if result.union_active_bitmap is None:
-                    raise AggregationError(
-                        f"{path}: seed {record['seed']} has no union bitmap; "
-                        "re-run with --track-union-active"
-                    )
+            if use_union:
                 result.active_bitmap = result.union_active_bitmap
             results.append(result)
 

@@ -24,19 +24,19 @@ nodes with forward connection genes, which
 :func:`repair_forward_connections` resamples.  The topological order
 respects every literal gene and leaves none.
 
-:func:`_remap` is a single Python pass over the node records that shares
-every node below the first moved index and rebuilds, from there on, only
-the nodes whose position or genes change.  The evaluation vector is
-permuted along with the nodes, and the active set's readers are listed
-anew from the moved nodes, with no reachability walk.  A None order skips
+:func:`_remap` rebuilds only the span from the first to the last index
+that ``order`` moves, and there only the nodes whose position or genes
+change; outside it, only a node that reads a moved node is.  The
+evaluation vector is permuted along with the nodes, and the active set's
+readers are listed anew, with no reachability walk.  A None order skips
 all of that: under negbias most placements are such, since the active
 nodes sit at the tail already.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import lt
 
 import numpy as np
 
@@ -136,15 +136,18 @@ def _remap(
     connection and output gene to the new positions (inputs keep theirs),
     and carry the active set and the evaluation vector over.  Returns the
     new genome and the ascending indices of its nodes that hold a forward
-    gene.  Nodes below the first index ``order`` moves keep their place and
-    read only unmoved positions, so they and their vector entries are
-    shared; past it, only a node whose position or genes change is rebuilt.
+    gene.  Only the span from lo to hi, the first and the last index that
+    ``order`` moves, is rebuilt, and there only a node whose position or
+    genes change.  Outside it the nodes and their vector entries are shared,
+    but for a node above hi that reads a moved position: it holds no forward
+    gene either, as it reads below its own position.
     """
     params = genome.params
     start = params.comp_start
     num = params.num_computational
     lo = next((i for i, old in enumerate(order) if i != old), num)
-    moved = order[lo:]
+    hi = next((i for i in range(num - 1, lo, -1) if order[i] != i), lo)
+    moved = order[lo : hi + 1]
     position_map = list(range(start + num))
     for position, old in enumerate(moved, start + lo):
         position_map[start + old] = position
@@ -160,12 +163,23 @@ def _remap(
         new_nodes.append(node)
         if genes[0] >= position or genes[1] >= position:
             forward.append(position - start)
+    new_nodes += nodes[hi + 1 :]
+    low, high = start + lo, start + hi
+    for idx, node in enumerate(nodes[hi + 1 :], hi + 1):
+        first, second = node.connections
+        if low <= first <= high or low <= second <= high:
+            genes = (position_map[first], position_map[second])
+            if genes != node.connections:
+                new_nodes[idx] = NodeGene(node.function_id, genes)
     outputs = tuple([position_map[conn] for conn in genome.output_connections])
-    targets = sorted([position_map[start + idx] - start for idx in active.positions()])
-    carried = listed_active(params, new_nodes, outputs, targets)
+    positions = active.positions()
+    below, above = bisect_left(positions, lo), bisect_right(positions, hi)
+    inside = sorted([position_map[start + idx] - start for idx in positions[below:above]])
+    carried = listed_active(params, new_nodes, outputs, positions[:below] + inside + positions[above:])
     values = genome.values
     if values is not None:
-        values = values[: start + lo] + [values[start + old] for old in moved]
+        gathered = [values[start + old] for old in moved]
+        values = values[: start + lo] + gathered + values[start + hi + 1 :]
     return Genotype(params, new_nodes, outputs, carried, values=values), forward
 
 
@@ -238,24 +252,30 @@ def _placement_order(targets):
     nodes.  Targets that are the active nodes' own positions give None.
     Otherwise they must be strictly ascending and inside the computational
     range, and each active node goes to its target while the inactive nodes
-    fill the free slots in their old order.
+    fill the free slots in their old order.  Only the span the active moves
+    reach is filled: outside it every node keeps its place.
     """
 
     def order_of(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
         params = genome.params
         start, end = params.comp_start, params.comp_end
         positions = active.positions()
-        to = np.subtract(targets(start, end, len(positions), rng), start).tolist()
-        if to == positions:
+        to = np.subtract(targets(start, end, len(positions), rng), start)
+        if to.tolist() == positions:
             return None
         valid = len(to) == len(positions) and 0 <= to[0] and to[-1] <= end - start
-        if not (valid and all(map(lt, to, to[1:]))):
-            raise InvariantViolation(f"targets {to} not ascending in [0, {end - start}]")
-        order = [-1] * params.num_computational
-        for idx, old in zip(to, positions):
-            order[idx] = old
-        inactive = iter([idx for idx, readers in enumerate(active.readers) if not readers])
-        return [old if old >= 0 else next(inactive) for old in order]
+        if not (valid and (to[1:] > to[:-1]).all()):
+            raise InvariantViolation(f"targets {to.tolist()} not ascending in [0, {end - start}]")
+        old = np.fromiter(positions, np.intp, len(positions))
+        moves = np.flatnonzero(to != old)
+        to, old = to[moves[0] : moves[-1] + 1], old[moves[0] : moves[-1] + 1]
+        lo, hi = min(to[0], old[0]), max(to[-1], old[-1]) + 1
+        span = np.full(hi - lo, -1)
+        span[to - lo] = old
+        inactive = np.ones(hi - lo, bool)
+        inactive[old - lo] = False
+        span[span < 0] = np.flatnonzero(inactive) + lo
+        return [*range(lo), *span.tolist(), *range(hi, params.num_computational)]
 
     return order_of
 

@@ -1,7 +1,10 @@
 """The verdict `scripts/bench_compare.py` gives a metric on one workload,
-and the exit status it derives from all of them."""
+its judgement of a claimed gain, and the exit status it derives from all
+of them."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,46 @@ def test_parent_spread_wider_than_the_bound_is_unresolved():
     assert bench_compare.verdict(HIGHER, wide, {"median": 50.0}) == "worse"
 
 
+def figures(better, parent, change, wins):
+    """A metric's report entry from each side's median and quartiles."""
+    side = lambda q1, median, q3: {"q1": q1, "median": median, "q3": q3}
+    return {"better": better, "parent": side(*parent), "change": side(*change),
+            "change_wins": wins}
+
+
+@pytest.mark.parametrize(
+    "entry,met",
+    [
+        (figures("higher", (98, 100, 102), (110, 112, 114), 9), True),
+        (figures("higher", (98, 100, 102), (110, 112, 114), 10), True),
+        # eight wins of ten fall short of nine tenths
+        (figures("higher", (98, 100, 102), (110, 112, 114), 8), False),
+        # a gain of 3 does not clear the parent's spread of 4
+        (figures("higher", (98, 100, 102), (101, 103, 105), 10), False),
+        (figures("higher", (98, 100, 102), (90, 92, 94), 10), False),
+        (figures("lower", (0.98, 1.0, 1.02), (0.90, 0.92, 0.94), 9), True),
+        (figures("lower", (0.98, 1.0, 1.02), (1.08, 1.1, 1.12), 10), False),
+    ],
+    ids=["nine-wins", "ten-wins", "eight-wins", "inside-spread", "wrong-way",
+         "lower-met", "lower-wrong-way"],
+)
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gain_beyond_the_spread(entry, met):
+    judged = bench_compare.judge_claim(entry, 10)
+    assert judged["met"] is met
+    assert judged["pairs"] == 10 and judged["change_wins"] == entry["change_wins"]
+    assert judged["parent_spread"] == pytest.approx(entry["parent"]["q3"] - entry["parent"]["q1"])
+
+
+def test_claim_spec_names_a_declared_workload_and_metric():
+    workloads, metrics = ["a-n1", "b-n2"], {"iter_per_s": {}, "setup_s": {}}
+    assert bench_compare.parse_claim("b-n2:iter_per_s", workloads, metrics) == (
+        "b-n2", "iter_per_s"
+    )
+    for spec in ("c-n3:iter_per_s", "a-n1:speed", "a-n1", ""):
+        with pytest.raises(ValueError):
+            bench_compare.parse_claim(spec, workloads, metrics)
+
+
 def report(failed=(0, 0), verdicts=("ok",)):
     """A report of one workload besides a clean one, in the layout
     `bench_compare.main` writes."""
@@ -65,3 +108,39 @@ def report(failed=(0, 0), verdicts=("ok",)):
 )
 def test_exit_status_gates_on_failed_checks_and_worse_verdicts(failed, verdicts, expected):
     assert bench_compare.exit_status(report(failed, verdicts)) == expected
+
+
+@pytest.mark.parametrize("met,expected", [(True, 0), (False, 1)])
+def test_exit_status_gates_on_an_unmet_claim(met, expected):
+    claimed = {**report(), "claim": {"met": met}}
+    assert bench_compare.exit_status(claimed) == expected
+
+
+@pytest.mark.parametrize("change_value,met,expected", [(110.0, True, 0), (100.5, False, 1)])
+def test_main_writes_the_claim_and_gates_on_it(
+    tmp_path, monkeypatch, change_value, met, expected
+):
+    declared = {
+        "workloads": [{"name": "w-n1"}],
+        "end_to_end": [{"name": "iter_per_s", "unit": "iter/s", "better": "higher",
+                        "bound": 0.15}],
+    }
+    for side in bench_compare.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(declared))
+    runs = {"parent": iter([99.0, 100.0, 101.0] * 4), "change": iter([change_value] * 10)}
+
+    def run_workload(checkout, workload, seed, seconds):
+        value = next(runs[Path(checkout).name])
+        return {"metrics": {"iter_per_s": {"value": value}}, "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench_compare, "run_workload", run_workload)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_compare.py", "--parent", "parent", "--change", "change", "--pairs", "10",
+        "--seed", "0", "--seconds", "1", "--pr", "t", "--claim", "w-n1:iter_per_s",
+    ])
+    assert bench_compare.main() == expected
+    claim = json.loads((tmp_path / "BENCH_t.json").read_text())["claim"]
+    assert claim["workload"] == "w-n1" and claim["metric"] == "iter_per_s"
+    assert claim["met"] is met

@@ -490,6 +490,37 @@ class TestGridCommand:
         assert marker.stat().st_mtime_ns == first_mtime
         assert (out / "cells" / "N16_p1" / "results.jsonl").read_bytes() == results
 
+    def test_rerun_under_another_config_is_refused_before_any_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "grid"
+
+        def grid(nodes, *extra):
+            return run_cli(
+                "grid", "--bench", "parity3", "--nodes-grid", nodes, "--workers", "1",
+                "--out", str(out), *extra,
+            )
+
+        assert grid("10", "--seeds-per-cell", "2", "--max-iterations", "5") == EXIT_OK
+        results = out / "cells" / "N10_p1" / "results.jsonl"
+        before = results.read_bytes()
+        batches = []
+        monkeypatch.setattr(cli, "execute_batch", lambda *args: batches.append(args))
+        capsys.readouterr()
+        # the new cell N8 sorts first, so a late check would have run it
+        code = grid(
+            "8,10", "--seeds-per-cell", "2", "--max-iterations", "50", "--master-seed", "3"
+        )
+        assert code == EXIT_CONFIG
+        assert str(results) in capsys.readouterr().err
+        assert grid("10", "--seeds-per-cell", "3", "--max-iterations", "5") == EXIT_CONFIG
+        assert batches == []
+        assert not (out / "cells" / "N8_p1").exists()
+        # the same config still resumes, without running a seed
+        assert grid("10", "--seeds-per-cell", "2", "--max-iterations", "5") == EXIT_OK
+        assert batches == []
+        assert results.read_bytes() == before
+
     def test_p_values_that_print_alike_get_their_own_cells(self, tmp_path, capsys):
         # both values read 0.123456 under {p:g}
         out = tmp_path / "grid"
@@ -582,6 +613,21 @@ class TestAnalyzeCommand:
             "analyze", str(out), "--out", str(tmp_path / "x"), "--use-union-bitmap"
         )
         assert code == EXIT_CONFIG
+
+    def test_missing_union_bitmap_fails_before_any_file_is_written(self, tmp_path, capsys):
+        # the tracked group N12 sorts before the untracked N16
+        out = tmp_path / "runs"
+        for nodes, sub, extra in ((16, "plain", []), (12, "u", ["--track-union-active"])):
+            run_cli(
+                "run", "--bench", "parity3", "--nodes", str(nodes), "--seeds", "0",
+                "--workers", "1", "--out", str(out / sub), *extra,
+            )
+        code = run_cli(
+            "analyze", str(out), "--out", str(tmp_path / "an"), "--use-union-bitmap"
+        )
+        assert code == EXIT_CONFIG
+        assert "plain" in capsys.readouterr().err
+        assert list(tmp_path.glob("an/*")) == []
 
     def test_empty_directory_errors(self, tmp_path, capsys):
         code = run_cli("analyze", str(tmp_path / "nothing"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import DrawFeed
@@ -408,6 +408,83 @@ class TestRemap:
         assert [sorted(entry) for entry in h.active.readers] == [
             moved[old] for old in order
         ]
+
+    @settings(max_examples=300)
+    @given(
+        genome=literal_genomes(),
+        kind=st.sampled_from(["identity", "swap", "shuffle"]),
+        data=st.data(),
+    )
+    def test_shares_everything_outside_the_moved_span(self, genome, kind, data):
+        params = genome.params
+        start, num = params.comp_start, params.num_computational
+        active = evaluated(genome)
+        lo = data.draw(st.integers(0, num - 1))
+        hi = data.draw(st.integers(lo, num - 1))
+        if kind == "identity":
+            span = list(range(lo, hi + 1))
+        elif kind == "swap":
+            span = [hi, *range(lo + 1, hi), lo] if hi > lo else [lo]
+        else:
+            span = data.draw(st.permutations(range(lo, hi + 1)))
+        order = [*range(lo), *span, *range(hi + 1, num)]
+        h, rows = _remap(genome, active, order)
+        moved = {start + old for new, old in enumerate(order) if new != old}
+        for idx in range(hi + 1, num):
+            node = genome.computational[idx]
+            # shared unless one of its genes reads a moved position
+            assert (h.computational[idx] is node) == moved.isdisjoint(node.connections)
+        for position in [*range(start + lo), *range(start + hi + 1, start + num)]:
+            assert h.values[position] is genome.values[position]
+        assert rows == forward_rows(h)
+        position_map = list(range(start + num))
+        for new, old in enumerate(order):
+            position_map[start + old] = start + new
+        assert h.output_connections == tuple(position_map[c] for c in genome.output_connections)
+        moved_readers = [sorted(position_map[start + r] - start if r < num else r for r in entry)
+                         for entry in active.readers]
+        assert [sorted(entry) for entry in h.active.readers] == [
+            moved_readers[old] for old in order
+        ]
+        assert h.active.positions() == [idx for idx, entry in enumerate(h.active.readers) if entry]
+
+
+def full_range_placement_order(active, to, num):
+    """The placement order built over the whole genome: each active node at
+    its target, and the inactive nodes in the free slots in their old order."""
+    order = [-1] * num
+    for idx, old in zip(to, active.positions()):
+        order[idx] = old
+    inactive = iter([idx for idx, readers in enumerate(active.readers) if not readers])
+    return [old if old >= 0 else next(inactive) for old in order]
+
+
+class TestPlacementOrder:
+    @given(
+        genome=literal_genomes(),
+        kind=st.sampled_from(["random", "equidistant", "tail"]),
+        data=st.data(),
+    )
+    def test_matches_the_full_range_construction(self, genome, kind, data):
+        params = genome.params
+        start, end = params.comp_start, params.comp_end
+        active = decode_active(genome)
+        count = active.count
+        assume(count)
+        if kind == "random":
+            slots = st.integers(start, end)
+            targets = sorted(data.draw(st.lists(slots, min_size=count, max_size=count, unique=True)))
+        elif kind == "equidistant":
+            targets = lin_space(start, end, count)
+        else:
+            targets = list(range(end - count + 1, end + 1))
+        order = fixed_targets(targets)(genome, None, active)
+        to = [position - start for position in targets]
+        if to == active.positions():
+            assert order is None
+            return
+        assert order == full_range_placement_order(active, to, params.num_computational)
+        assert all(type(old) is int for old in order)
 
 
 class TestOriginalReorder:
