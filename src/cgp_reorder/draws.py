@@ -94,7 +94,8 @@ class DrawFeed:
                 self._has_half = False
                 product = self._half * bound
             else:
-                word = self._word()
+                words = self._words
+                word = words.pop() if words else self._word()
                 self._has_half = True
                 self._half = word >> 32
                 product = (word & _MASK32) * bound

@@ -8,6 +8,11 @@ changes something).  The loop stops at the first changed gene that belongs
 to an active computational node or is an output connection; output genes
 always count as active because changing one changes the phenotype.
 
+One call copies the node list once, then makes two draws per pick: the
+gene, and its new value, drawn below the domain size less one and moved up
+by one at or above the current value.  The outputs are copied only when an
+output gene ends the loop.
+
 Activity is tested against the parent's decoded active set, not recomputed
 between gene picks, keeping one mutation call O(arity * nodes).  The mutant
 records in its ``delta`` the active node or the output gene that ended the
@@ -20,16 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .draws import DrawFeed
 from .genome import ARITY, ActiveSet, Delta, Genotype, NodeGene
 
-
-def _resample_excluding(rng: np.random.Generator, domain_size: int, current: int) -> int:
-    """Uniform draw from [0, domain_size) excluding ``current``.
-
-    Requires domain_size >= 2.
-    """
-    draw = int(rng.integers(domain_size - 1))
-    return draw + 1 if draw >= current else draw
+_GENES_PER_NODE = 1 + ARITY
 
 
 def single_mutation(
@@ -37,47 +36,46 @@ def single_mutation(
 ) -> Genotype:
     """Return a mutant differing from ``genome`` in at least one active gene."""
     params = genome.params
-    fset = params.functions()
-    num_nodes = params.num_computational
-    genes_per_node = 1 + ARITY
-    node_genes = num_nodes * genes_per_node
+    functions_less_one = params.functions().size - 1
+    start = params.comp_start
+    node_genes = params.num_computational * _GENES_PER_NODE
     total_genes = node_genes + params.num_outputs
-
+    readers = active.readers
+    # a plain Generator draws numpy ints, which a genome never holds
+    integers = rng.integers if isinstance(rng, DrawFeed) else lambda b: int(rng.integers(b))
     nodes = list(genome.computational)
-    outputs = list(genome.output_connections)
-    changed_nodes: tuple[int, ...] = ()
-    changed_outputs: tuple[int, ...] = ()
 
     while True:
-        gene = int(rng.integers(total_genes))
+        gene = integers(total_genes)
         if gene >= node_genes:
             # output connection gene; domain is every input or computational
             # position, always at least two wide
             out_idx = gene - node_genes
-            outputs[out_idx] = _resample_excluding(
-                rng, params.num_connectable, outputs[out_idx]
-            )
-            changed_outputs = (out_idx,)
-            break
-        node_idx, offset = divmod(gene, genes_per_node)
+            outputs = list(genome.output_connections)
+            current = outputs[out_idx]
+            draw = integers(params.num_connectable - 1)
+            outputs[out_idx] = draw + 1 if draw >= current else draw
+            return Genotype(params, nodes, tuple(outputs), delta=Delta((), (out_idx,)))
+        node_idx, offset = divmod(gene, _GENES_PER_NODE)
         node = nodes[node_idx]
         if offset == 0:
-            new_fid = _resample_excluding(rng, fset.size, node.function_id)
-            nodes[node_idx] = NodeGene(new_fid, node.connections)
+            current = node.function_id
+            draw = integers(functions_less_one)
+            nodes[node_idx] = NodeGene(draw + 1 if draw >= current else draw, node.connections)
         else:
-            position = params.comp_start + node_idx
+            position = start + node_idx
             if position < 2:
                 # a first computational node fed by a single input has a
                 # one-value connection domain: counts as a pick, changes
                 # nothing, so it can never be the terminating active hit
                 continue
-            conn_idx = offset - 1
-            conns = list(node.connections)
-            conns[conn_idx] = _resample_excluding(rng, position, conns[conn_idx])
-            nodes[node_idx] = NodeGene(node.function_id, tuple(conns))
-        if active.readers[node_idx]:
-            changed_nodes = (node_idx,)
-            break
-
-    delta = Delta(changed_nodes, changed_outputs)
-    return Genotype(params, nodes, tuple(outputs), delta=delta)
+            first, second = node.connections
+            draw = integers(position - 1)
+            if offset == 1:
+                genes = (draw + 1 if draw >= first else draw, second)
+            else:
+                genes = (first, draw + 1 if draw >= second else draw)
+            nodes[node_idx] = NodeGene(node.function_id, genes)
+        if readers[node_idx]:
+            delta = Delta((node_idx,), ())
+            return Genotype(params, nodes, genome.output_connections, delta=delta)

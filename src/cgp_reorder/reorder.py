@@ -295,9 +295,19 @@ def _sampled_targets(transform):
 
 _equidistant_order = _placement_order(lambda start, end, count, rng: lin_space(start, end, count))
 _uniform_order = _placement_order(_sampled_targets(lambda u: u))
-_negbias_order = _placement_order(
-    lambda start, end, count, rng: np.arange(end - count + 1, end + 1)
-)
+_tail_order = _placement_order(lambda start, end, count, rng: np.arange(end - count + 1, end + 1))
+
+
+def _negbias_order(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
+    """The tail placement's order, or None, before any target is built, when
+    the active nodes form the tail already: ascending distinct positions
+    are the last ``count`` exactly when the first of them is."""
+    positions = active.positions()
+    if positions[0] == genome.params.num_computational - len(positions):
+        return None
+    return _tail_order(genome, rng, active)
+
+
 _leftskew_order = _placement_order(_sampled_targets(beta61_from_uniform))
 
 

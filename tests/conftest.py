@@ -259,6 +259,51 @@ def reference_original(genome: Genotype, rng) -> Genotype:
     return Genotype(params, nodes, outputs)
 
 
+def reference_mutation(genome: Genotype, active: ActiveSet, rng) -> Genotype:
+    """`single_mutation` in its plain per-pick form: it copies the nodes
+    and the outputs up front; each pick draws the gene, then a value from
+    the gene's domain without its current value (``draw + 1`` at or above
+    it), and rebuilds the node through a list of its connections.  The loop
+    ends at the first changed gene of an active node or at an output gene."""
+    params = genome.params
+    fset = params.functions()
+    genes_per_node = 1 + ARITY
+    node_genes = params.num_computational * genes_per_node
+    total_genes = node_genes + params.num_outputs
+
+    def excluding(domain_size: int, current: int) -> int:
+        draw = int(rng.integers(domain_size - 1))
+        return draw + 1 if draw >= current else draw
+
+    nodes = list(genome.computational)
+    outputs = list(genome.output_connections)
+    changed_nodes: tuple[int, ...] = ()
+    changed_outputs: tuple[int, ...] = ()
+    while True:
+        gene = int(rng.integers(total_genes))
+        if gene >= node_genes:
+            out_idx = gene - node_genes
+            outputs[out_idx] = excluding(params.num_connectable, outputs[out_idx])
+            changed_outputs = (out_idx,)
+            break
+        node_idx, offset = divmod(gene, genes_per_node)
+        node = nodes[node_idx]
+        if offset == 0:
+            nodes[node_idx] = NodeGene(excluding(fset.size, node.function_id), node.connections)
+        else:
+            position = params.comp_start + node_idx
+            if position < 2:
+                continue
+            conns = list(node.connections)
+            conns[offset - 1] = excluding(position, conns[offset - 1])
+            nodes[node_idx] = NodeGene(node.function_id, tuple(conns))
+        if active.readers[node_idx]:
+            changed_nodes = (node_idx,)
+            break
+    delta = Delta(changed_nodes, changed_outputs)
+    return Genotype(params, nodes, tuple(outputs), delta=delta)
+
+
 def random_genomes(params: GraphParams, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     return [random_genome(params, rng) for _ in range(count)]

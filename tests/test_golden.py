@@ -6,9 +6,10 @@ dumped final genomes concatenated in seed order, with the digests recorded
 below.  The first four cases are the benchmark workloads (the table at the
 end of perfbench/README.md); the others cover the equidistant and uniform
 operators, the unused second gene of unary regression nodes, which repair
-resamples, and regression children evaluated from their parents' key
-vectors with no reorder in between.  The genome digest matters because repair rewrites
-inactive genes that `results.jsonl` never shows.
+resamples, regression children evaluated from their parents' key vectors
+with no reorder in between, and mutation on a 750-node list with no reorder
+(acceptance criterion 7's `none` cell).  The genome digest matters because
+repair rewrites inactive genes that `results.jsonl` never shows.
 
 Speed work must leave these unchanged; a change that alters the RNG stream
 on purpose updates them and says so in CHANGES.md.  To print the digests of
@@ -76,6 +77,13 @@ GOLDEN = {
         "04a76e29cee73304071f832aaedd9bd5280ea31b28f840459e42ce4ac8998f09",
         "8d97c65148e0b4578fe4a029ac50e7d1d05e6823486c079542fd3b42fb601781",
         "e4cf7b6f21b3644200c950193853512c5289d586eb390f80b4476509bb83b6cc",
+    ),
+    "multiply3-none-n750": (
+        "--bench multiply3 --variant none --nodes 750 --seeds 0,1 "
+        "--max-iterations 500 --threshold 2.0",
+        "b6812b1480f5e8e0a74c18d0a134fe9df6a955d646862555f79b4f8d3b146eb0",
+        "57da97d7dd63cdfd5bc68cff9496308b8dbdf7bc8f2c445973c6b39d1f76cb71",
+        "010e64c36d97fdce749e4e23ad7c860dc1fb2f4ba85eda70783e0548d99edcfa",
     ),
     "keijzer6-none-n150": (
         "--bench keijzer6 --variant none --nodes 150 --seeds 0,1 "

@@ -10,9 +10,10 @@ from cgp_reorder.genome import (
     decode_active,
     random_genome,
 )
+from cgp_reorder.draws import DrawFeed
 from cgp_reorder.mutation import single_mutation
 
-from conftest import chain_genome, validate
+from conftest import chain_genome, reference_mutation, validate
 
 
 def gene_diffs(a: Genotype, b: Genotype) -> list[str]:
@@ -103,3 +104,42 @@ def test_mutants_always_valid(seed, fset):
     active = decode_active(g)
     mutant = single_mutation(g, active, np.random.default_rng(seed + 1))
     assert validate(mutant) == []
+
+
+@st.composite
+def mutation_genomes(draw):
+    """Random genomes of either function set, with one input (whose first
+    node has a one-value connection domain) or more, one output or more,
+    and some with every output reading an input, so that no node is active."""
+    params = GraphParams(
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 30)),
+        draw(st.sampled_from(["boolean", "regression"])),
+    )
+    g = random_genome(params, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        reads = st.integers(0, params.num_inputs - 1)
+        g = Genotype(params, g.computational, tuple(draw(reads) for _ in range(params.num_outputs)))
+    return g
+
+
+@given(genome=mutation_genomes(), seed=st.integers(0, 2**64 - 1), feed=st.booleans())
+def test_matches_the_per_pick_reference(genome, seed, feed):
+    expected_rng = np.random.default_rng(seed)
+    generator = np.random.default_rng(seed)
+    draws = DrawFeed(generator) if feed else generator
+    # several calls in a row, each mutating the last mutant, so that
+    # buffered halves carry across calls
+    for _ in range(5):
+        active = decode_active(genome)
+        mutant = single_mutation(genome, active, draws)
+        expected = reference_mutation(genome, active, expected_rng)
+        assert mutant == expected
+        assert mutant.delta == expected.delta
+        genes = [gene for node in mutant.computational for gene in (node.function_id, *node.connections)]
+        assert all(type(gene) is int for gene in [*genes, *mutant.output_connections])
+        genome = mutant
+    if feed:
+        draws.flush()
+    assert generator.bit_generator.state == expected_rng.bit_generator.state

@@ -486,6 +486,32 @@ class TestPlacementOrder:
         assert order == full_range_placement_order(active, to, params.num_computational)
         assert all(type(old) is int for old in order)
 
+    @given(genome=literal_genomes(), seed=st.integers(0, 2**32 - 1))
+    def test_negbias_on_a_tail_builds_no_targets(self, genome, seed):
+        """When the active nodes form the tail already, `reorder_negbias`
+        shares the source's set and vector, draws nothing and never reaches
+        the tail placement; elsewhere its order is the tail placement's."""
+        import cgp_reorder.reorder as reorder_mod
+
+        active = evaluated(genome)
+        assume(active.count)
+        assert reorder_mod._negbias_order(genome, None, active) == reorder_mod._tail_order(
+            genome, None, active
+        )
+        placed = reorder_negbias(genome, np.random.default_rng(seed), active)
+
+        def unreachable(*args):
+            raise AssertionError("targets built for a tail")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reorder_mod, "_tail_order", unreachable)
+            # any draw from a bare object raises
+            again = reorder_negbias(placed, object(), placed.active)
+        assert again is not placed
+        assert again == placed
+        assert again.active is placed.active
+        assert again.values is placed.values
+
 
 class TestOriginalReorder:
     @given(genome=literal_genomes(), seed=st.integers(0, 2**32 - 1), feed=st.booleans())
