@@ -239,7 +239,8 @@ def mae_fitness(
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a sibling temporary file, then move it over ``path``,
     so a killed run leaves either the old file or the new one, never a
-    truncated one."""
+    truncated one.  Missing parent directories are made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
@@ -254,7 +255,6 @@ def write_dataset(bench: RegressionBenchmark, directory: str, key: str) -> None:
     """Write each split of ``bench`` to ``<directory>/<key>_<split>.csv``: a
     header ``x0[,x1],y``, then one row per point, every value spelled by
     ``repr`` so that a reader recovers it exactly."""
-    os.makedirs(directory, exist_ok=True)
     for split_name, split in (("train", bench.train), ("test", bench.test)):
         if split is None:
             continue

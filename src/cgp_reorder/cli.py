@@ -1,11 +1,14 @@
-"""Command-line harness: single-config batches, hyperparameter grids,
-result analysis, and genome dumps.
+"""Command-line harness: seed batches, hyperparameter grids, result
+analysis, and genome dumps.
 
 Configs are flat ``key = value`` text files; command-line flags override
 file values, and the effective configuration is echoed into every output
 file.  Result records carry no timestamps (those live in run_meta.json), so
 re-running a command with the same config and seeds reproduces the result
-files byte for byte.
+files byte for byte.  `run` and `grid` share one batch path, `run_batch`:
+`run` is its one-cell case.  Each seed's outputs are written as it finishes,
+and a rerun under the echo in a cell's batch.json reads its recorded seeds
+back and runs only the rest.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 internal
 invariant violation.
@@ -14,21 +17,20 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import glob
 import json
+import multiprocessing
 import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
-    SummaryRow,
     active_distribution,
     config_comment_lines,
     convergence_mean,
@@ -305,27 +307,67 @@ def _run_seed(settings: Settings, bench, seed: int) -> RunResult:
     return run_es(config, bench)
 
 
-def effective_workers(settings: Settings) -> int:
-    """Worker processes a batch runs on: the requested count (0 means one
-    per CPU), but never more than there are seeds."""
-    workers = settings.workers if settings.workers > 0 else (os.cpu_count() or 1)
-    return min(workers, len(settings.seeds))
+def _echo(settings: Settings) -> dict:
+    """A cell's batch.json: all that shapes its output files, which a rerun
+    must repeat for the cell's records to be read back."""
+    names = ("seeds", "trace_full", "track_union_active", "dump_genomes")
+    return {"config": effective_config(settings), **{n: getattr(settings, n) for n in names}}
 
 
-def execute_batch(settings: Settings, dataset_dir: str | None = None) -> list[RunResult]:
-    """Run every seed of a finalized settings object, in parallel when asked.
+def _recorded(cell_dir: str, cell: Settings) -> dict[int, dict]:
+    """The records a cell already holds, by seed: none without a batch.json,
+    and a ConfigError that names its results.jsonl when batch.json echoes
+    another config, seed list or output setting."""
+    path, echo = (os.path.join(cell_dir, name) for name in ("results.jsonl", "batch.json"))
+    if not os.path.exists(echo):
+        return {}
+    with open(echo) as fh:
+        if json.load(fh) != _echo(cell):
+            raise ConfigError(f"{path} was run under another config or seed list")
+    return {r["seed"]: r for r in _load_records(path)} if os.path.exists(path) else {}
 
-    The benchmark is built once, here (see `_build_bench` for
-    ``dataset_dir``); worker processes receive it with each seed.
+
+def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[RunResult]]:
+    """Run each seed that a cell (cell directory -> finalized settings) has
+    not recorded yet, all on one pool of the first cell's worker count, and
+    return each cell's results, read from its records, in seed order.
+
+    Every cell is checked (`_recorded`) before any file is written, and each
+    seed writes its outputs as it finishes, so a rerun of a killed batch runs
+    only the seeds it lost.  ``out``, the directory that holds the cells,
+    gets the dataset records and run_meta.json.
     """
-    run = functools.partial(_run_seed, settings, _build_bench(settings, dataset_dir))
-    workers = effective_workers(settings)
+    started = time.time()
+    records = {cell_dir: _recorded(cell_dir, cell) for cell_dir, cell in cells.items()}
+    benches, tasks = {}, []
+    for cell_dir, cell in cells.items():
+        text = json.dumps(_echo(cell), sort_keys=True) + "\n"
+        write_atomic(os.path.join(cell_dir, "batch.json"), text)
+        key = (cell.benchmark, cell.dataset_seed)
+        if key not in benches:
+            benches[key] = _build_bench(cell, os.path.join(out, "datasets"))
+        tasks += [(cell_dir, benches[key], s) for s in cell.seeds if s not in records[cell_dir]]
+    # finalize rejects a negative count; 0 asks for one worker per CPU
+    workers = min(next(iter(cells.values())).workers or os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        results = [run(seed) for seed in settings.seeds]
+        for cell_dir, bench, seed in tasks:
+            result = _run_seed(cells[cell_dir], bench, seed)
+            _write_run_outputs(cell_dir, cells[cell_dir], result, records[cell_dir])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, settings.seeds))
-    return sorted(results, key=lambda r: r.seed)
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            futures = {pool.submit(_run_seed, cells[c], b, s): c for c, b, s in tasks}
+            for future in as_completed(futures):
+                cell_dir = futures[future]
+                _write_run_outputs(cell_dir, cells[cell_dir], future.result(), records[cell_dir])
+        finally:
+            # a failed seed ends the batch: no queued seed starts after it
+            pool.shutdown(cancel_futures=True)
+    _write_meta(out, started, workers)
+    return {
+        cell_dir: [record_to_result(cell_records[seed]) for seed in sorted(cell_records)]
+        for cell_dir, cell_records in records.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +384,6 @@ def result_record(result: RunResult, config: dict) -> dict:
     record = {name: getattr(result, name) for name in RECORD_FIELDS}
     record["config"] = config
     return record
-
-
-def write_results_jsonl(path: str, results: list[RunResult], config: dict) -> None:
-    write_atomic(
-        path,
-        "".join(
-            json.dumps(result_record(result, config), sort_keys=True) + "\n"
-            for result in results
-        ),
-    )
 
 
 def write_trace_csv(path: str, trace: ConvergenceTrace, config: dict) -> None:
@@ -383,35 +415,31 @@ def record_to_result(record: dict, trace: ConvergenceTrace | None = None) -> Run
     )
 
 
-def _write_run_outputs(outdir: str, settings: Settings, results: list[RunResult]) -> SummaryRow:
+def _write_run_outputs(
+    outdir: str, settings: Settings, result: RunResult, records: dict[int, dict]
+) -> None:
+    """Write one finished seed's trace, and its genome when asked, then add
+    its record to ``records`` and rewrite results.jsonl from them, sorted by
+    seed, so that a complete batch has the bytes of an uninterrupted one."""
     config = effective_config(settings)
-    os.makedirs(outdir, exist_ok=True)
-    write_results_jsonl(os.path.join(outdir, "results.jsonl"), results, config)
-    traces_dir = os.path.join(outdir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
-    for result in results:
-        write_trace_csv(
-            os.path.join(traces_dir, f"trace_seed{result.seed}.csv"),
-            result.trace,
-            config,
-        )
-    if settings.dump_genomes:
-        genomes_dir = os.path.join(outdir, "genomes")
-        os.makedirs(genomes_dir, exist_ok=True)
-        for result in results:
-            if result.final_genome is not None:
-                write_atomic(
-                    os.path.join(genomes_dir, f"genome_seed{result.seed}.txt"),
-                    to_flat_text(result.final_genome),
-                )
-    return summarize(results, config)
+    trace = os.path.join(outdir, "traces", f"trace_seed{result.seed}.csv")
+    write_trace_csv(trace, result.trace, config)
+    if settings.dump_genomes and result.final_genome is not None:
+        genome = os.path.join(outdir, "genomes", f"genome_seed{result.seed}.txt")
+        write_atomic(genome, to_flat_text(result.final_genome))
+    records[result.seed] = result_record(result, config)
+    write_atomic(
+        os.path.join(outdir, "results.jsonl"),
+        "".join(json.dumps(records[seed], sort_keys=True) + "\n" for seed in sorted(records)),
+    )
 
 
 def _write_meta(outdir: str, started: float, workers: int) -> None:
+    finished = time.time()
     meta = {
         "started_unix": started,
-        "finished_unix": time.time(),
-        "duration_s": time.time() - started,
+        "finished_unix": finished,
+        "duration_s": finished - started,
         "workers": workers,
         "version": __version__,
     }
@@ -426,11 +454,8 @@ def _write_meta(outdir: str, started: float, workers: int) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
-    started = time.time()
-    results = execute_batch(settings, os.path.join(settings.out, "datasets"))
-    summary = _write_run_outputs(settings.out, settings, results)
-    _write_meta(settings.out, started, effective_workers(settings))
-    print(summary.format_line())
+    [results] = run_batch({settings.out: settings}, settings.out).values()
+    print(summarize(results, effective_config(settings)).format_line())
     return EXIT_OK
 
 
@@ -454,49 +479,22 @@ def _format_p(p: float) -> str:
 def cmd_grid(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
     cells = _grid_cells(settings)
-    started = time.time()
-    # a done cell is read back, and only when its records echo this config
-    # and these seeds: any other is refused before a seed runs
-    done = {}
-    for cell_dir, cell in cells.items():
-        path = os.path.join(cell_dir, "results.jsonl")
-        if os.path.exists(os.path.join(cell_dir, "cell.done")):
-            done[cell_dir] = _load_records(path)
-            echoed = [(record["seed"], record["config"]) for record in done[cell_dir]]
-            if echoed != [(seed, effective_config(cell)) for seed in cell.seeds]:
-                raise ConfigError(f"{path} was run under another config or seed list")
-    rows = []
-    for cell_dir, cell in cells.items():
-        if cell_dir in done:
-            results = [record_to_result(record) for record in done[cell_dir]]
-            rows.append(summarize(results, effective_config(cell)))
-        else:
-            results = execute_batch(cell, os.path.join(settings.out, "datasets"))
-            rows.append(_write_run_outputs(cell_dir, cell, results))
-            write_atomic(os.path.join(cell_dir, "cell.done"), "complete\n")
-
+    results = run_batch(cells, settings.out)
+    rows = [summarize(results[c], effective_config(cell)) for c, cell in cells.items()]
     if benchmark_kind(settings.benchmark) == "boolean":
         rows.sort(key=lambda row: row.mean_iterations)
     else:
         rows.sort(key=lambda row: row.mean_train_fitness
                   if row.mean_test_fitness is None else row.mean_test_fitness)
-    os.makedirs(settings.out, exist_ok=True)
     write_summary_jsonl(os.path.join(settings.out, "grid_summary.jsonl"), rows)
-    # every cell runs the same seeds on the same number of workers
-    _write_meta(settings.out, started, effective_workers(next(iter(cells.values()))))
     for row in rows:
         print(row.format_line())
     return EXIT_OK
 
 
 def _load_records(path: str) -> list[dict]:
-    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -527,7 +525,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 raise AggregationError(f"{runs[seed][1]} and {path} both ran seed {seed} of {key}")
             runs[seed] = (record, path)
 
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for key in sorted(groups):
         config, _, runs = groups[key]

@@ -7,9 +7,11 @@ budgets capped at 10,000 iterations so the suite finishes in minutes; a run
 that exhausts its budget counts its full budget as its iteration count.
 """
 
+import functools
 import gc
 import math
 import os
+import tempfile
 import time
 import zlib
 from fractions import Fraction
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from cgp_reorder.analysis import active_distribution
-from cgp_reorder.cli import Settings, execute_batch, finalize
+from cgp_reorder.cli import Settings, finalize, read_trace_csv, run_batch
 from cgp_reorder.genome import (
     GraphParams,
     decode_active,
@@ -52,9 +54,23 @@ ALL_OPERATORS = {
 _BATCHES: dict = {}
 
 
+@functools.cache
+def _batch_dir() -> tempfile.TemporaryDirectory:
+    """Where the cached batches write their files; removed at interpreter exit."""
+    return tempfile.TemporaryDirectory(prefix="cgp-acceptance-")
+
+
+def with_traces(cell_dir: str, results: list) -> list:
+    """``results`` of one `run_batch` cell, each with the trace it wrote."""
+    for r in results:
+        r.trace = read_trace_csv(os.path.join(cell_dir, "traces", f"trace_seed{r.seed}.csv"))
+    return results
+
+
 def batch(benchmark: str, variant: str, nodes: int, budget: int, p: float = 1.0):
     key = (benchmark, variant, nodes, budget, p)
     if key not in _BATCHES:
+        out = os.path.join(_batch_dir().name, "_".join(map(str, key)))
         settings = finalize(
             Settings(
                 benchmark=benchmark,
@@ -66,7 +82,7 @@ def batch(benchmark: str, variant: str, nodes: int, budget: int, p: float = 1.0)
                 workers=WORKERS,
             )
         )
-        _BATCHES[key] = execute_batch(settings)
+        _BATCHES[key] = with_traces(out, run_batch({out: settings}, out)[out])
     return _BATCHES[key]
 
 
@@ -223,15 +239,15 @@ class TestCriterion6PositionalBias:
 @pytest.mark.long
 @pytest.mark.skipif(os.environ.get("CGP_LONG") != "1", reason="set CGP_LONG=1 to run")
 class TestCriterion7MultiplyLongRun:
-    def test_negbias_beats_standard_at_paper_hyperparameters(self):
+    def test_negbias_beats_standard_at_paper_hyperparameters(self, tmp_path):
         seeds = list(range(25))
         configs = {
             "negbias": dict(variant="negbias", p_reorder=0.9),
             "none": dict(variant="none", p_reorder=1.0),
         }
-        means = {}
-        for label, overrides in configs.items():
-            settings = finalize(
+        # both configs share one pool
+        cells = {
+            str(tmp_path / label): finalize(
                 Settings(
                     benchmark="multiply3",
                     nodes=750,
@@ -241,8 +257,13 @@ class TestCriterion7MultiplyLongRun:
                     **overrides,
                 )
             )
-            results = execute_batch(settings)
-            means[label] = float(np.mean([r.iterations for r in results]))
+            for label, overrides in configs.items()
+        }
+        results = run_batch(cells, str(tmp_path))
+        means = {
+            label: float(np.mean([r.iterations for r in results[str(tmp_path / label)]]))
+            for label in configs
+        }
         ok = means["negbias"] < means["none"]
         report(
             "7", ok,

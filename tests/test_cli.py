@@ -14,7 +14,6 @@ from cgp_reorder.cli import (
     Settings,
     build_parser,
     build_settings,
-    execute_batch,
     finalize,
     main,
     parse_config_file,
@@ -252,6 +251,15 @@ class TestFinalize:
         assert not out.exists()
 
 
+def _tree(out):
+    """Every file under ``out`` but run_meta.json, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in out.rglob("*")
+        if path.is_file() and path.name != "run_meta.json"
+    }
+
+
 def _read_records(path):
     return [json.loads(line) for line in open(path) if line.strip()]
 
@@ -294,26 +302,33 @@ class TestRunCommand:
             ).read_bytes()
 
     @pytest.mark.parametrize(
-        "bench, budget",
-        [("parity3", []), ("nguyen7", ["--max-iterations", "200"])],
-        ids=["parity3", "nguyen7"],
+        "args, cells",
+        [
+            (["run", "--bench", "parity3", "--seeds", "0..3"], [""]),
+            (["run", "--bench", "nguyen7", "--max-iterations", "200", "--seeds", "0..3"], [""]),
+            (
+                ["grid", "--bench", "nguyen7", "--max-iterations", "200",
+                 "--nodes-grid", "15,25", "--seeds-per-cell", "4"],
+                ["cells/N15_p1/", "cells/N25_p1/"],
+            ),
+        ],
+        ids=["parity3", "nguyen7", "nguyen7-grid"],
     )
-    def test_parallel_matches_serial(self, tmp_path, bench, budget):
-        # workers receive the benchmark the batch built, pickled
-        args = ["run", "--bench", bench, *budget, "--nodes", "25", "--seeds", "0..3"]
+    def test_parallel_matches_serial(self, tmp_path, args, cells):
+        # workers receive the benchmark the batch built, pickled; a grid's
+        # cells share one pool
         trees = {}
         for workers in ("1", "2"):
             out = tmp_path / workers
-            assert run_cli(*args, "--workers", workers, "--out", str(out)) == EXIT_OK
-            trees[workers] = {
-                str(path.relative_to(out)): path.read_bytes()
-                for path in out.rglob("*")
-                if path.is_file() and path.name != "run_meta.json"
-            }
+            code = run_cli(*args, "--nodes", "25", "--workers", workers, "--out", str(out))
+            assert code == EXIT_OK
+            trees[workers] = _tree(out)
         assert trees["1"] == trees["2"]
         names = set(trees["1"])
-        assert {"results.jsonl", *(f"traces/trace_seed{s}.csv" for s in range(4))} <= names
-        if bench == "nguyen7":
+        for cell in cells:
+            traces = {f"{cell}traces/trace_seed{s}.csv" for s in range(4)}
+            assert {f"{cell}results.jsonl", *traces} <= names
+        if "nguyen7" in args:
             assert "datasets/nguyen7_s1_train.csv" in names
 
     def test_edited_dataset_record_is_not_read(self, tmp_path):
@@ -339,16 +354,18 @@ class TestRunCommand:
             "--workers", "1", "--out", str(out), "--dump-genome",
         )
         settings = finalize(Settings(benchmark="parity3", nodes=20, seeds=[0, 1], workers=1))
-        for result in execute_batch(settings):
-            text = (out / "genomes" / f"genome_seed{result.seed}.txt").read_text()
-            assert text == to_flat_text(result.final_genome)
-            assert validate(result.final_genome) == []
+        bench = cli._build_bench(settings, None)
+        for seed in settings.seeds:
+            genome = cli._run_seed(settings, bench, seed).final_genome
+            text = (out / "genomes" / f"genome_seed{seed}.txt").read_text()
+            assert text == to_flat_text(genome)
+            assert validate(genome) == []
 
     @pytest.mark.parametrize(
         "bench, union", [("parity3", False), ("keijzer6", True)], ids=["parity3", "keijzer6-union"]
     )
     def test_records_read_back_as_the_run_results(self, tmp_path, bench, union):
-        # what grid resume and analyze rebuild from results.jsonl
+        # what a resumed batch and analyze rebuild from results.jsonl
         args = ["--bench", bench, "--nodes", "20", "--seeds", "0..1", "--max-iterations", "40"]
         code = run_cli(
             "run", *args, "--workers", "1", "--out", str(tmp_path),
@@ -362,7 +379,9 @@ class TestRunCommand:
             )
         )
         lines = (tmp_path / "results.jsonl").read_text().splitlines()
-        for line, result in zip(lines, execute_batch(settings), strict=True):
+        bench = cli._build_bench(settings, None)
+        runs = [cli._run_seed(settings, bench, seed) for seed in settings.seeds]
+        for line, result in zip(lines, runs, strict=True):
             read = record_to_result(json.loads(line))
             for name in RECORD_FIELDS:
                 assert getattr(read, name) == getattr(result, name), name
@@ -404,6 +423,16 @@ class TestRunCommand:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["workers"] == 1
 
+    def test_meta_duration_is_finished_minus_started(self, tmp_path):
+        out = tmp_path / "meta"
+        code = run_cli(
+            "run", "--bench", "parity3", "--nodes", "12", "--seeds", "0",
+            "--workers", "1", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["duration_s"] == meta["finished_unix"] - meta["started_unix"]
+
     def test_outputs_leave_no_temporary_file(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(
@@ -425,12 +454,12 @@ class TestRunCommand:
             for name in names
         )
         assert not [name for name in written if name.endswith(".tmp")]
-        for name in ("results.jsonl", "run_meta.json", "traces/trace_seed1.csv",
+        for name in ("results.jsonl", "batch.json", "run_meta.json", "traces/trace_seed1.csv",
                      "genomes/genome_seed1.txt", "datasets/keijzer6_s1_train.csv",
                      "analysis/summary.jsonl",
                      "analysis/histogram_keijzer6_leftskew_N20_p0_5.csv",
                      "analysis/convergence_keijzer6_leftskew_N20_p0_5.csv",
-                     "grid/grid_summary.jsonl", "grid/cells/N20_p1/cell.done"):
+                     "grid/grid_summary.jsonl", "grid/cells/N20_p1/batch.json"):
             assert name in written
 
     def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
@@ -476,19 +505,22 @@ class TestGridCommand:
         means = [r["mean_iterations"] for r in rows]
         assert means == sorted(means)  # boolean grids sort by mean I2S
 
-    def test_grid_resume_skips_complete_cells(self, tmp_path):
+    def test_grid_resume_skips_complete_cells(self, tmp_path, monkeypatch):
         out = tmp_path / "grid"
         args = [
             "grid", "--bench", "parity3", "--nodes-grid", "16",
             "--seeds-per-cell", "2", "--workers", "1", "--out", str(out),
         ]
         assert run_cli(*args) == EXIT_OK
-        marker = out / "cells" / "N16_p1" / "cell.done"
-        first_mtime = marker.stat().st_mtime_ns
-        results = (out / "cells" / "N16_p1" / "results.jsonl").read_bytes()
+        results = out / "cells" / "N16_p1" / "results.jsonl"
+        first_mtime = results.stat().st_mtime_ns
+        before = results.read_bytes()
+        seeds = []
+        monkeypatch.setattr(cli, "_run_seed", lambda *args: seeds.append(args))
         assert run_cli(*args) == EXIT_OK
-        assert marker.stat().st_mtime_ns == first_mtime
-        assert (out / "cells" / "N16_p1" / "results.jsonl").read_bytes() == results
+        assert seeds == []
+        assert results.stat().st_mtime_ns == first_mtime
+        assert results.read_bytes() == before
 
     def test_rerun_under_another_config_is_refused_before_any_seed(
         self, tmp_path, capsys, monkeypatch
@@ -505,7 +537,7 @@ class TestGridCommand:
         results = out / "cells" / "N10_p1" / "results.jsonl"
         before = results.read_bytes()
         batches = []
-        monkeypatch.setattr(cli, "execute_batch", lambda *args: batches.append(args))
+        monkeypatch.setattr(cli, "_run_seed", lambda *args: batches.append(args))
         capsys.readouterr()
         # the new cell N8 sorts first, so a late check would have run it
         code = grid(
@@ -550,6 +582,91 @@ class TestGridCommand:
         assert code == EXIT_CONFIG
         assert "fixed to 1.0" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+
+class Stopped(Exception):
+    """Raised in place of a run, to stop a batch part-way as a kill would."""
+
+
+class TestBatchResume:
+    RUN = [
+        "run", "--bench", "keijzer6", "--variant", "leftskew", "--p-reorder", "0.5",
+        "--nodes", "15", "--seeds", "0..5", "--max-iterations", "60", "--dump-genome",
+    ]
+    GRID = [
+        "grid", "--bench", "parity3", "--variant", "negbias", "--nodes-grid", "10,15",
+        "--p-grid", "0.5,1", "--seeds-per-cell", "3", "--max-iterations", "200",
+    ]
+
+    @pytest.mark.parametrize(
+        "args, seeds, stop_after", [(RUN, 6, 2), (GRID, 12, 5)], ids=["run", "grid"]
+    )
+    def test_stopped_batch_reruns_only_the_missing_seeds(
+        self, tmp_path, monkeypatch, args, seeds, stop_after
+    ):
+        assert run_cli(*args, "--workers", "1", "--out", str(tmp_path / "whole")) == EXIT_OK
+        out = tmp_path / "stopped"
+        run_es = cli.run_es
+        ran = []
+
+        def counted(config, bench):
+            ran.append((config.num_computational, config.strategy.p_reorder, config.seed))
+            return run_es(config, bench)
+
+        def stopping(config, bench):
+            if len(ran) == stop_after:
+                raise Stopped
+            return counted(config, bench)
+
+        monkeypatch.setattr(cli, "run_es", stopping)
+        with pytest.raises(Stopped):
+            run_cli(*args, "--workers", "1", "--out", str(out))
+        # every seed that finished is on disk
+        kept = [r for path in out.rglob("results.jsonl") for r in _read_records(path)]
+        assert len(kept) == stop_after
+        finished = set(ran)
+        ran.clear()
+        monkeypatch.setattr(cli, "run_es", counted)
+        assert run_cli(*args, "--workers", "1", "--out", str(out)) == EXIT_OK
+        assert len(ran) == seeds - stop_after
+        assert not finished & set(ran)
+        assert _tree(out) == _tree(tmp_path / "whole")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            ["--master-seed", "1"],
+            ["--seeds", "0..2"],
+            ["--dump-genome"],
+            ["--trace-full"],
+            ["--track-union-active"],
+        ],
+        ids=["master-seed", "seeds", "dump-genome", "trace-full", "track-union-active"],
+    )
+    def test_rerun_under_another_setting_is_refused_before_any_write(
+        self, tmp_path, capsys, monkeypatch, change
+    ):
+        args = [
+            "run", "--bench", "keijzer6", "--nodes", "12", "--seeds", "0..1",
+            "--max-iterations", "30", "--workers", "1", "--out", str(tmp_path),
+        ]
+        assert run_cli(*args) == EXIT_OK
+
+        def files():
+            return {
+                path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in tmp_path.rglob("*")
+                if path.is_file()
+            }
+
+        before = files()
+        seeds = []
+        monkeypatch.setattr(cli, "_run_seed", lambda *args: seeds.append(args))
+        capsys.readouterr()
+        assert run_cli(*args, *change) == EXIT_CONFIG
+        assert str(tmp_path / "results.jsonl") in capsys.readouterr().err
+        assert seeds == []
+        assert files() == before
 
 
 class TestAnalyzeCommand:
