@@ -15,8 +15,10 @@ and a verdict against the metric's `bound` (see `verdict`), and writes all
 of it, with every run's figures, the failed-check counts and
 each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
 current directory.  With `--tier1`, after the pairs it runs the tier-1 test
-command once in each checkout, one after the other, and records the wall
-seconds and the passed, failed and skipped counts under `tier1`.  With
+command four times, in the order parent, change, change, parent, so that a
+drift in machine speed that runs one way over the four runs falls on both
+sides alike, and records under `tier1` each run's wall seconds and passed,
+failed and skipped counts, and each side's mean wall seconds.  With
 `--claim`, it judges the gain a change claims on one workload's metric (see
 `judge_claim`) and writes the judgement under `claim`.  It exits with 1,
 after writing the file, when any run reported failed checks, any verdict is
@@ -43,6 +45,7 @@ RUN_TIMEOUT_S = 600
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_TIMEOUT_S = 3 * 3600
 TIER1_OUTCOMES = ("passed", "failed", "skipped", "errors")
+TIER1_ORDER = ("parent", "change", "change", "parent")
 
 
 def src_lines(checkout: str) -> int:
@@ -271,10 +274,18 @@ def main() -> int:
               f"against the parent's quartile spread {claim['parent_spread']:.4g})")
 
     if args.tier1:
-        report["tier1"] = {}
-        for side in SIDES:
-            result = report["tier1"][side] = run_tier1(checkouts[side])
+        tier1 = report["tier1"] = {
+            "order": list(TIER1_ORDER), **{side: {"runs": []} for side in SIDES}
+        }
+        for side in TIER1_ORDER:
+            result = run_tier1(checkouts[side])
+            tier1[side]["runs"].append(result)
             print(f"tier-1 {side}: {result['wall_s']:.0f} s, {result['summary']}")
+        for side in SIDES:
+            mean = tier1[side]["mean_wall_s"] = statistics.fmean(
+                run["wall_s"] for run in tier1[side]["runs"]
+            )
+            print(f"tier-1 {side}: mean {mean:.0f} s")
 
     out = f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as f:

@@ -229,7 +229,8 @@ def mae_fitness(
     if genome.params.num_outputs != 1:
         raise ConfigError("mean-absolute-error scoring expects a single output")
     preds = evaluate_batch(genome, data.xs, active, parent)[:, 0]
-    errors = np.abs(data.ys - preds)
+    errors = np.subtract(data.ys, preds)
+    np.abs(errors, out=errors)
     # np.mean's own sum and division, without its dispatch overhead; a sum
     # past the largest float is the score inf, not a fault
     with np.errstate(over="ignore"):

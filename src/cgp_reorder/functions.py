@@ -1,24 +1,29 @@
 """Function sets for Boolean circuits and symbolic regression.
 
-The Boolean operators are written against integer bitmasks: with ``mask=1``
-and arguments in {0, 1} they reduce to the plain 4-row truth tables, while a
-wider mask lets a caller evaluate every row of a truth table at once on
-packed column bitmasks.  The regression operators are protected so that any
-finite real input yields a finite real output; they accept scalars and numpy
-arrays alike.
+Every operation takes the evaluation walk's ``(a, b, context)`` arguments; a
+unary one ignores ``b``.  The Boolean operators are written against integer
+bitmasks, and ``context`` is the mask: with ``mask=1`` and arguments in
+{0, 1} they reduce to the plain 4-row truth tables, while a wider mask lets a
+caller evaluate every row of a truth table at once on packed column
+bitmasks.  The regression operators take float64 numpy arrays of equal shape
+and ignore ``context``.  They are protected so that any finite real input
+yields a finite real output.  Each one writes only into the array it
+allocates itself, never into ``a`` or ``b``, and returns that array
+read-only, so that a node's value can be shared between a genome and its
+mutants.  The guarded operations compute every element, then overwrite the
+guarded ones, so they run with numpy's floating-point warnings off, as
+``genome.evaluate_batch`` runs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-
-Value = Union[int, float, np.ndarray]
 
 PROTECTED_EPS = 1e-9
 EXP_CLAMP = 700.0
@@ -42,52 +47,66 @@ def _b_nor(a: int, b: int, mask: int) -> int:
     return mask ^ (a | b)
 
 
-def _finite(value: Value) -> Value:
-    """Clamp IEEE overflow (+-inf) back to the largest finite float.
+def read_only(value: np.ndarray) -> np.ndarray:
+    value.setflags(write=False)
+    return value
+
+
+def _finite(value: np.ndarray) -> np.ndarray:
+    """Clamp IEEE overflow (+-inf) in ``value`` back to the largest finite
+    float, in place, and return ``value`` read-only.
 
     The same bytes as ``np.clip(value, -VALUE_LIMIT, VALUE_LIMIT)``, NaN and
     signed zeros included, without np.clip's dispatch overhead.
     """
-    return np.minimum(np.maximum(value, -VALUE_LIMIT), VALUE_LIMIT)
+    np.maximum(value, -VALUE_LIMIT, out=value)
+    np.minimum(value, VALUE_LIMIT, out=value)
+    return read_only(value)
 
 
-def add(a: Value, b: Value) -> Value:
+def add(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     return _finite(np.add(a, b))
 
 
-def sub(a: Value, b: Value) -> Value:
+def sub(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     return _finite(np.subtract(a, b))
 
 
-def mul(a: Value, b: Value) -> Value:
+def mul(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     return _finite(np.multiply(a, b))
 
 
-def protected_div(a: Value, b: Value) -> Value:
+def protected_div(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     """a / b, returning 1.0 wherever |b| < 1e-9."""
+    # not ``>= EPS``: a NaN divisor is not guarded, and its quotient stays NaN
     guarded = np.abs(b) < PROTECTED_EPS
-    safe = np.where(guarded, 1.0, b)
-    return _finite(np.where(guarded, 1.0, np.asarray(a, dtype=np.float64) / safe))
+    out = np.divide(a, b)
+    np.copyto(out, 1.0, where=guarded)
+    return _finite(out)
 
 
-def sin(a: Value) -> Value:
-    return np.sin(a)
+def sin(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
+    return read_only(np.sin(a))
 
 
-def cos(a: Value) -> Value:
-    return np.cos(a)
+def cos(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
+    return read_only(np.cos(a))
 
 
-def protected_log(a: Value) -> Value:
+def protected_log(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     """ln(|a|), returning 0.0 wherever |a| < 1e-9."""
-    mag = np.abs(a)
-    guarded = mag < PROTECTED_EPS
-    return np.where(guarded, 0.0, np.log(np.where(guarded, 1.0, mag)))
+    out = np.abs(a)
+    guarded = out < PROTECTED_EPS
+    np.log(out, out=out)
+    np.copyto(out, 0.0, where=guarded)
+    return read_only(out)
 
 
-def clamped_exp(a: Value) -> Value:
+def clamped_exp(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
     """exp(min(a, 700)) so the result never overflows to infinity."""
-    return np.exp(np.minimum(a, EXP_CLAMP))
+    out = np.minimum(a, EXP_CLAMP)
+    np.exp(out, out=out)
+    return read_only(out)
 
 
 @dataclass(frozen=True)

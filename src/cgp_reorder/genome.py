@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Callable, Sequence
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functions import FunctionSet, FunctionSpec, get_function_set
+from .functions import FunctionSet, get_function_set, read_only
 
 # connection genes per computational node: no function consumes more
 ARITY = 2
@@ -417,31 +417,10 @@ def evaluate_packed(
     return [values[c] for c in genome.output_connections]
 
 
-def _read_only(value: np.ndarray) -> np.ndarray:
-    value.flags.writeable = False
-    return value
-
-
 def _bits_differ(value: np.ndarray, old: np.ndarray | None) -> bool:
     """Whether two node values differ in any byte: -0.0 differs from 0.0,
     and NaNs with other payloads differ, so no stale byte is kept."""
     return old is None or value.tobytes() != old.tobytes()
-
-
-@lru_cache(maxsize=None)
-def _array_operations(set_id: str) -> tuple[Callable, ...]:
-    """Per function id of a regression set, the value of a node from its
-    inputs' values, as a read-only float64 array."""
-
-    def operation(spec: FunctionSpec) -> Callable:
-        fn, unary = spec.fn, spec.arity == 1
-
-        def apply(a: np.ndarray, b: np.ndarray, context: None) -> np.ndarray:
-            return _read_only(np.asarray(fn(a) if unary else fn(a, b), dtype=np.float64))
-
-        return apply
-
-    return tuple(map(operation, get_function_set(set_id).entries))
 
 
 def evaluate_batch(
@@ -458,19 +437,19 @@ def evaluate_batch(
     the same ``xs``; its vector is then the starting point.
     """
     params = genome.params
-    if params.functions().is_boolean:
+    fset = params.functions()
+    if fset.is_boolean:
         raise ConfigError("batch evaluation is defined for the regression set only")
     if xs.ndim != 2 or xs.shape[1] != params.num_inputs:
         raise ConfigError(f"expected shape (n, {params.num_inputs}), got {xs.shape}")
     if active is None:
         active = decode_active(genome)
-    operations = _array_operations(params.function_set)
     # contiguous copies of the columns, so that the ufuncs read the same
     # memory layout, and give the same bits, whatever the layout of ``xs``
-    inputs = lambda: [_read_only(xs[:, i].astype(np.float64)) for i in range(xs.shape[1])]
+    inputs = lambda: [read_only(xs[:, i].astype(np.float64)) for i in range(xs.shape[1])]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = genome.values = _walk(
-            genome, active, operations, None, inputs, parent, _bits_differ
+            genome, active, fset.functions, None, inputs, parent, _bits_differ
         )
     outputs = [values[c] for c in genome.output_connections]
     if len(outputs) == 1:

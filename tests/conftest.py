@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cgp_reorder.functions import EXP_CLAMP, PROTECTED_EPS, VALUE_LIMIT
 from cgp_reorder.genome import (
     ARITY,
     ActiveSet,
@@ -90,6 +91,65 @@ def hard_points(num_inputs: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack(columns)
 
 
+# The regression operations as out-of-place formulas on scalars or arrays,
+# in function-id order: the reference that the in-place operations of
+# `cgp_reorder.functions` must match byte for byte, and that the oracles
+# below evaluate with.
+def reference_finite(value):
+    return np.minimum(np.maximum(value, -VALUE_LIMIT), VALUE_LIMIT)
+
+
+def reference_add(a, b):
+    return reference_finite(np.add(a, b))
+
+
+def reference_sub(a, b):
+    return reference_finite(np.subtract(a, b))
+
+
+def reference_mul(a, b):
+    return reference_finite(np.multiply(a, b))
+
+
+def reference_protected_div(a, b):
+    """a / b, returning 1.0 wherever |b| < 1e-9."""
+    guarded = np.abs(b) < PROTECTED_EPS
+    safe = np.where(guarded, 1.0, b)
+    return reference_finite(np.where(guarded, 1.0, np.asarray(a, dtype=np.float64) / safe))
+
+
+def reference_sin(a):
+    return np.sin(a)
+
+
+def reference_cos(a):
+    return np.cos(a)
+
+
+def reference_protected_log(a):
+    """ln(|a|), returning 0.0 wherever |a| < 1e-9."""
+    mag = np.abs(a)
+    guarded = mag < PROTECTED_EPS
+    return np.where(guarded, 0.0, np.log(np.where(guarded, 1.0, mag)))
+
+
+def reference_clamped_exp(a):
+    """exp(min(a, 700)) so the result never overflows to infinity."""
+    return np.exp(np.minimum(a, EXP_CLAMP))
+
+
+REFERENCE_OPERATIONS = (
+    reference_add,
+    reference_sub,
+    reference_mul,
+    reference_protected_div,
+    reference_sin,
+    reference_cos,
+    reference_protected_log,
+    reference_clamped_exp,
+)
+
+
 def oracle_evaluate_batch(
     genome: Genotype, xs: np.ndarray, active: ActiveSet | None = None
 ) -> np.ndarray:
@@ -108,7 +168,8 @@ def oracle_evaluate_batch(
             node = genome.computational[idx]
             spec = entries[node.function_id]
             args = [values[c] for c in node.connections[: spec.arity]]
-            values[start + idx] = np.asarray(spec.fn(*args), dtype=np.float64)
+            reference = REFERENCE_OPERATIONS[node.function_id]
+            values[start + idx] = np.asarray(reference(*args), dtype=np.float64)
     return np.column_stack([values[c] for c in genome.output_connections])
 
 
@@ -128,8 +189,9 @@ def full_forward_pass(genome: Genotype, inputs, mask: int = 1) -> list:
             spec = fset.entries[node.function_id]
             args = [values[c] for c in node.connections[: spec.arity]]
             if fset.is_boolean:
-                args.append(mask)
-            values[params.comp_start + idx] = spec.fn(*args)
+                values[params.comp_start + idx] = spec.fn(*args, mask)
+            else:
+                values[params.comp_start + idx] = REFERENCE_OPERATIONS[node.function_id](*args)
     return [values[c] for c in genome.output_connections]
 
 

@@ -116,18 +116,25 @@ def test_exit_status_gates_on_an_unmet_claim(met, expected):
     assert bench_compare.exit_status(claimed) == expected
 
 
+DECLARED = {
+    "workloads": [{"name": "w-n1"}],
+    "end_to_end": [{"name": "iter_per_s", "unit": "iter/s", "better": "higher",
+                    "bound": 0.15}],
+}
+
+
+def checkouts(tmp_path):
+    """A parent and a change checkout that declare one workload."""
+    for side in bench_compare.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(DECLARED))
+
+
 @pytest.mark.parametrize("change_value,met,expected", [(110.0, True, 0), (100.5, False, 1)])
 def test_main_writes_the_claim_and_gates_on_it(
     tmp_path, monkeypatch, change_value, met, expected
 ):
-    declared = {
-        "workloads": [{"name": "w-n1"}],
-        "end_to_end": [{"name": "iter_per_s", "unit": "iter/s", "better": "higher",
-                        "bound": 0.15}],
-    }
-    for side in bench_compare.SIDES:
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(declared))
+    checkouts(tmp_path)
     runs = {"parent": iter([99.0, 100.0, 101.0] * 4), "change": iter([change_value] * 10)}
 
     def run_workload(checkout, workload, seed, seconds):
@@ -144,3 +151,33 @@ def test_main_writes_the_claim_and_gates_on_it(
     claim = json.loads((tmp_path / "BENCH_t.json").read_text())["claim"]
     assert claim["workload"] == "w-n1" and claim["metric"] == "iter_per_s"
     assert claim["met"] is met
+
+
+def test_tier1_runs_parent_change_change_parent_and_records_each_run(tmp_path, monkeypatch):
+    checkouts(tmp_path)
+    monkeypatch.setattr(bench_compare, "run_workload", lambda checkout, *args: {
+        "metrics": {"iter_per_s": {"value": 100.0}}, "attempted": 1, "failed": 0,
+    })
+    walls = iter([300.0, 200.0, 220.0, 340.0])
+    order = []
+
+    def run_tier1(checkout):
+        order.append(Path(checkout).name)
+        return {"wall_s": next(walls), "passed": 3, "failed": 0, "skipped": 1,
+                "errors": 0, "exit_code": 0, "summary": "3 passed, 1 skipped"}
+
+    monkeypatch.setattr(bench_compare, "run_tier1", run_tier1)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_compare.py", "--parent", "parent", "--change", "change", "--pairs", "2",
+        "--seed", "0", "--seconds", "1", "--pr", "t", "--tier1",
+    ])
+    assert bench_compare.main() == 0
+    assert order == ["parent", "change", "change", "parent"]
+    tier1 = json.loads((tmp_path / "BENCH_t.json").read_text())["tier1"]
+    assert tier1["order"] == order
+    assert [run["wall_s"] for run in tier1["parent"]["runs"]] == [300.0, 340.0]
+    assert [run["wall_s"] for run in tier1["change"]["runs"]] == [200.0, 220.0]
+    assert tier1["parent"]["mean_wall_s"] == 320.0
+    assert tier1["change"]["mean_wall_s"] == 210.0
+    assert all(run["passed"] == 3 for side in bench_compare.SIDES for run in tier1[side]["runs"])

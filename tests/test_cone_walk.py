@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import cgp_reorder.genome as genome_module
 from cgp_reorder.benchmarks import DataSplit, RegressionBenchmark, build_boolean
 from cgp_reorder.evolution import ESConfig, run_es, select_parent
-from cgp_reorder.functions import BOOLEAN_SET
+from cgp_reorder.functions import BOOLEAN_SET, REGRESSION_SET
 from cgp_reorder.genome import (
     Genotype,
     GraphParams,
@@ -462,8 +462,8 @@ def test_unused_gene_edit_of_a_sine_computes_one_node(monkeypatch):
 
         return counted
 
-    counting = tuple(map(count, genome_module._array_operations("regression")))
-    monkeypatch.setattr(genome_module, "_array_operations", lambda set_id: counting)
+    counting = tuple(map(count, REGRESSION_SET.functions))
+    monkeypatch.setitem(REGRESSION_SET.__dict__, "functions", counting)
     genome = chain_genome(8, "regression")
     genome.computational[3] = NodeGene(4, (4, 4))  # SIN of node 2
     xs = hard_points(2, np.random.default_rng(0))

@@ -16,6 +16,8 @@ from cgp_reorder.functions import (
 )
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene, evaluate_batch
 
+from conftest import REFERENCE_OPERATIONS
+
 TRUTH_TABLES = {
     "AND": {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
     "OR": {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
@@ -49,23 +51,30 @@ def _regression_fn(name):
     return next(s for s in REGRESSION_SET.entries if s.name == name).fn
 
 
+def _at(operation, a, b=0.0):
+    """``operation`` on one-element arrays holding ``a`` and ``b``, with
+    numpy's floating-point warnings off, as in `evaluate_batch`."""
+    with np.errstate(all="ignore"):
+        return operation(np.array([a]), np.array([b]), None)
+
+
 def test_protected_division_examples():
     pdiv = _regression_fn("PDIV")
-    assert pdiv(1.0, 0.0) == 1.0
-    assert pdiv(6.0, 3.0) == 2.0
+    assert _at(pdiv, 1.0, 0.0) == 1.0
+    assert _at(pdiv, 6.0, 3.0) == 2.0
 
 
 def test_protected_log_examples():
     ln = _regression_fn("LN")
-    assert ln(math.e) == pytest.approx(1.0)
-    assert ln(-math.e) == pytest.approx(1.0)
-    assert ln(0.0) == 0.0
+    assert _at(ln, math.e) == pytest.approx(1.0)
+    assert _at(ln, -math.e) == pytest.approx(1.0)
+    assert _at(ln, 0.0) == 0.0
 
 
 def test_exp_examples():
     exp = _regression_fn("EXP")
-    assert exp(0.0) == 1.0
-    assert np.isfinite(exp(1e9))
+    assert _at(exp, 0.0) == 1.0
+    assert np.isfinite(_at(exp, 1e9))
 
 
 def test_unary_functions_ignore_excess_args():
@@ -82,11 +91,10 @@ finite_floats = st.floats(
 
 @given(finite_floats, finite_floats)
 def test_regression_functions_finite_for_finite_args(a, b):
-    with np.errstate(all="ignore"):
-        for spec in REGRESSION_SET.entries:
-            result = spec.fn(*(a, b)[: spec.arity])
-            assert np.isfinite(result)
-            assert abs(result) <= VALUE_LIMIT
+    for spec in REGRESSION_SET.entries:
+        result = _at(spec.fn, a, b)
+        assert np.isfinite(result)
+        assert abs(result) <= VALUE_LIMIT
 
 
 def test_function_set_registry():
@@ -131,13 +139,67 @@ def test_finite_clamp_equals_np_clip_byte_for_byte():
     def clip(value):
         return np.clip(value, -VALUE_LIMIT, VALUE_LIMIT)
 
-    scalars = [float(v) for v in EDGE_VALUES] + list(EDGE_VALUES)
+    # the clamp writes into its argument, so it runs on a copy
     arrays = [EDGE_VALUES, EDGE_VALUES.reshape(2, 7), EDGE_VALUES[:1], np.tile(EDGE_VALUES, 4)]
-    for value in scalars + arrays:
-        assert same_bytes(_finite(value), clip(value)), value
+    for value in arrays:
+        assert same_bytes(_finite(value.copy()), clip(value)), value
     with np.errstate(over="ignore"):
         overflow = np.multiply(EDGE_VALUES, 1e300)
-    assert same_bytes(_finite(overflow), clip(overflow))
+    assert same_bytes(_finite(overflow.copy()), clip(overflow))
+
+
+# the edge values, and the guard edges of PDIV and LN (1e-9) and of EXP (700)
+GUARD_EDGES = np.concatenate(
+    [EDGE_VALUES, [1e-9, -1e-9, 1e-10, 700.0, 701.0, -701.0, 1e300]]
+)
+
+
+def operand_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of guard edges, then 2,000 random pairs of either sign
+    with magnitudes from 1e-300 to 1e300."""
+    a = np.repeat(GUARD_EDGES, len(GUARD_EDGES))
+    b = np.tile(GUARD_EDGES, len(GUARD_EDGES))
+    rng = np.random.default_rng(19)
+    random = rng.choice([-1.0, 1.0], (2, 2000)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, 2000))
+    return np.concatenate([a, random[0]]), np.concatenate([b, random[1]])
+
+
+def reference(function_id, a, b):
+    """The value of a regression node by its out-of-place reference formula."""
+    arguments = (a, b)[: REGRESSION_SET.arities[function_id]]
+    return np.asarray(REFERENCE_OPERATIONS[function_id](*arguments), dtype=np.float64)
+
+
+REGRESSION_IDS = [spec.name for spec in REGRESSION_SET.entries]
+
+
+@pytest.mark.parametrize("function_id", range(REGRESSION_SET.size), ids=REGRESSION_IDS)
+def test_regression_operation_equals_its_reference_byte_for_byte(function_id):
+    operation = REGRESSION_SET.functions[function_id]
+    a, b = operand_pairs()
+    with np.errstate(all="ignore"):
+        assert same_bytes(operation(a, b, None), reference(function_id, a, b))
+        # one pair at a time as well, where numpy takes no vector loop
+        for i in range(len(GUARD_EDGES) ** 2):
+            x, y = a[i : i + 1], b[i : i + 1]
+            assert same_bytes(operation(x, y, None), reference(function_id, x, y)), (x, y)
+
+
+@pytest.mark.parametrize("function_id", range(REGRESSION_SET.size), ids=REGRESSION_IDS)
+def test_regression_operation_writes_only_its_own_result(function_id):
+    operation = REGRESSION_SET.functions[function_id]
+    a, b = operand_pairs()
+    frozen_a, frozen_b = a.copy(), b.copy()
+    frozen_a.setflags(write=False)
+    frozen_b.setflags(write=False)
+    for x, y in ((a, b), (a, a), (frozen_a, frozen_b), (frozen_a, frozen_a)):
+        before = [(v.tobytes(), v.flags.writeable) for v in (x, y)]
+        with np.errstate(all="ignore"):
+            out = operation(x, y, None)
+        assert [(v.tobytes(), v.flags.writeable) for v in (x, y)] == before
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
 
 
 def test_mean_by_reduce_equals_np_mean_byte_for_byte():
