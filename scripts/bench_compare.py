@@ -12,13 +12,14 @@ lists.  For every workload and end-to-end metric it prints each side's
 median and quartiles, the ratio of the medians, how many pairs the
 change won (by the metric's `better` direction; ties count for neither)
 and a verdict against the metric's `bound` (see `verdict`), and writes all
-of it, with every run's figures, the failed-check counts and
-each checkout's `src/cgp_reorder` line count, to `BENCH_<P>.json` in the
-current directory.  With `--tier1`, after the pairs it runs the tier-1 test
-command four times, in the order parent, change, change, parent, so that a
-drift in machine speed that runs one way over the four runs falls on both
-sides alike, and records under `tier1` each run's wall seconds and passed,
-failed and skipped counts, and each side's mean wall seconds.  With
+of it, with every run's figures, the failed-check counts and each
+checkout's `src/cgp_reorder` line and code-line counts (see
+`src_code_lines`), to `BENCH_<P>.json` in the current directory.  With
+`--tier1`, after the pairs it runs the tier-1 test command four times, in
+the order parent, change, change, parent, so that a drift in machine speed
+that runs one way over the four runs falls on both sides alike, and
+records under `tier1` each run's wall seconds and passed, failed and
+skipped counts, and each side's mean wall seconds.  With
 `--claim`, it judges the gain a change claims on one workload's metric (see
 `judge_claim`) and writes the judgement under `claim`.  It exits with 1,
 after writing the file, when any run reported failed checks, any verdict is
@@ -29,6 +30,7 @@ change.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -53,6 +55,26 @@ def src_lines(checkout: str) -> int:
     for path in glob.glob(os.path.join(checkout, "src", "cgp_reorder", "*.py")):
         with open(path, encoding="utf-8") as f:
             total += sum(1 for _ in f)
+    return total
+
+
+def src_code_lines(checkout: str) -> int:
+    """Lines of `src/cgp_reorder` that are not blank, not a `#` line and not
+    inside a module, class or function docstring."""
+    docstring_owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "cgp_reorder", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        prose = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, docstring_owners) and ast.get_docstring(node) is not None:
+                prose.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += sum(
+            1
+            for number, line in enumerate(text.splitlines(), 1)
+            if line.strip() and not line.lstrip().startswith("#") and number not in prose
+        )
     return total
 
 
@@ -221,6 +243,7 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
+        "src_code_lines": {side: src_code_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
     for workload in workloads:
@@ -259,8 +282,8 @@ def main() -> int:
         report["workloads"][workload] = entry
         print(f"{workload:26} failed checks: parent {entry['failed']['parent']}, "
               f"change {entry['failed']['change']}")
-    print(f"src lines: parent {report['src_lines']['parent']}, "
-          f"change {report['src_lines']['change']}")
+    for key in ("src_lines", "src_code_lines"):
+        print(f"{key}: parent {report[key]['parent']}, change {report[key]['change']}")
 
     if args.claim:
         workload, name = claimed

@@ -2,7 +2,8 @@
 curves, and per-variant summary statistics.
 
 Standard deviations are population deviations (divisor n), which is also
-noted in the emitted file headers.
+noted in the emitted file headers.  Finite fitnesses give finite means and
+deviations, however large they are (see `mean_sd`).
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ class PositionalBiasHistogram:
     probabilities: list[float]
     num_runs: int
 
-    @property
-    def num_positions(self) -> int:
-        return len(self.probabilities)
-
     def normalized_positions(self) -> list[float]:
-        n = self.num_positions
+        n = len(self.probabilities)
         if n == 1:
             return [0.0]
         return [i / (n - 1) for i in range(n)]
@@ -85,10 +82,28 @@ def active_distribution(results: Sequence[RunResult]) -> PositionalBiasHistogram
                 f"mixed node counts: seed {r.seed} has {len(r.active_bitmap)} "
                 f"positions, expected {width}"
             )
-    counts = np.zeros(width)
-    for r in results:
-        counts += np.frombuffer(r.active_bitmap.encode(), dtype=np.uint8) - ord("0")
+    bits = np.frombuffer("".join(r.active_bitmap for r in results).encode(), dtype=np.uint8)
+    counts = (bits.reshape(len(results), width) - ord("0")).sum(axis=0)
     return PositionalBiasHistogram((counts / len(results)).tolist(), len(results))
+
+
+def mean_sd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population sd of ``values`` over axis 0, column by column.
+
+    A column of finite values whose plain float64 mean or sd overflows is
+    divided by its largest magnitude, summarised, and scaled back, so that
+    finite fitnesses give finite figures; every other column keeps numpy's
+    plain result.  A column of identical values, infinities included, has
+    an sd of exactly zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = np.mean(values, axis=0), np.std(values, axis=0)
+        redo = ~(np.isfinite(mean) & np.isfinite(sd)) & np.isfinite(values).all(axis=0)
+        if redo.any():
+            scale = np.where(redo, np.abs(values).max(axis=0), 1.0)
+            mean = np.where(redo, np.mean(values / scale, axis=0) * scale, mean)
+            sd = np.where(redo, np.std(values / scale, axis=0) * scale, sd)
+    return mean, np.where((values == values[0]).all(axis=0), 0.0, sd)
 
 
 def summarize(results: Sequence[RunResult], config: dict) -> SummaryRow:
@@ -96,22 +111,23 @@ def summarize(results: Sequence[RunResult], config: dict) -> SummaryRow:
     by the benchmark, variant, nodes and p_reorder of its ``config``."""
     if not results:
         raise AggregationError("no results to summarize")
-    iterations = np.asarray([r.iterations for r in results], dtype=np.float64)
-    tests = [r.final_test_fitness for r in results]
-    mean_test = (
-        float(np.mean([t for t in tests])) if all(t is not None for t in tests) else None
+    mean = lambda values: float(mean_sd(np.asarray(values, dtype=np.float64))[0])
+    mean_iterations, sd_iterations = mean_sd(
+        np.asarray([r.iterations for r in results], dtype=np.float64)
     )
+    tests = [r.final_test_fitness for r in results]
+    mean_test = mean(tests) if all(t is not None for t in tests) else None
     return SummaryRow(
         variant=config["variant"],
         benchmark=config["benchmark"],
         nodes=config["nodes"],
         p_reorder=config["p_reorder"],
         runs=len(results),
-        mean_iterations=float(np.mean(iterations)),
-        sd_iterations=float(np.std(iterations)),
+        mean_iterations=float(mean_iterations),
+        sd_iterations=float(sd_iterations),
         mean_active=float(np.mean([r.active_count for r in results])),
         success_rate=sum(1 for r in results if r.converged) / len(results),
-        mean_train_fitness=float(np.mean([r.final_train_fitness for r in results])),
+        mean_train_fitness=mean([r.final_train_fitness for r in results]),
         mean_test_fitness=mean_test,
         config=config,
     )
@@ -135,20 +151,12 @@ def convergence_mean(
         raise AggregationError("no traces to aggregate")
     values = np.empty((len(traces), len(grid)))
     for t_idx, trace in enumerate(traces):
-        samples = trace.samples
-        cursor = 0
-        current = samples[0][1]
-        for g_idx, point in enumerate(grid):
-            while cursor < len(samples) and samples[cursor][0] <= point:
-                current = samples[cursor][1]
-                cursor += 1
-            values[t_idx, g_idx] = current
-    sd = np.std(values, axis=0)
-    sd[np.ptp(values, axis=0) == 0.0] = 0.0  # identical values: exactly zero
+        iterations, fitnesses = zip(*trace.samples)
+        last = np.searchsorted(iterations, grid, side="right") - 1
+        values[t_idx] = np.asarray(fitnesses)[np.maximum(last, 0)]
+    mean, sd = mean_sd(values)
     return ConvergenceCurve(
-        iterations=list(grid),
-        mean_fitness=np.mean(values, axis=0).tolist(),
-        sd_fitness=sd.tolist(),
+        iterations=list(grid), mean_fitness=mean.tolist(), sd_fitness=sd.tolist()
     )
 
 

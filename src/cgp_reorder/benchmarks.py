@@ -32,6 +32,8 @@ REGRESSION_NAMES = ("nguyen7", "koza3", "pagie1", "keijzer6")
 
 @dataclass
 class BooleanBenchmark:
+    function_set = "boolean"
+
     name: str
     num_inputs: int
     num_outputs: int
@@ -53,10 +55,6 @@ class BooleanBenchmark:
         self.target_masks = tuple(out_masks)
         self.full_mask = (1 << rows) - 1
 
-    @property
-    def function_set(self) -> str:
-        return "boolean"
-
 
 @dataclass
 class DataSplit:
@@ -69,15 +67,13 @@ class DataSplit:
 
 @dataclass
 class RegressionBenchmark:
+    function_set = "regression"
+    num_outputs = 1
+
     name: str
     num_inputs: int
     train: DataSplit
     test: DataSplit | None = None
-    num_outputs: int = 1
-
-    @property
-    def function_set(self) -> str:
-        return "regression"
 
 
 def _bits_lsb(value: int, width: int) -> tuple[int, ...]:
@@ -91,10 +87,7 @@ def _bits_msb(value: int, width: int) -> tuple[int, ...]:
 def build_boolean(name: str) -> BooleanBenchmark:
     """Construct one of the four truth-table benchmarks."""
     if name == "parity3":
-        table = [
-            (_bits_lsb(r, 3), ((_bits_lsb(r, 3)[0] ^ _bits_lsb(r, 3)[1] ^ _bits_lsb(r, 3)[2]),))
-            for r in range(8)
-        ]
+        table = [(_bits_lsb(r, 3), (r.bit_count() & 1,)) for r in range(8)]
         return BooleanBenchmark(name, 3, 1, table)
     if name == "encode16_4":
         # only the 16 one-hot rows form the encoder's domain
@@ -118,18 +111,6 @@ def build_boolean(name: str) -> BooleanBenchmark:
     raise ConfigError(f"unknown boolean benchmark {name!r}; expected one of {BOOLEAN_NAMES}")
 
 
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop:
-            break
-        values.append(v)
-        k += 1
-    return np.asarray(values, dtype=np.float64)
-
-
 def build_regression(name: str, rng: np.random.Generator) -> RegressionBenchmark:
     """Construct one of the four regression benchmarks."""
     if name == "nguyen7":
@@ -141,7 +122,7 @@ def build_regression(name: str, rng: np.random.Generator) -> RegressionBenchmark
         ys = xs**6 - 2.0 * xs**4 + xs**2
         return RegressionBenchmark(name, 1, DataSplit(xs.reshape(-1, 1), ys))
     if name == "pagie1":
-        axis = _grid(-5.0, 5.0, 0.4)
+        axis = -5.0 + 0.4 * np.arange(26)  # -5.0 to 5.0 in steps of 0.4
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         xs = np.column_stack([gx.ravel(), gy.ravel()])
         ys = 1.0 / (1.0 + xs[:, 0] ** -4) + 1.0 / (1.0 + xs[:, 1] ** -4)

@@ -69,9 +69,7 @@ def parse_seed_spec(spec: str) -> list[int]:
         if stop < start:
             raise ValueError(f"seed range {spec!r} is descending")
         return list(range(start, stop + 1))
-    if "," in spec:
-        return [int(part) for part in spec.split(",") if part.strip()]
-    return [int(spec)]
+    return _parse_int_list(spec)
 
 
 def _parse_bool(raw: str) -> bool:

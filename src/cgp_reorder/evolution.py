@@ -102,17 +102,11 @@ def select_parent(
     The best offspring wins ties among offspring by lowest index and
     replaces the parent when its fitness is equal or better.
     """
-    best = 0
-    for i in range(1, len(offspring_fitnesses)):
-        if maximize:
-            if offspring_fitnesses[i] > offspring_fitnesses[best]:
-                best = i
-        else:
-            if offspring_fitnesses[i] < offspring_fitnesses[best]:
-                best = i
-    if maximize:
-        return best if offspring_fitnesses[best] >= parent_fitness else None
-    return best if offspring_fitnesses[best] <= parent_fitness else None
+    best = offspring_fitnesses.index(
+        max(offspring_fitnesses) if maximize else min(offspring_fitnesses)
+    )
+    fit = offspring_fitnesses[best]
+    return best if (fit >= parent_fitness if maximize else fit <= parent_fitness) else None
 
 
 def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> RunResult:
@@ -180,7 +174,6 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
 
         if is_converged(parent_fitness):
             converged = True
-            trace.record(iteration, parent_fitness)
             break
         if improved or config.trace_full or iteration % 100 == 0:
             trace.record(iteration, parent_fitness)

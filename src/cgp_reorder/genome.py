@@ -25,8 +25,7 @@ which lists for every node the genes that read it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Callable, Sequence
@@ -34,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functions import FunctionSet, get_function_set, read_only
+from .functions import FUNCTION_SETS, FunctionSet, get_function_set, read_only
 
 # connection genes per computational node: no function consumes more
 ARITY = 2
@@ -70,17 +69,9 @@ class GraphParams:
         """Positions an output connection may target (inputs + computational)."""
         return self.num_inputs + self.num_computational
 
-    @cached_property
-    def _functions(self) -> FunctionSet:
-        return get_function_set(self.function_set)
-
     def functions(self) -> FunctionSet:
-        """The function set, looked up on first use only."""
-        return self._functions
-
-    def __getstate__(self) -> dict:
-        # the looked-up set stays out of a pickle, which holds the fields
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The function set, checked to exist on construction."""
+        return FUNCTION_SETS[self.function_set]
 
 
 @dataclass(slots=True)

@@ -435,6 +435,71 @@ def decile_means(probabilities: list[float]) -> list[float]:
     return [float(np.mean(probs[a:b])) for a, b in zip(edges, edges[1:])]
 
 
+# Loop forms of what src now does in one library call each: the reference
+# that every replacement must match byte for byte.
+def reference_select_parent(parent_fitness, offspring_fitnesses, maximize):
+    """Two mirrored scans for the best offspring, lowest index on ties."""
+    best = 0
+    for i in range(1, len(offspring_fitnesses)):
+        if maximize:
+            if offspring_fitnesses[i] > offspring_fitnesses[best]:
+                best = i
+        else:
+            if offspring_fitnesses[i] < offspring_fitnesses[best]:
+                best = i
+    if maximize:
+        return best if offspring_fitnesses[best] >= parent_fitness else None
+    return best if offspring_fitnesses[best] <= parent_fitness else None
+
+
+def reference_convergence_mean(traces, grid) -> tuple[list[float], list[float]]:
+    """A cursor merge of each trace against the grid, then numpy's plain mean
+    and population sd per grid point, zero where the values span nothing."""
+    values = np.empty((len(traces), len(grid)))
+    for t_idx, trace in enumerate(traces):
+        samples = trace.samples
+        cursor = 0
+        current = samples[0][1]
+        for g_idx, point in enumerate(grid):
+            while cursor < len(samples) and samples[cursor][0] <= point:
+                current = samples[cursor][1]
+                cursor += 1
+            values[t_idx, g_idx] = current
+    sd = np.std(values, axis=0)
+    sd[np.ptp(values, axis=0) == 0.0] = 0.0
+    return np.mean(values, axis=0).tolist(), sd.tolist()
+
+
+def reference_active_probabilities(bitmaps: list[str]) -> list[float]:
+    """Each bitmap added into a float count vector in turn, then averaged."""
+    counts = np.zeros(len(bitmaps[0]))
+    for bitmap in bitmaps:
+        counts += np.frombuffer(bitmap.encode(), dtype=np.uint8) - ord("0")
+    return (counts / len(bitmaps)).tolist()
+
+
+def reference_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """``start + k * step`` for k = 0, 1, ... while it does not pass ``stop``."""
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop:
+            break
+        values.append(v)
+        k += 1
+    return np.asarray(values, dtype=np.float64)
+
+
+def reference_parity3_table() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each row's three input bits, least significant first, and their XOR."""
+    rows = []
+    for r in range(8):
+        bits = tuple((r >> i) & 1 for i in range(3))
+        rows.append((bits, (bits[0] ^ bits[1] ^ bits[2],)))
+    return rows
+
+
 BOOLEAN_SHAPES = {
     "parity3": (3, 1),
     "encode16_4": (16, 4),

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cgp_reorder.analysis import (
     ConvergenceCurve,
     active_distribution,
     convergence_mean,
     default_grid,
+    mean_sd,
     summarize,
     write_convergence_csv,
     write_histogram_csv,
@@ -14,7 +19,11 @@ from cgp_reorder.analysis import (
 from cgp_reorder.errors import AggregationError
 from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
-from conftest import decile_means
+from conftest import (
+    decile_means,
+    reference_active_probabilities,
+    reference_convergence_mean,
+)
 
 CONFIG = {"benchmark": "parity3", "variant": "none", "nodes": 4, "p_reorder": 1.0}
 
@@ -86,6 +95,81 @@ class TestSummarize:
             summarize([], CONFIG)
 
 
+@st.composite
+def bitmaps(draw):
+    width = draw(st.integers(1, 60))
+    bitmap = st.text(alphabet="01", min_size=width, max_size=width)
+    return draw(st.lists(bitmap, min_size=1, max_size=8))
+
+
+@given(bitmaps())
+def test_active_distribution_equals_the_per_result_sum_byte_for_byte(maps):
+    hist = active_distribution([make_result(seed, bitmap) for seed, bitmap in enumerate(maps)])
+    expected = reference_active_probabilities(maps)
+    assert np.asarray(hist.probabilities).tobytes() == np.asarray(expected).tobytes()
+
+
+@st.composite
+def traces(draw):
+    """A trace of strictly ascending iterations with finite fitnesses."""
+    iterations = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=10)))
+    fitness = st.floats(-1e6, 1e6, allow_nan=False)
+    return ConvergenceTrace([(i, draw(fitness)) for i in iterations])
+
+
+@given(
+    st.lists(traces(), min_size=1, max_size=6),
+    st.lists(st.integers(-10, 350), max_size=30).map(sorted),
+)
+def test_convergence_mean_equals_the_cursor_merge_byte_for_byte(runs, grid):
+    curve = convergence_mean(runs, grid)
+    mean, sd = reference_convergence_mean(runs, grid)
+    assert np.asarray(curve.mean_fitness).tobytes() == np.asarray(mean).tobytes()
+    assert np.asarray(curve.sd_fitness).tobytes() == np.asarray(sd).tobytes()
+
+
+class TestMeanSd:
+    """Finite values give finite means and sds."""
+
+    def test_deviations_too_large_to_square(self):
+        # the iteration-0 fitnesses of two keijzer6 seeds
+        a = ConvergenceTrace([(0, 4.868313862735679e303)])
+        b = ConvergenceTrace([(0, 3.96)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = convergence_mean([a, b], [0])
+        assert curve.mean_fitness == [pytest.approx(2.4341569313678394e303)]
+        assert curve.sd_fitness == [pytest.approx(2.4341569313678394e303)]
+
+    def test_values_too_large_to_sum(self):
+        rows = [make_result(train=v, test=v) for v in (1.7e308, 1.6e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize(rows, CONFIG)
+            curve = convergence_mean([r.trace for r in rows], [10])
+        assert summary.mean_train_fitness == pytest.approx(1.65e308)
+        assert summary.mean_test_fitness == pytest.approx(1.65e308)
+        assert curve.mean_fitness == [pytest.approx(1.65e308)]
+        assert curve.sd_fitness == [pytest.approx(0.05e308)]
+
+    def test_only_a_column_that_overflows_is_rescaled(self):
+        values = np.array([[1e308, 0.1, 2.0], [1e308, 0.7, 2.0], [-5.0, 0.3, 2.0]])
+        mean, sd = mean_sd(values)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(sd))
+        assert mean[1:].tobytes() == np.mean(values[:, 1:], axis=0).tobytes()
+        assert sd[1:].tobytes() == np.std(values[:, 1:], axis=0).tobytes()
+
+    @pytest.mark.parametrize("value", [float("inf"), 1e308, 0.1])
+    def test_identical_values_have_zero_sd(self, value):
+        mean, sd = mean_sd(np.array([[value], [value]]))
+        assert mean.tolist() == [value]
+        assert sd.tolist() == [0.0]
+
+    def test_an_infinite_fitness_keeps_an_infinite_mean(self):
+        mean, _ = mean_sd(np.array([[float("inf")], [3.0]]))
+        assert mean.tolist() == [float("inf")]
+
+
 class TestConvergenceMean:
     def test_identical_traces_have_zero_sd(self):
         trace = ConvergenceTrace([(0, 1.0), (5, 0.5), (10, 0.1)])
@@ -127,6 +211,13 @@ class TestConvergenceMean:
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
             convergence_mean([], [0, 1])
+
+    def test_identical_infinities_have_zero_sd(self):
+        # seeds whose error sum overflowed
+        runs = [ConvergenceTrace([(0, float("inf"))]), ConvergenceTrace([(0, float("inf"))])]
+        curve = convergence_mean(runs, [0, 5])
+        assert curve.mean_fitness == [float("inf")] * 2
+        assert curve.sd_fitness == [0.0, 0.0]
 
 
 class TestWriters:

@@ -181,3 +181,51 @@ def test_tier1_runs_parent_change_change_parent_and_records_each_run(tmp_path, m
     assert tier1["parent"]["mean_wall_s"] == 320.0
     assert tier1["change"]["mean_wall_s"] == 210.0
     assert all(run["passed"] == 3 for side in bench_compare.SIDES for run in tier1[side]["runs"])
+
+
+FIXTURE_MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os  # a trailing comment keeps its line
+
+
+class Shape:
+    """A one-line class docstring."""
+
+    sides = 4
+
+    def area(self):
+        """A function docstring
+        over three lines.
+        """
+        text = """a string that is no docstring
+        counts"""
+        return text
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path, monkeypatch, capsys):
+    checkouts(tmp_path)
+    for side, copies in (("parent", 2), ("change", 1)):
+        package = tmp_path / side / "src" / "cgp_reorder"
+        package.mkdir(parents=True)
+        for k in range(copies):
+            (package / f"m{k}.py").write_text(FIXTURE_MODULE)
+    # import, class, sides, def, the two-line string and the return
+    assert bench_compare.src_code_lines(str(tmp_path / "change")) == 7
+    assert bench_compare.src_lines(str(tmp_path / "change")) == 19
+
+    monkeypatch.setattr(bench_compare, "run_workload", lambda checkout, *args: {
+        "metrics": {"iter_per_s": {"value": 100.0}}, "attempted": 1, "failed": 0,
+    })
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_compare.py", "--parent", "parent", "--change", "change", "--pairs", "2",
+        "--seed", "0", "--seconds", "1", "--pr", "t",
+    ])
+    assert bench_compare.main() == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["src_code_lines"] == {"parent": 14, "change": 7}
+    assert report["src_lines"] == {"parent": 38, "change": 19}
+    assert "src_code_lines: parent 14, change 7" in capsys.readouterr().out

@@ -18,7 +18,12 @@ from cgp_reorder.benchmarks import (
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene
 
-from conftest import parity3_xor_genome, read_dataset_csv
+from conftest import (
+    parity3_xor_genome,
+    read_dataset_csv,
+    reference_grid,
+    reference_parity3_table,
+)
 
 
 def constant_zero_genome(num_inputs, num_outputs, nodes=4):
@@ -43,6 +48,9 @@ class TestBooleanTables:
         assert len(bench.table) == 8
         for bits_in, bits_out in bench.table:
             assert bits_out == (bits_in[0] ^ bits_in[1] ^ bits_in[2],)
+
+    def test_parity3_equals_the_xor_table(self):
+        assert build_boolean("parity3").table == reference_parity3_table()
 
     def test_parity3_row_110(self):
         bench = build_boolean("parity3")
@@ -158,6 +166,13 @@ class TestRegressionDatasets:
         idx = np.where((xs[:, 0] == 1.0) & (xs[:, 1] == 1.0))[0]
         assert len(idx) == 1
         assert bench.train.ys[idx[0]] == pytest.approx(1.0)
+
+    def test_pagie1_axis_equals_the_stepping_loop_byte_for_byte(self, rng):
+        xs = build_regression("pagie1", rng).train.xs
+        axis = reference_grid(-5.0, 5.0, 0.4)
+        # the grid runs over the first input, then the second
+        assert xs[::26, 0].tobytes() == axis.tobytes()
+        assert xs[:26, 1].tobytes() == axis.tobytes()
 
     def test_keijzer6_harmonic_sums(self, rng):
         bench = build_regression("keijzer6", rng)

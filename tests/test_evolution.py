@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cgp_reorder.evolution as evolution
 from cgp_reorder.benchmarks import (
@@ -20,7 +22,7 @@ from cgp_reorder.evolution import (
 from cgp_reorder.genome import Genotype, decode_active
 from cgp_reorder.reorder import ReorderStrategy
 
-from conftest import sorted_readers
+from conftest import reference_select_parent, sorted_readers
 
 
 def constant_zero_bench():
@@ -84,6 +86,23 @@ class TestSelectParent:
     def test_offspring_ties_break_by_lowest_index(self):
         assert select_parent(0.2, [0.7, 0.7, 0.7, 0.7], maximize=True) == 0
         assert select_parent(0.9, [0.1, 0.1, 0.1, 0.1], maximize=False) == 0
+
+    # few distinct values, so that lists tie often; infinities, NaN and both
+    # zeros included
+    FITNESS = st.sampled_from(
+        [0.0, -0.0, 0.25, 0.5, 1.0, float("inf"), -float("inf"), float("nan")]
+    )
+
+    @settings(max_examples=500)
+    @given(
+        parent=FITNESS,
+        offspring=st.lists(FITNESS, min_size=1, max_size=6),
+        maximize=st.booleans(),
+    )
+    def test_matches_the_two_mirrored_scans(self, parent, offspring, maximize):
+        assert select_parent(parent, offspring, maximize) == reference_select_parent(
+            parent, offspring, maximize
+        )
 
 
 class TestRunEs:

@@ -49,12 +49,12 @@ class TestGraphParams:
         assert p.comp_end == 4
         assert p.num_connectable == 5
 
-    def test_function_set_looked_up_once_and_kept_out_of_pickles(self):
+    def test_functions_is_the_registered_set_and_stays_out_of_pickles(self):
         p = GraphParams(2, 1, 3, "regression")
         fresh = pickle.dumps(p)
         assert p.functions() is REGRESSION_SET
         assert p.functions() is p.functions()
-        # the kept set changes neither the pickle, nor equality, nor the hash
+        # a call changes neither the pickle, nor equality, nor the hash
         assert pickle.dumps(p) == fresh
         copy = pickle.loads(fresh)
         assert copy == p and hash(copy) == hash(p)
