@@ -3,16 +3,20 @@
 
 Boolean benchmarks run to solution (safety-capped); regression benchmarks
 run against a reduced iteration budget so the sweep stays interactive.
-Summary rows print per variant, and a combined analysis is written at the
-end.
+Every variant is one cell, `<outdir>/<variant>`, of one resumable batch on
+one worker pool: a rerun after a kill runs only the seeds that no cell has
+recorded.  Summary rows print per variant, and a combined analysis is
+written at the end.
 
 Usage: python scripts/desk_benchmark_suite.py [benchmark] [outdir] [seed_spec]
 """
 
 import sys
 
+from cgp_reorder import cli
+from cgp_reorder.analysis import summarize
 from cgp_reorder.benchmarks import benchmark_kind
-from cgp_reorder.cli import main
+from cgp_reorder.errors import ConfigError
 
 # desk-scale node counts per benchmark (kept small on purpose)
 NODES = {
@@ -31,25 +35,30 @@ VARIANTS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
 
 def run(benchmark: str = "parity3", outdir: str | None = None, seeds: str = "0..24") -> int:
     outdir = outdir or f"runs/suite_{benchmark}"
-    nodes = NODES.get(benchmark, 200)
-    budget = ["--max-iterations", "20000"] if benchmark_kind(benchmark) == "regression" else []
-    for variant in VARIANTS:
-        gate = ["--p-reorder", "0.5"] if variant in ("negbias", "leftskew") else []
-        code = main(
-            [
+    try:
+        budget = ["--max-iterations", "20000"] if benchmark_kind(benchmark) == "regression" else []
+        cells = {}
+        for variant in VARIANTS:
+            gate = ["--p-reorder", "0.5"] if variant in ("negbias", "leftskew") else []
+            argv = [
                 "run",
                 "--bench", benchmark,
                 "--variant", variant,
-                "--nodes", str(nodes),
+                "--nodes", str(NODES.get(benchmark, 200)),
                 "--seeds", seeds,
                 "--out", f"{outdir}/{variant}",
                 *budget,
                 *gate,
             ]
-        )
-        if code != 0:
-            return code
-    return main(["analyze", outdir, "--out", f"{outdir}/analysis"])
+            cell = cli.finalize(cli.build_settings(cli.build_parser().parse_args(argv)))
+            cells[cell.out] = cell
+        results = cli.run_batch(cells, outdir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    for cell_dir, cell in cells.items():
+        print(summarize(results[cell_dir], cli.effective_config(cell)).format_line())
+    return cli.main(["analyze", outdir, "--out", f"{outdir}/analysis"])
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def profile_workload(name: str) -> pstats.Stats:
     bench = cli._build_bench(settings, None)
     profile = cProfile.Profile()
     for seed in settings.seeds:
-        profile.runcall(cli._run_seed, settings, bench, seed)
+        profile.runcall(cli.run_es, settings, bench, seed)
     return pstats.Stats(profile)
 
 
@@ -51,7 +51,7 @@ def label(function: tuple[str, int, str]) -> str:
 
 def es_seconds(stats: pstats.Stats) -> float:
     """The profiled ES time: the cumulative time of every seed's run."""
-    code = cli._run_seed.__code__
+    code = cli.run_es.__code__
     return stats.stats[(code.co_filename, code.co_firstlineno, code.co_name)][3]
 
 

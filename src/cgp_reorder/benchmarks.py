@@ -172,7 +172,7 @@ def graph_params(bench, num_computational: int) -> GraphParams:
 def boolean_fitness(
     genome: Genotype,
     bench: BooleanBenchmark,
-    active: ActiveSet | None = None,
+    active: ActiveSet,
     parent: Genotype | None = None,
 ) -> float:
     """Fraction of table rows whose full output vector matches; exact in [0, 1].
@@ -197,7 +197,7 @@ def boolean_fitness(
 def mae_fitness(
     genome: Genotype,
     data: DataSplit,
-    active: ActiveSet | None = None,
+    active: ActiveSet,
     parent: Genotype | None = None,
 ) -> float:
     """Mean absolute error of the genome's single output over the split.

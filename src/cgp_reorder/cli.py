@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
 from .errors import AggregationError, ConfigError, InvariantViolation
-from .evolution import OFFSPRING_PER_ITERATION, ConvergenceTrace, ESConfig, RunResult, run_es
+from .evolution import OFFSPRING_PER_ITERATION, ConvergenceTrace, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
 from .genome import ARITY, GraphParams, random_genome, to_flat_text
 from .reorder import REORDER_KINDS, ReorderStrategy
@@ -291,20 +291,6 @@ def _build_bench(settings: Settings, dataset_dir: str | None):
     return bench
 
 
-def _run_seed(settings: Settings, bench, seed: int) -> RunResult:
-    config = ESConfig(
-        num_computational=settings.nodes,
-        strategy=ReorderStrategy(settings.variant, settings.p_reorder),
-        max_iterations=settings.max_iterations,
-        convergence_threshold=settings.threshold,
-        seed=seed,
-        master_seed=settings.master_seed,
-        trace_full=settings.trace_full,
-        track_union_active=settings.track_union_active,
-    )
-    return run_es(config, bench)
-
-
 def _echo(settings: Settings) -> dict:
     """A cell's batch.json: all that shapes its output files, which a rerun
     must repeat for the cell's records to be read back."""
@@ -349,12 +335,12 @@ def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[RunResult]
     workers = min(next(iter(cells.values())).workers or os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         for cell_dir, bench, seed in tasks:
-            result = _run_seed(cells[cell_dir], bench, seed)
+            result = run_es(cells[cell_dir], bench, seed)
             _write_run_outputs(cell_dir, cells[cell_dir], result, records[cell_dir])
     else:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
         try:
-            futures = {pool.submit(_run_seed, cells[c], b, s): c for c, b, s in tasks}
+            futures = {pool.submit(run_es, cells[c], b, s): c for c, b, s in tasks}
             for future in as_completed(futures):
                 cell_dir = futures[future]
                 _write_run_outputs(cell_dir, cells[cell_dir], future.result(), records[cell_dir])
@@ -422,7 +408,7 @@ def _write_run_outputs(
     config = effective_config(settings)
     trace = os.path.join(outdir, "traces", f"trace_seed{result.seed}.csv")
     write_trace_csv(trace, result.trace, config)
-    if settings.dump_genomes and result.final_genome is not None:
+    if settings.dump_genomes:
         genome = os.path.join(outdir, "genomes", f"genome_seed{result.seed}.txt")
         write_atomic(genome, to_flat_text(result.final_genome))
     records[result.seed] = result_record(result, config)

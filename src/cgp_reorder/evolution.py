@@ -23,6 +23,7 @@ fitness evaluations are spent per iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,25 +40,10 @@ from .genome import Genotype, decode_active, random_genome
 from .mutation import single_mutation
 from .reorder import ReorderStrategy, maybe_reorder
 
+if TYPE_CHECKING:
+    from .cli import Settings
+
 OFFSPRING_PER_ITERATION = 4
-
-
-@dataclass
-class ESConfig:
-    num_computational: int
-    strategy: ReorderStrategy
-    max_iterations: int
-    convergence_threshold: float
-    seed: int
-    master_seed: int = 0
-    trace_full: bool = False
-    track_union_active: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.num_computational < 1:
-            raise ConfigError("num_computational must be >= 1")
 
 
 @dataclass
@@ -109,43 +95,43 @@ def select_parent(
     return best if (fit >= parent_fitness if maximize else fit <= parent_fitness) else None
 
 
-def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> RunResult:
-    """Run one seeded (1+4)-ES on a benchmark until convergence or budget.
+def run_es(settings: Settings, bench, seed: int) -> RunResult:
+    """Run one seed of the (1+4)-ES under finalized settings on a benchmark
+    until convergence or budget.
 
-    Every draw of the run comes from one :class:`DrawFeed` over ``rng``'s
-    PCG64 bit generator, which ``rng`` is left in the state its own draws
-    would have left it in.
+    Every draw of the run comes from one :class:`DrawFeed` over the PCG64
+    bit generator of ``run_rng(settings.master_seed, seed)``, which the feed
+    leaves in the state that generator's own draws would have left it in.
     """
-    if rng is None:
-        rng = run_rng(config.master_seed, config.seed)
-    draws = DrawFeed(rng)
+    draws = DrawFeed(run_rng(settings.master_seed, seed))
+    strategy = ReorderStrategy(settings.variant, settings.p_reorder)
 
     if isinstance(bench, BooleanBenchmark):
         maximize = True
         fitness = lambda g, a, p=None: boolean_fitness(g, bench, a, p)
-        is_converged = lambda f: f >= config.convergence_threshold
+        is_converged = lambda f: f >= settings.threshold
     elif isinstance(bench, RegressionBenchmark):
         maximize = False
         fitness = lambda g, a, p=None: mae_fitness(g, bench.train, a, p)
-        is_converged = lambda f: f < config.convergence_threshold
+        is_converged = lambda f: f < settings.threshold
     else:
         raise ConfigError(f"unsupported benchmark type {type(bench).__name__}")
 
-    params = graph_params(bench, config.num_computational)
+    params = graph_params(bench, settings.nodes)
     parent = random_genome(params, draws)
     parent_active = decode_active(parent)
     parent_fitness = fitness(parent, parent_active)
 
     trace = ConvergenceTrace()
     trace.record(0, parent_fitness)
-    union_active = parent_active.bitmap if config.track_union_active else None
+    union_active = parent_active.bitmap if settings.track_union_active else None
 
     converged = False
     iteration = 0
-    while iteration < config.max_iterations:
+    while iteration < settings.max_iterations:
         iteration += 1
 
-        reordered = maybe_reorder(parent, config.strategy, draws, parent_active)
+        reordered = maybe_reorder(parent, strategy, draws, parent_active)
         if reordered is not parent:
             parent = reordered
             parent_active = reordered.active
@@ -175,7 +161,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
         if is_converged(parent_fitness):
             converged = True
             break
-        if improved or config.trace_full or iteration % 100 == 0:
+        if improved or settings.trace_full or iteration % 100 == 0:
             trace.record(iteration, parent_fitness)
 
     trace.record(iteration, parent_fitness)
@@ -189,7 +175,7 @@ def run_es(config: ESConfig, bench, rng: np.random.Generator | None = None) -> R
     draws.flush()
 
     return RunResult(
-        seed=config.seed,
+        seed=seed,
         converged=converged,
         iterations=iteration,
         evaluations=OFFSPRING_PER_ITERATION * iteration,

@@ -386,7 +386,7 @@ def evaluate_packed(
     genome: Genotype,
     input_masks: Sequence[int],
     full_mask: int,
-    active: ActiveSet | None = None,
+    active: ActiveSet,
     parent: Genotype | None = None,
 ) -> list[int]:
     """Evaluate a Boolean genome on all truth-table rows at once.
@@ -401,8 +401,6 @@ def evaluate_packed(
     fset = params.functions()
     if not fset.is_boolean:
         raise ConfigError("packed evaluation is defined for the boolean set only")
-    if active is None:
-        active = decode_active(genome)
     inputs = lambda: [int(mask) for mask in input_masks]
     values = genome.values = _walk(genome, active, fset.functions, full_mask, inputs, parent)
     return [values[c] for c in genome.output_connections]
@@ -417,7 +415,7 @@ def _bits_differ(value: np.ndarray, old: np.ndarray | None) -> bool:
 def evaluate_batch(
     genome: Genotype,
     xs: np.ndarray,
-    active: ActiveSet | None = None,
+    active: ActiveSet,
     parent: Genotype | None = None,
 ) -> np.ndarray:
     """Evaluate a regression genome on a batch of points.
@@ -433,8 +431,6 @@ def evaluate_batch(
         raise ConfigError("batch evaluation is defined for the regression set only")
     if xs.ndim != 2 or xs.shape[1] != params.num_inputs:
         raise ConfigError(f"expected shape (n, {params.num_inputs}), got {xs.shape}")
-    if active is None:
-        active = decode_active(genome)
     # contiguous copies of the columns, so that the ufuncs read the same
     # memory layout, and give the same bits, whatever the layout of ``xs``
     inputs = lambda: [read_only(xs[:, i].astype(np.float64)) for i in range(xs.shape[1])]

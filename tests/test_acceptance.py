@@ -114,7 +114,7 @@ class TestCriterion1PhenotypePreservation:
             params = GraphParams(num_in, num_out, 48, "boolean")
             masks, full = packed_inputs(num_in)
             failures += self._check(
-                lambda g: evaluate_packed(g, masks, full), params, num_in * 1000
+                lambda g: evaluate_packed(g, masks, full, decode_active(g)), params, num_in * 1000
             )
         ok = failures == 0
         report("1a", ok, f"boolean shapes, 5 ops x 500 genomes x exhaustive rows: {failures} mismatches")
@@ -129,7 +129,7 @@ class TestCriterion1PhenotypePreservation:
             xs = bench.train.xs
             params = GraphParams(bench.num_inputs, 1, 48, "regression")
             failures += self._check(
-                lambda g: evaluate_batch(g, xs).tobytes(),
+                lambda g: evaluate_batch(g, xs, decode_active(g)).tobytes(),
                 params,
                 zlib.crc32(name.encode()) % 10_000,
             )

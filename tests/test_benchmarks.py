@@ -16,7 +16,7 @@ from cgp_reorder.benchmarks import (
     write_dataset,
 )
 from cgp_reorder.errors import ConfigError
-from cgp_reorder.genome import GraphParams, Genotype, NodeGene
+from cgp_reorder.genome import GraphParams, Genotype, NodeGene, decode_active
 
 from conftest import (
     parity3_xor_genome,
@@ -102,12 +102,13 @@ class TestBooleanTables:
 class TestBooleanFitness:
     def test_exact_circuit_scores_one(self):
         bench = build_boolean("parity3")
-        assert boolean_fitness(parity3_xor_genome(), bench) == 1.0
+        genome = parity3_xor_genome()
+        assert boolean_fitness(genome, bench, decode_active(genome)) == 1.0
 
     def test_constant_zero_on_parity_scores_half(self):
         bench = build_boolean("parity3")
         genome = constant_zero_genome(3, 1)
-        assert boolean_fitness(genome, bench) == 0.5
+        assert boolean_fitness(genome, bench, decode_active(genome)) == 0.5
 
     def test_constant_zero_on_multiply_scores_fifteen_sixty_fourths(self):
         # oracle enumeration: the product is zero whenever either operand is
@@ -116,7 +117,7 @@ class TestBooleanFitness:
         genome = constant_zero_genome(6, 6)
         zero_rows = sum(1 for a in range(8) for b in range(8) if a * b == 0)
         assert zero_rows == 15
-        assert boolean_fitness(genome, bench) == zero_rows / 64
+        assert boolean_fitness(genome, bench, decode_active(genome)) == zero_rows / 64
 
     def test_row_counts_only_when_all_output_bits_match(self):
         # genome echoing input bit 0 to both outputs: compare to a table
@@ -127,12 +128,13 @@ class TestBooleanFitness:
         from cgp_reorder.benchmarks import BooleanBenchmark
 
         bench = BooleanBenchmark("echo", 1, 2, bench_rows)
-        assert boolean_fitness(genome, bench) == 0.0
+        assert boolean_fitness(genome, bench, decode_active(genome)) == 0.0
 
     def test_shape_mismatch_rejected(self):
         bench = build_boolean("parity3")
+        genome = constant_zero_genome(6, 6)
         with pytest.raises(ConfigError):
-            boolean_fitness(constant_zero_genome(6, 6), bench)
+            boolean_fitness(genome, bench, decode_active(genome))
 
 
 class TestRegressionDatasets:
@@ -223,14 +225,14 @@ class TestMaeFitness:
         params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         split = DataSplit(np.array([[5.0]]), np.array([2.0]))
-        assert mae_fitness(genome, split) == 3.0
+        assert mae_fitness(genome, split, decode_active(genome)) == 3.0
 
     def test_exact_fit_scores_zero(self):
         params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         xs = np.linspace(-3, 3, 17).reshape(-1, 1)
         split = DataSplit(xs, xs[:, 0].copy())
-        assert mae_fitness(genome, split) == 0.0
+        assert mae_fitness(genome, split, decode_active(genome)) == 0.0
 
     def test_constant_zero_on_koza3_scores_mean_abs_target(self, rng):
         bench = build_regression("koza3", rng)
@@ -240,7 +242,8 @@ class TestMaeFitness:
             params, [NodeGene(1, (0, 0)), NodeGene(6, (1, 1))], (2,)
         )
         expected = float(np.mean(np.abs(bench.train.ys)))
-        assert mae_fitness(genome, bench.train) == pytest.approx(expected, rel=0, abs=0)
+        score = mae_fitness(genome, bench.train, decode_active(genome))
+        assert score == pytest.approx(expected, rel=0, abs=0)
 
     def test_overflowing_sum_scores_inf_without_warning(self):
         params = GraphParams(1, 1, 1, "regression")
@@ -248,13 +251,13 @@ class TestMaeFitness:
         split = DataSplit(np.array([[1.7e308], [1.7e308]]), np.array([0.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mae_fitness(genome, split) == np.inf
+            assert mae_fitness(genome, split, decode_active(genome)) == np.inf
 
     def test_empty_split_rejected(self):
         params = GraphParams(1, 1, 1, "regression")
         genome = Genotype(params, [NodeGene(0, (0, 0))], (0,))
         with pytest.raises(ConfigError):
-            mae_fitness(genome, DataSplit(np.empty((0, 1)), np.empty(0)))
+            mae_fitness(genome, DataSplit(np.empty((0, 1)), np.empty(0)), decode_active(genome))
 
 
 class TestHelpers:

@@ -356,7 +356,7 @@ class TestRunCommand:
         settings = finalize(Settings(benchmark="parity3", nodes=20, seeds=[0, 1], workers=1))
         bench = cli._build_bench(settings, None)
         for seed in settings.seeds:
-            genome = cli._run_seed(settings, bench, seed).final_genome
+            genome = cli.run_es(settings, bench, seed).final_genome
             text = (out / "genomes" / f"genome_seed{seed}.txt").read_text()
             assert text == to_flat_text(genome)
             assert validate(genome) == []
@@ -380,7 +380,7 @@ class TestRunCommand:
         )
         lines = (tmp_path / "results.jsonl").read_text().splitlines()
         bench = cli._build_bench(settings, None)
-        runs = [cli._run_seed(settings, bench, seed) for seed in settings.seeds]
+        runs = [cli.run_es(settings, bench, seed) for seed in settings.seeds]
         for line, result in zip(lines, runs, strict=True):
             read = record_to_result(json.loads(line))
             for name in RECORD_FIELDS:
@@ -516,7 +516,7 @@ class TestGridCommand:
         first_mtime = results.stat().st_mtime_ns
         before = results.read_bytes()
         seeds = []
-        monkeypatch.setattr(cli, "_run_seed", lambda *args: seeds.append(args))
+        monkeypatch.setattr(cli, "run_es", lambda *args: seeds.append(args))
         assert run_cli(*args) == EXIT_OK
         assert seeds == []
         assert results.stat().st_mtime_ns == first_mtime
@@ -537,7 +537,7 @@ class TestGridCommand:
         results = out / "cells" / "N10_p1" / "results.jsonl"
         before = results.read_bytes()
         batches = []
-        monkeypatch.setattr(cli, "_run_seed", lambda *args: batches.append(args))
+        monkeypatch.setattr(cli, "run_es", lambda *args: batches.append(args))
         capsys.readouterr()
         # the new cell N8 sorts first, so a late check would have run it
         code = grid(
@@ -609,14 +609,14 @@ class TestBatchResume:
         run_es = cli.run_es
         ran = []
 
-        def counted(config, bench):
-            ran.append((config.num_computational, config.strategy.p_reorder, config.seed))
-            return run_es(config, bench)
+        def counted(settings, bench, seed):
+            ran.append((settings.nodes, settings.p_reorder, seed))
+            return run_es(settings, bench, seed)
 
-        def stopping(config, bench):
+        def stopping(settings, bench, seed):
             if len(ran) == stop_after:
                 raise Stopped
-            return counted(config, bench)
+            return counted(settings, bench, seed)
 
         monkeypatch.setattr(cli, "run_es", stopping)
         with pytest.raises(Stopped):
@@ -661,7 +661,7 @@ class TestBatchResume:
 
         before = files()
         seeds = []
-        monkeypatch.setattr(cli, "_run_seed", lambda *args: seeds.append(args))
+        monkeypatch.setattr(cli, "run_es", lambda *args: seeds.append(args))
         capsys.readouterr()
         assert run_cli(*args, *change) == EXIT_CONFIG
         assert str(tmp_path / "results.jsonl") in capsys.readouterr().err

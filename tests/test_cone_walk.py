@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 import cgp_reorder.genome as genome_module
 from cgp_reorder.benchmarks import DataSplit, RegressionBenchmark, build_boolean
-from cgp_reorder.evolution import ESConfig, run_es, select_parent
+from cgp_reorder.cli import Settings
+from cgp_reorder.evolution import run_es, select_parent
 from cgp_reorder.functions import BOOLEAN_SET, REGRESSION_SET
 from cgp_reorder.genome import (
     Genotype,
@@ -35,7 +36,6 @@ from cgp_reorder.genome import (
 )
 from cgp_reorder.mutation import single_mutation
 from cgp_reorder.reorder import (
-    ReorderStrategy,
     reorder_equidistant,
     reorder_leftskew,
     reorder_negbias,
@@ -425,15 +425,15 @@ def test_es_chains_match_the_oracle(num_inputs, nodes, seed, steps):
 def test_reorders_and_unconsumed_genes_keep_values():
     g = fig1_genome()
     xs = np.array([[0.5, 1.5], [2.0, -3.0], [0.0, 1e-12]])
-    before = evaluate_batch(g, xs)
+    before = evaluate_batch(g, xs, decode_active(g))
     for kind, operator in REORDERS.items():
         h = operator(g, np.random.default_rng(0))
-        assert evaluate_batch(h, xs).tobytes() == before.tobytes(), kind
+        assert evaluate_batch(h, xs, decode_active(h)).tobytes() == before.tobytes(), kind
     # the second gene of a unary node does not reach its value
     g.computational[2] = NodeGene(4, (3, 2))  # SIN of the SUB
-    sine = evaluate_batch(g, xs)
+    sine = evaluate_batch(g, xs, decode_active(g))
     g.computational[2] = NodeGene(4, (3, 3))
-    assert evaluate_batch(g, xs).tobytes() == sine.tobytes()
+    assert evaluate_batch(g, xs, decode_active(g)).tobytes() == sine.tobytes()
 
 
 def test_shared_subexpressions_square_the_difference():
@@ -441,13 +441,13 @@ def test_shared_subexpressions_square_the_difference():
     g.computational[0] = NodeGene(1, (0, 1))  # a second SUB(x0, x1)
     g.computational[2] = NodeGene(2, (2, 3))  # MUL of the two SUBs
     xs = np.array([[0.5, 1.5], [2.0, -3.0]])
-    out = evaluate_batch(g, xs)
+    out = evaluate_batch(g, xs, decode_active(g))
     assert np.array_equal(out[:, 0], (xs[:, 0] - xs[:, 1]) ** 2)
 
 
 def test_results_are_read_only():
-    xs = np.array([[1.0, 2.0]])
-    out = evaluate_batch(fig1_genome(), xs)
+    g = fig1_genome()
+    out = evaluate_batch(g, np.array([[1.0, 2.0]]), decode_active(g))
     with pytest.raises(ValueError):
         out[0, 0] = 0.0
 
@@ -504,8 +504,8 @@ def test_run_returns_a_genome_without_vector(kind):
         bench = RegressionBenchmark("line", 1, DataSplit(xs, xs[:, 0] * 3.0))
         threshold = -1.0
     for variant in ("none", "equidistant"):
-        config = ESConfig(12, ReorderStrategy(variant), 30, threshold, seed=0)
-        result = run_es(config, bench)
+        settings = Settings(variant=variant, nodes=12, max_iterations=30, threshold=threshold)
+        result = run_es(settings, bench, 0)
         assert result.final_genome is not None
         assert result.final_genome.values is None
         assert result.final_genome.active is None

@@ -12,15 +12,14 @@ from cgp_reorder.benchmarks import (
     build_boolean,
     build_regression,
 )
+from cgp_reorder.cli import Settings, finalize
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.evolution import (
-    ESConfig,
     run_es,
     run_rng,
     select_parent,
 )
 from cgp_reorder.genome import Genotype, decode_active
-from cgp_reorder.reorder import ReorderStrategy
 
 from conftest import reference_select_parent, sorted_readers
 
@@ -40,7 +39,7 @@ def check_every_reorder(monkeypatch, bench: BooleanBenchmark) -> None:
     def fresh(genome):
         # a copy carries no active set and no vector, so it is evaluated anew
         copy = Genotype(genome.params, list(genome.computational), genome.output_connections)
-        return boolean_fitness(copy, bench), copy.values
+        return boolean_fitness(copy, bench, decode_active(copy)), copy.values
 
     def checking(genome, strategy, rng, active=None):
         reordered = reorder(genome, strategy, rng, active)
@@ -61,16 +60,12 @@ def check_every_reorder(monkeypatch, bench: BooleanBenchmark) -> None:
     monkeypatch.setattr(evolution, "maybe_reorder", checking)
 
 
-def make_config(**overrides):
-    base = dict(
-        num_computational=20,
-        strategy=ReorderStrategy("none"),
-        max_iterations=5000,
-        convergence_threshold=1.0,
-        seed=0,
-    )
+def make_settings(**overrides) -> Settings:
+    """A run's settings as `finalize` leaves them: 20 nodes, no reorder, a
+    budget of 5000 iterations and a threshold of 1.0 unless overridden."""
+    base = dict(benchmark="parity3", nodes=20, max_iterations=5000, threshold=1.0)
     base.update(overrides)
-    return ESConfig(**base)
+    return finalize(Settings(**base))
 
 
 class TestSelectParent:
@@ -107,7 +102,7 @@ class TestSelectParent:
 
 class TestRunEs:
     def test_trivial_target_converges(self):
-        result = run_es(make_config(), constant_zero_bench())
+        result = run_es(make_settings(), constant_zero_bench(), 0)
         assert result.converged
         assert result.iterations >= 1
         fitness = [f for _, f in result.trace.samples]
@@ -115,22 +110,22 @@ class TestRunEs:
 
     def test_deterministic_under_fixed_seed(self):
         bench = build_boolean("parity3")
-        cfg = make_config(num_computational=60, seed=11, max_iterations=2000)
-        a = run_es(cfg, bench, run_rng(0, 11))
-        b = run_es(cfg, bench, run_rng(0, 11))
+        cfg = make_settings(nodes=60, max_iterations=2000)
+        a = run_es(cfg, bench, 11)
+        b = run_es(cfg, bench, 11)
         assert a == b
 
     def test_evaluations_equal_four_times_iterations(self):
         bench = build_boolean("parity3")
         for seed in range(5):
-            cfg = make_config(num_computational=50, seed=seed, max_iterations=300)
-            result = run_es(cfg, bench, run_rng(0, seed))
+            cfg = make_settings(nodes=50, max_iterations=300)
+            result = run_es(cfg, bench, seed)
             assert result.evaluations == 4 * result.iterations
 
     def test_budget_exhaustion_reports_not_converged(self):
         bench = build_boolean("multiply3")
-        cfg = make_config(num_computational=30, max_iterations=25)
-        result = run_es(cfg, bench, run_rng(0, 0))
+        cfg = make_settings(nodes=30, max_iterations=25)
+        result = run_es(cfg, bench, 0)
         assert not result.converged
         assert result.iterations == 25
         assert 0.0 <= result.final_train_fitness < 1.0
@@ -139,12 +134,8 @@ class TestRunEs:
         bench = build_boolean("parity3")
         check_every_reorder(monkeypatch, bench)
         for kind in ("original", "equidistant", "uniform", "negbias", "leftskew"):
-            cfg = make_config(
-                num_computational=40,
-                strategy=ReorderStrategy(kind),
-                max_iterations=150,
-            )
-            run_es(cfg, bench, run_rng(0, 3))  # raises on any fitness drift
+            cfg = make_settings(nodes=40, variant=kind, max_iterations=150)
+            run_es(cfg, bench, 3)  # raises on any fitness drift
 
     def test_verify_reorder_rejects_a_wrong_carried_active_set(self, monkeypatch):
         reorder = evolution.maybe_reorder
@@ -162,72 +153,54 @@ class TestRunEs:
         monkeypatch.setattr(evolution, "maybe_reorder", miscounting)
         bench = build_boolean("parity3")
         check_every_reorder(monkeypatch, bench)
-        cfg = make_config(
-            num_computational=40,
-            strategy=ReorderStrategy("equidistant"),
-            max_iterations=20,
-        )
+        cfg = make_settings(nodes=40, variant="equidistant", max_iterations=20)
         with pytest.raises(AssertionError, match="carried an active set"):
-            run_es(cfg, bench, run_rng(0, 3))
+            run_es(cfg, bench, 3)
 
     def test_boolean_trace_monotone_nondecreasing(self):
         bench = build_boolean("parity3")
-        cfg = make_config(num_computational=80, max_iterations=3000, seed=2)
-        result = run_es(cfg, bench, run_rng(0, 2))
+        cfg = make_settings(nodes=80, max_iterations=3000)
+        result = run_es(cfg, bench, 2)
         fitness = [f for _, f in result.trace.samples]
         assert all(b >= a for a, b in zip(fitness, fitness[1:]))
 
     def test_active_bitmap_matches_count(self):
         bench = build_boolean("parity3")
-        result = run_es(make_config(num_computational=50), bench, run_rng(0, 1))
+        result = run_es(make_settings(nodes=50), bench, 1)
         assert len(result.active_bitmap) == 50
         assert result.active_bitmap.count("1") == result.active_count
 
     def test_converged_implies_threshold_met(self):
         boolean = build_boolean("parity3")
         for seed in range(4):
-            cfg = make_config(num_computational=80, seed=seed, max_iterations=5000)
-            result = run_es(cfg, boolean, run_rng(0, seed))
+            cfg = make_settings(nodes=80, max_iterations=5000)
+            result = run_es(cfg, boolean, seed)
             if result.converged:
                 assert result.final_train_fitness >= 1.0
         regression = build_regression("keijzer6", np.random.default_rng(1))
-        cfg = make_config(
-            num_computational=40,
-            max_iterations=3000,
-            convergence_threshold=0.01,
-            seed=2,
-        )
-        result = run_es(cfg, regression, run_rng(0, 2))
+        cfg = make_settings(benchmark="keijzer6", nodes=40, max_iterations=3000, threshold=0.01)
+        result = run_es(cfg, regression, 2)
         if result.converged:
             assert result.final_train_fitness < 0.01
 
     def test_regression_run_reports_test_fitness(self):
         bench = build_regression("keijzer6", np.random.default_rng(1))
-        cfg = make_config(
-            num_computational=30,
-            max_iterations=200,
-            convergence_threshold=0.01,
-            seed=4,
-        )
-        result = run_es(cfg, bench, run_rng(0, 4))
+        cfg = make_settings(benchmark="keijzer6", nodes=30, max_iterations=200, threshold=0.01)
+        result = run_es(cfg, bench, 4)
         assert result.final_test_fitness is not None
         fitness = [f for _, f in result.trace.samples]
         assert all(b <= a for a, b in zip(fitness, fitness[1:]))
 
     def test_regression_without_test_split_reports_none(self):
         bench = build_regression("koza3", np.random.default_rng(1))
-        cfg = make_config(
-            num_computational=20,
-            max_iterations=50,
-            convergence_threshold=0.01,
-        )
-        result = run_es(cfg, bench, run_rng(0, 0))
+        cfg = make_settings(benchmark="koza3", max_iterations=50, threshold=0.01)
+        result = run_es(cfg, bench, 0)
         assert result.final_test_fitness is None
 
     def test_trace_full_records_every_iteration(self):
         bench = build_boolean("multiply3")
-        cfg = make_config(num_computational=30, max_iterations=40, trace_full=True)
-        result = run_es(cfg, bench, run_rng(0, 0))
+        cfg = make_settings(nodes=30, max_iterations=40, trace_full=True)
+        result = run_es(cfg, bench, 0)
         assert [it for it, _ in result.trace.samples] == list(range(41))
 
 
@@ -255,31 +228,42 @@ class GeneratorThatCannotDraw:
     ],
 )
 @pytest.mark.parametrize("bench_name", ["parity3", "keijzer6"])
-def test_every_draw_comes_from_the_feed(kind, p_reorder, bench_name):
+def test_every_draw_comes_from_the_feed(monkeypatch, kind, p_reorder, bench_name):
     if bench_name == "parity3":
         bench, threshold = build_boolean("parity3"), 2.0
     else:
         bench, threshold = build_regression("keijzer6", np.random.default_rng(1)), -1.0
-    cfg = make_config(
-        num_computational=30,
-        strategy=ReorderStrategy(kind, p_reorder),
+    cfg = make_settings(
+        benchmark=bench_name,
+        nodes=30,
+        variant=kind,
+        p_reorder=p_reorder,
         max_iterations=80,
-        convergence_threshold=threshold,
-        seed=5,
+        threshold=threshold,
     )
+
+    def serving(generator):
+        def served(*seeds):
+            assert seeds == (0, 5)
+            return generator
+
+        return served
+
     rng = run_rng(0, 5)
-    expected = run_es(cfg, bench, rng)
+    monkeypatch.setattr(evolution, "run_rng", serving(rng))
+    expected = run_es(cfg, bench, 5)
     bare = GeneratorThatCannotDraw(run_rng(0, 5).bit_generator)
-    assert run_es(cfg, bench, bare) == expected
+    monkeypatch.setattr(evolution, "run_rng", serving(bare))
+    assert run_es(cfg, bench, 5) == expected
     assert bare.bit_generator.state == rng.bit_generator.state
 
 
-class TestESConfigValidation:
+class TestRunSettingsValidation:
     def test_fixed_mu_lambda(self):
         # (1+4) is fixed, so neither size is a setting
-        names = {f.name for f in dataclasses.fields(ESConfig)}
+        names = {f.name for f in dataclasses.fields(Settings)}
         assert not names & {"mu", "lam"}
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigError):
-            make_config(max_iterations=0)
+            make_settings(max_iterations=0)

@@ -14,7 +14,7 @@ from cgp_reorder.functions import (
     _finite,
     get_function_set,
 )
-from cgp_reorder.genome import GraphParams, Genotype, NodeGene, evaluate_batch
+from cgp_reorder.genome import GraphParams, Genotype, NodeGene, decode_active, evaluate_batch
 
 from conftest import REFERENCE_OPERATIONS
 
@@ -81,7 +81,8 @@ def test_unary_functions_ignore_excess_args():
     # a SIN node whose second connection gene reads the other input
     sin = next(i for i, s in enumerate(REGRESSION_SET.entries) if s.name == "SIN")
     genome = Genotype(GraphParams(2, 1, 1, "regression"), [NodeGene(sin, (0, 1))], (2,))
-    assert evaluate_batch(genome, np.array([[0.5, 123.0]]))[0, 0] == np.sin(0.5)
+    out = evaluate_batch(genome, np.array([[0.5, 123.0]]), decode_active(genome))
+    assert out[0, 0] == np.sin(0.5)
 
 
 finite_floats = st.floats(
@@ -225,5 +226,5 @@ def test_mae_fitness_equals_np_mean_of_absolute_errors():
         ys = rng.permutation(values)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = float(np.mean(np.abs(ys - xs[:, 0])))
-            score = mae_fitness(genome, DataSplit(xs, ys))
+            score = mae_fitness(genome, DataSplit(xs, ys), decode_active(genome))
         assert np.float64(score).tobytes() == np.float64(expected).tobytes()

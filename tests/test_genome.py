@@ -94,31 +94,37 @@ class TestDecodeActive:
 
 class TestEvaluate:
     def test_fig1_subtract_then_double(self):
-        assert evaluate_batch(fig1_genome(), np.array([[5.0, 3.0]])).tolist() == [[4.0]]
+        g = fig1_genome()
+        assert evaluate_batch(g, np.array([[5.0, 3.0]]), decode_active(g)).tolist() == [[4.0]]
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -7.5, 123.25])
     def test_fig1_equal_inputs_give_zero(self, x):
-        assert evaluate_batch(fig1_genome(), np.array([[x, x]])).tolist() == [[0.0]]
+        g = fig1_genome()
+        assert evaluate_batch(g, np.array([[x, x]]), decode_active(g)).tolist() == [[0.0]]
 
     def test_parity_circuit_against_xor_oracle(self):
         masks, full = packed_inputs(3)
-        (packed,) = evaluate_packed(parity3_xor_genome(), masks, full)
+        g = parity3_xor_genome()
+        (packed,) = evaluate_packed(g, masks, full, decode_active(g))
         for r in range(8):
             bits = [(r >> i) & 1 for i in range(3)]
             assert (packed >> r) & 1 == bits[0] ^ bits[1] ^ bits[2]
 
     def test_parity_circuit_row_110(self):
         # one row packed into 1-bit masks: inputs a=1, b=1, c=0
-        assert evaluate_packed(parity3_xor_genome(), [1, 1, 0], 1) == [0]
+        g = parity3_xor_genome()
+        assert evaluate_packed(g, [1, 1, 0], 1, decode_active(g)) == [0]
 
     def test_deterministic(self):
         g = fig1_genome()
         xs = np.array([[2.0, 9.0]])
-        assert np.array_equal(evaluate_batch(g, xs), evaluate_batch(g, xs))
+        first = evaluate_batch(g, xs, decode_active(g))
+        assert np.array_equal(first, evaluate_batch(g, xs, decode_active(g)))
 
     def test_wrong_input_count_rejected(self):
+        g = fig1_genome()
         with pytest.raises(ConfigError):
-            evaluate_batch(fig1_genome(), np.array([[1.0]]))
+            evaluate_batch(g, np.array([[1.0]]), decode_active(g))
 
 
 class TestRandomGenome:
@@ -188,15 +194,16 @@ class TestPackedEvaluation:
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = random_genome(params, rng)
-            packed = evaluate_packed(g, masks, full)
+            packed = evaluate_packed(g, masks, full, decode_active(g))
             for r in range(1 << num_inputs):
                 bits = [(r >> i) & 1 for i in range(num_inputs)]
                 rowwise = full_forward_pass(g, bits)
                 assert [(m >> r) & 1 for m in packed] == rowwise
 
     def test_packed_rejects_regression_set(self):
+        g = fig1_genome()
         with pytest.raises(ConfigError):
-            evaluate_packed(fig1_genome(), [0, 0], 1)
+            evaluate_packed(g, [0, 0], 1, decode_active(g))
 
 
 class TestBatchEvaluation:
@@ -206,7 +213,7 @@ class TestBatchEvaluation:
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_genome(params, rng)
-            batch = evaluate_batch(g, xs)
+            batch = evaluate_batch(g, xs, decode_active(g))
             for row in range(xs.shape[0]):
                 scalar = full_forward_pass(g, list(xs[row]))
                 np.testing.assert_allclose(batch[row], scalar, rtol=1e-12, atol=1e-12)
@@ -214,7 +221,7 @@ class TestBatchEvaluation:
     def test_batch_rejects_boolean_set(self):
         g = chain_genome(3)
         with pytest.raises(ConfigError):
-            evaluate_batch(g, np.zeros((2, 2)))
+            evaluate_batch(g, np.zeros((2, 2)), decode_active(g))
 
     def test_batch_output_finite_for_finite_inputs(self):
         params = GraphParams(1, 1, 30, "regression")
@@ -222,7 +229,7 @@ class TestBatchEvaluation:
         rng = np.random.default_rng(3)
         for _ in range(50):
             g = random_genome(params, rng)
-            assert np.all(np.isfinite(evaluate_batch(g, xs)))
+            assert np.all(np.isfinite(evaluate_batch(g, xs, decode_active(g))))
 
 
 def _benchmark_reference():
@@ -292,7 +299,8 @@ class TestFullPassEquivalence:
         masks, full = packed_inputs(3)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
-            assert evaluate_packed(g, masks, full) == full_forward_pass(g, masks, full)
+            packed = evaluate_packed(g, masks, full, decode_active(g))
+            assert packed == full_forward_pass(g, masks, full)
 
     def test_regression_full_pass_matches_active_only(self):
         params = GraphParams(2, 1, 12, "regression")
@@ -300,7 +308,7 @@ class TestFullPassEquivalence:
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
             (full,) = full_forward_pass(g, [xs[:, 0], xs[:, 1]])
-            assert np.array_equal(evaluate_batch(g, xs)[:, 0], full)
+            assert np.array_equal(evaluate_batch(g, xs, decode_active(g))[:, 0], full)
 
 
 genome_shapes = st.sampled_from(

@@ -177,10 +177,10 @@ class TestPhenotypePreservation:
         rng = np.random.default_rng(21)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed))
-            before = evaluate_packed(g, masks, full)
+            before = evaluate_packed(g, masks, full, decode_active(g))
             h = operator(g, rng)
             assert validate(h) == []
-            assert evaluate_packed(h, masks, full) == before
+            assert evaluate_packed(h, masks, full, decode_active(h)) == before
 
     @pytest.mark.parametrize("operator", ALL_OPERATORS)
     @pytest.mark.parametrize("shape", REGRESSION_PRESERVATION_SHAPES)
@@ -193,10 +193,10 @@ class TestPhenotypePreservation:
         rng = np.random.default_rng(22)
         for seed in range(30):
             g = random_genome(params, np.random.default_rng(seed + 100))
-            before = evaluate_batch(g, xs)
+            before = evaluate_batch(g, xs, decode_active(g))
             h = operator(g, rng)
             assert validate(h) == []
-            after = evaluate_batch(h, xs)
+            after = evaluate_batch(h, xs, decode_active(h))
             assert np.array_equal(before, after)
 
     @pytest.mark.parametrize("operator", ALL_OPERATORS)
