@@ -282,29 +282,6 @@ def decode_active(
     return ActiveSet(readers, parent_active.positions())
 
 
-def listed_active(
-    params: GraphParams, nodes: list[NodeGene], outputs: tuple[int, ...], positions: list[int]
-) -> ActiveSet:
-    """The active set of a genome whose active nodes are known: ``positions``,
-    ascending.  Their readers are listed from the nodes' genes and the
-    output genes in one pass, with no reachability walk."""
-    arities = params.functions().arities
-    start = params.comp_start
-    num = params.num_computational
-    readers: list[tuple[int, ...]] = [()] * num
-    for idx in positions:
-        node = nodes[idx]
-        first, second = node.connections
-        if first >= start:
-            readers[first - start] += (idx,)
-        if second >= start and arities[node.function_id] > 1:
-            readers[second - start] += (idx,)
-    for k, conn in enumerate(outputs):
-        if conn >= start:
-            readers[conn - start] += (num + k,)
-    return ActiveSet(readers, positions)
-
-
 def _walk(
     genome: Genotype,
     active: ActiveSet,

@@ -15,33 +15,36 @@ phenotype) unchanged.  Five operators are provided:
 * ``leftskew``     -- like uniform, but positions are drawn from a
   Beta(6, 1) distribution, piling active nodes toward the output end.
 
-The operators differ only in their order function, which gives ``order``,
-the old index of the node placed at each index, or None when nothing
-moves; one body, :func:`_reorder`, runs them all.  The placement orders
-keep the relative order of active nodes (and of inactive nodes among
-themselves), which preserves program semantics, but can leave inactive
-nodes with forward connection genes, which
+The operators differ only in their order function, which gives the moved
+span ``(lo, moved)``: the old index of the node placed at each index from
+lo to the last index that moves, every other node keeping its place.  It
+gives None when nothing moves.  One body, :func:`_reorder`, runs them all.
+The placement orders keep the relative order of active nodes (and of
+inactive nodes among themselves), which preserves program semantics, but
+can leave inactive nodes with forward connection genes, which
 :func:`repair_forward_connections` resamples.  The topological order
 respects every literal gene and leaves none.
 
-:func:`_remap` rebuilds only the span from the first to the last index
-that ``order`` moves, and there only the nodes whose position or genes
-change; outside it, only a node that reads a moved node is.  The
-evaluation vector is permuted along with the nodes, and the active set's
-readers are listed anew, with no reachability walk.  A None order skips
-all of that: under negbias most placements are such, since the active
-nodes sit at the tail already.
+:func:`_remap` rebuilds only the span, and there only the nodes whose
+position or genes change; outside it, only a node that reads a moved node
+is.  The evaluation vector is permuted along with the nodes.  The active
+set's entries above the span are shared, and those at or below its end are
+listed anew from the active nodes' genes, with no reachability walk.  A
+None span skips all of that: under negbias most placements are such, since
+the active nodes sit at the tail already, and negbias lists its span from
+the active set without building any targets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .genome import ActiveSet, Genotype, NodeGene, decode_active, listed_active
+from .genome import ActiveSet, Genotype, NodeGene, decode_active
 
 
 def lin_space(start: int, end: int, count: int) -> list[int]:
@@ -130,24 +133,31 @@ def repair_forward_connections(
 
 
 def _remap(
-    genome: Genotype, active: ActiveSet, order: list[int]
+    genome: Genotype, active: ActiveSet, lo: int, moved: list[int]
 ) -> tuple[Genotype, list[int]]:
-    """Place at index i the node that sat at index ``order[i]``, remap every
-    connection and output gene to the new positions (inputs keep theirs),
-    and carry the active set and the evaluation vector over.  Returns the
-    new genome and the ascending indices of its nodes that hold a forward
-    gene.  Only the span from lo to hi, the first and the last index that
-    ``order`` moves, is rebuilt, and there only a node whose position or
-    genes change.  Outside it the nodes and their vector entries are shared,
-    but for a node above hi that reads a moved position: it holds no forward
+    """Place at index ``lo + i`` the node that sat at index ``moved[i]``,
+    where ``moved`` permutes the span from lo to hi = lo + len(moved) - 1,
+    remap every connection and output gene to the new positions (inputs
+    keep theirs), and carry the active set and the evaluation vector over.
+    Returns the new genome and the ascending indices of its nodes that hold
+    a forward gene.
+
+    Only the span is rebuilt, and there only a node whose position or genes
+    change.  Outside it the nodes and their vector entries are shared, but
+    for a node above hi that reads a moved position: it holds no forward
     gene either, as it reads below its own position.
+
+    A reader sits above what it reads, so an entry of the reader index
+    above hi lists only readers above hi, which keep their indices: those
+    entries are the source's own tuples.  The entries at or below hi are
+    listed anew from the consumed genes of the active nodes below lo, of
+    those inside the span, of those above hi that read at or below hi (the
+    scan above hi meets them anyway), and from the output genes.
     """
     params = genome.params
     start = params.comp_start
     num = params.num_computational
-    lo = next((i for i, old in enumerate(order) if i != old), num)
-    hi = next((i for i in range(num - 1, lo, -1) if order[i] != i), lo)
-    moved = order[lo : hi + 1]
+    hi = lo + len(moved) - 1
     position_map = list(range(start + num))
     for position, old in enumerate(moved, start + lo):
         position_map[start + old] = position
@@ -157,30 +167,50 @@ def _remap(
     for position, old in enumerate(moved, start + lo):
         node = nodes[old]
         first, second = node.connections
-        genes = (position_map[first], position_map[second])
+        genes = first, second = (position_map[first], position_map[second])
         if position != start + old or genes != node.connections:
             node = NodeGene(node.function_id, genes)
         new_nodes.append(node)
-        if genes[0] >= position or genes[1] >= position:
+        if first >= position or second >= position:
             forward.append(position - start)
     new_nodes += nodes[hi + 1 :]
+    arities = params.functions().arities
+    readers = active.readers
     low, high = start + lo, start + hi
+    # the active nodes above hi that read at or below it
+    reaching = []
     for idx, node in enumerate(nodes[hi + 1 :], hi + 1):
         first, second = node.connections
         if low <= first <= high or low <= second <= high:
             genes = (position_map[first], position_map[second])
             if genes != node.connections:
                 new_nodes[idx] = NodeGene(node.function_id, genes)
+        elif first > high and second > high:
+            continue
+        if readers[idx]:
+            reaching.append(idx)
     outputs = tuple([position_map[conn] for conn in genome.output_connections])
     positions = active.positions()
     below, above = bisect_left(positions, lo), bisect_right(positions, hi)
     inside = sorted([position_map[start + idx] - start for idx in positions[below:above]])
-    carried = listed_active(params, new_nodes, outputs, positions[:below] + inside + positions[above:])
+    # entries above hi are the source's; those at or below it are listed
+    carried = [()] * (hi + 1) + readers[hi + 1 :]
+    for idx in [*positions[:below], *inside, *reaching]:
+        node = new_nodes[idx]
+        first, second = node.connections
+        if start <= first <= high:
+            carried[first - start] += (idx,)
+        if start <= second <= high and arities[node.function_id] > 1:
+            carried[second - start] += (idx,)
+    for reader, conn in enumerate(outputs, num):
+        if start <= conn <= high:
+            carried[conn - start] += (reader,)
     values = genome.values
     if values is not None:
         gathered = [values[start + old] for old in moved]
         values = values[: start + lo] + gathered + values[start + hi + 1 :]
-    return Genotype(params, new_nodes, outputs, carried, values=values), forward
+    carried_set = ActiveSet(carried, positions[:below] + inside + positions[above:])
+    return Genotype(params, new_nodes, outputs, carried_set, values=values), forward
 
 
 def _reorder(
@@ -188,44 +218,53 @@ def _reorder(
 ) -> Genotype:
     """The body of every operator.
 
-    ``order_of(genome, rng, active)`` gives ``order``, or None when nothing
-    moves: then the result is a new genome that shares the source's nodes,
-    active set and vector, and no remap or repair runs.  Otherwise the
-    forward genes :func:`_remap` finds are repaired.
+    ``order_of(genome, rng, active)`` gives the moved span ``(lo, moved)``:
+    the old index of the node placed at each index from lo on, up to the
+    last index that moves.  Every node outside it keeps its place.  It gives
+    None when nothing moves: then the result is a new genome that shares
+    the source's nodes, active set and vector, and no remap or repair runs.
+    Otherwise the span is remapped and the forward genes :func:`_remap`
+    finds are repaired.
     """
     if active is None:
         active = decode_active(genome)
     if active.count == 0:
         return genome
-    order = order_of(genome, rng, active)
-    if order is None:
+    span = order_of(genome, rng, active)
+    if span is None:
         nodes, outputs = list(genome.computational), genome.output_connections
         return Genotype(genome.params, nodes, outputs, active, values=genome.values)
-    placed, rows = _remap(genome, active, order)
+    placed, rows = _remap(genome, active, *span)
     repair_forward_connections(placed, rng, placed.active, rows)
     return placed
 
 
-def _topological_order(genome: Genotype, rng: np.random.Generator, active: ActiveSet) -> list[int]:
-    """A random topological order of the literal connection graph.
+def _topological_order(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
+    """The moved span of a random topological order of the literal
+    connection graph, or None when the order moves nothing.
 
     Every node whose referenced nodes are all placed (or are inputs) is a
     candidate; one candidate is drawn uniformly at random and appended to the
     order until all nodes are placed.  The graph is read from the node
-    records in one loop.
+    records in one loop, over the genes that read a computational node.
     """
-    params = genome.params
-    start = params.comp_start
-    num = params.num_computational
-    # per position, the nodes that read it, once per gene, in (node, gene) order
-    dependents: list[list[int]] = [[] for _ in range(start + num)]
-    unresolved = []
+    start = genome.params.comp_start
+    num = genome.params.num_computational
+    # per node, the nodes that read it, once per gene, in (node, gene) order
+    dependents: list[list[int]] = [[] for _ in range(num)]
+    unresolved = [0] * num
+    ready = []
     for idx, node in enumerate(genome.computational):
         first, second = node.connections
-        dependents[first].append(idx)
-        dependents[second].append(idx)
-        unresolved.append((first >= start) + (second >= start))
-    ready = [i for i in range(num) if not unresolved[i]]
+        if first >= start:
+            dependents[first - start].append(idx)
+            unresolved[idx] = 1
+        if second >= start:
+            dependents[second - start].append(idx)
+            unresolved[idx] += 1
+        elif first < start:
+            # it reads inputs alone
+            ready.append(idx)
     order: list[int] = []
     # one batched draw covers the whole shuffle; int(u * len) keeps each
     # pick uniform over the current candidate set
@@ -233,16 +272,20 @@ def _topological_order(genome: Genotype, rng: np.random.Generator, active: Activ
         if not ready:
             break
         pick = int(u * len(ready))
-        ready[pick], ready[-1] = ready[-1], ready[pick]
-        old_idx = ready.pop()
+        old_idx, ready[pick] = ready[pick], ready[-1]
+        ready.pop()
         order.append(old_idx)
-        for dep in dependents[start + old_idx]:
-            unresolved[dep] -= 1
-            if unresolved[dep] == 0:
+        for dep in dependents[old_idx]:
+            # a node's last unresolved read makes it a candidate
+            if unresolved[dep] == 1:
                 ready.append(dep)
+            else:
+                unresolved[dep] -= 1
     if len(order) != num:
         raise InvariantViolation("feed-forward genome has no topological completion")
-    return order
+    lo = next((idx for idx, old in enumerate(order) if idx != old), num)
+    hi = next((idx for idx in range(num - 1, lo, -1) if order[idx] != idx), lo)
+    return (lo, order[lo : hi + 1]) if lo < num else None
 
 
 def _placement_order(targets):
@@ -252,8 +295,9 @@ def _placement_order(targets):
     nodes.  Targets that are the active nodes' own positions give None.
     Otherwise they must be strictly ascending and inside the computational
     range, and each active node goes to its target while the inactive nodes
-    fill the free slots in their old order.  Only the span the active moves
-    reach is filled: outside it every node keeps its place.
+    fill the free slots in their old order.  The span runs from the first
+    to the last slot that an active node leaves or reaches, and only it is
+    filled.
     """
 
     def order_of(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
@@ -275,7 +319,7 @@ def _placement_order(targets):
         inactive = np.ones(hi - lo, bool)
         inactive[old - lo] = False
         span[span < 0] = np.flatnonzero(inactive) + lo
-        return [*range(lo), *span.tolist(), *range(hi, params.num_computational)]
+        return int(lo), span.tolist()
 
     return order_of
 
@@ -295,17 +339,30 @@ def _sampled_targets(transform):
 
 _equidistant_order = _placement_order(lambda start, end, count, rng: lin_space(start, end, count))
 _uniform_order = _placement_order(_sampled_targets(lambda u: u))
-_tail_order = _placement_order(lambda start, end, count, rng: np.arange(end - count + 1, end + 1))
 
 
 def _negbias_order(genome: Genotype, rng: np.random.Generator, active: ActiveSet):
-    """The tail placement's order, or None, before any target is built, when
-    the active nodes form the tail already: ascending distinct positions
-    are the last ``count`` exactly when the first of them is."""
+    """The span of the tail placement, which moves every active node behind
+    the inactive ones, each keeping its order, or None when the active
+    nodes form the tail already.  It is listed from the active set with no
+    targets built and nothing drawn.
+
+    The span starts at the first active node.  Active node j, at
+    ``positions[j]``, belongs at ``tail + j`` with ``tail = num - count``,
+    and ``positions[j] - j`` never falls and never exceeds ``tail``: the
+    nodes already in place are the suffix where it equals ``tail``, and the
+    span ends at the last target of the ``placed`` nodes before them.  It
+    holds the inactive nodes between its ends, in their order, then those
+    ``placed`` active nodes.
+    """
     positions = active.positions()
-    if positions[0] == genome.params.num_computational - len(positions):
+    tail = genome.params.num_computational - len(positions)
+    lo = positions[0]
+    if lo == tail:
         return None
-    return _tail_order(genome, rng, active)
+    placed = bisect_left(range(len(positions)), tail, key=lambda j: positions[j] - j)
+    inactive = filterfalse(active.readers.__getitem__, range(lo, tail + placed))
+    return lo, [*inactive, *positions[:placed]]
 
 
 _leftskew_order = _placement_order(_sampled_targets(beta61_from_uniform))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import DrawFeed
@@ -115,6 +115,13 @@ def fixed_targets(positions):
     return _placement_order(lambda start, end, count, rng: list(positions))
 
 
+def full_order(span, num):
+    """The full order of a moved span ``(lo, moved)``: the old index of the
+    node placed at each index, every node outside the span in its place."""
+    lo, moved = span
+    return [*range(lo), *moved, *range(lo + len(moved), num)]
+
+
 class TestPlacementSets:
     @given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
     def test_complement_partition(self, num_inputs, num_nodes, seed, data):
@@ -132,11 +139,12 @@ class TestPlacementSets:
                 )
             )
         )
-        order = fixed_targets(targets)(g, None, active)
+        span = fixed_targets(targets)(g, None, active)
         to = [position - start for position in targets]
         if to == active.positions():
-            assert order is None
+            assert span is None
             return
+        order = full_order(span, num_nodes)
         assert sorted(order) == list(range(num_nodes))
         # active nodes at their targets, in their order; inactive nodes in
         # the free slots, in their old order
@@ -384,7 +392,7 @@ class TestRemap:
         tail = data.draw(st.permutations(range(lo, num)))
         assume(tail[0] != lo)
         order = [*range(lo), *tail]
-        h, rows = _remap(genome, active, order)
+        h, rows = _remap(genome, active, lo, list(tail))
         for idx in range(lo):
             assert h.computational[idx] is genome.computational[idx]
         for position in range(start + lo):
@@ -428,8 +436,11 @@ class TestRemap:
         else:
             span = data.draw(st.permutations(range(lo, hi + 1)))
         order = [*range(lo), *span, *range(hi + 1, num)]
-        h, rows = _remap(genome, active, order)
+        h, rows = _remap(genome, active, lo, list(span))
         moved = {start + old for new, old in enumerate(order) if new != old}
+        # an entry above the span lists readers above it alone: it is shared
+        for idx in range(hi + 1, num):
+            assert h.active.readers[idx] is active.readers[idx]
         for idx in range(hi + 1, num):
             node = genome.computational[idx]
             # shared unless one of its genes reads a moved position
@@ -447,6 +458,30 @@ class TestRemap:
             moved_readers[old] for old in order
         ]
         assert h.active.positions() == [idx for idx, entry in enumerate(h.active.readers) if entry]
+
+    def test_a_reader_above_the_span_is_listed_where_it_reads_below_it(self):
+        """Node 4 reads node 3, above the span [1, 2], and node 0, below it:
+        it stays node 0's reader although neither of its reads moves."""
+        params = GraphParams(2, 1, 6, "boolean")
+        genes = [(0, 1), (0, 1), (2, 0), (0, 1), (5, 2), (6, 6)]
+        genome = Genotype(params, [NodeGene(0, pair) for pair in genes], (7,))
+        h, _ = _remap(genome, decode_active(genome), 1, [2, 1])
+        assert h.active.readers[0] == (4,)
+        assert h.active.readers == decode_active(h).readers
+
+
+def tail_with_gaps():
+    """Active nodes 1, 3, 6 and 7 of 8: the last two are in their tail
+    places already, and inactive nodes lie between the first three."""
+    params = GraphParams(2, 1, 8, "boolean")
+    genes = [(0, 1), (0, 1), (0, 1), (0, 1), (1, 0), (0, 1), (3, 0), (8, 5)]
+    return Genotype(params, [NodeGene(0, pair) for pair in genes], (9,))
+
+
+def one_active_node():
+    """One active node, at index 2 of 5."""
+    params = GraphParams(2, 1, 5, "boolean")
+    return Genotype(params, [NodeGene(0, (0, 1))] * 5, (4,))
 
 
 def full_range_placement_order(active, to, num):
@@ -478,33 +513,42 @@ class TestPlacementOrder:
             targets = lin_space(start, end, count)
         else:
             targets = list(range(end - count + 1, end + 1))
-        order = fixed_targets(targets)(genome, None, active)
+        span = fixed_targets(targets)(genome, None, active)
         to = [position - start for position in targets]
         if to == active.positions():
-            assert order is None
+            assert span is None
             return
+        lo, moved = span
+        order = full_order(span, params.num_computational)
         assert order == full_range_placement_order(active, to, params.num_computational)
-        assert all(type(old) is int for old in order)
+        # the span starts and ends on a node that moves
+        assert moved[0] != lo and moved[-1] != lo + len(moved) - 1
+        assert all(type(old) is int for old in [lo, *moved])
 
     @given(genome=literal_genomes(), seed=st.integers(0, 2**32 - 1))
+    @example(genome=tail_with_gaps(), seed=0)
+    @example(genome=one_active_node(), seed=0)
+    @example(genome=chain_genome(6), seed=0)
     def test_negbias_on_a_tail_builds_no_targets(self, genome, seed):
-        """When the active nodes form the tail already, `reorder_negbias`
-        shares the source's set and vector, draws nothing and never reaches
-        the tail placement; elsewhere its order is the tail placement's."""
+        """`reorder_negbias`'s span, listed from the active set, is the tail
+        placement's.  When the active nodes form the tail already, it shares
+        the source's set and vector, draws nothing and never remaps."""
         import cgp_reorder.reorder as reorder_mod
 
         active = evaluated(genome)
         assume(active.count)
-        assert reorder_mod._negbias_order(genome, None, active) == reorder_mod._tail_order(
+        end, count = genome.params.comp_end, active.count
+        tail_placement = fixed_targets(range(end - count + 1, end + 1))
+        assert reorder_mod._negbias_order(genome, None, active) == tail_placement(
             genome, None, active
         )
         placed = reorder_negbias(genome, np.random.default_rng(seed), active)
 
         def unreachable(*args):
-            raise AssertionError("targets built for a tail")
+            raise AssertionError("a tail remapped")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reorder_mod, "_tail_order", unreachable)
+            patch.setattr(reorder_mod, "_remap", unreachable)
             # any draw from a bare object raises
             again = reorder_negbias(placed, object(), placed.active)
         assert again is not placed
