@@ -11,15 +11,21 @@ with no reorder in between, and mutation on a 750-node list with no reorder
 (acceptance criterion 7's `none` cell).  The genome digest matters because
 repair rewrites inactive genes that `results.jsonl` never shows.
 
+`ANALYZE` pins what `analyze` writes: two of those cases run into one
+directory, both recording the union bitmap, then `analyze` and `analyze
+--use-union-bitmap` over it; one digest covers every histogram, convergence
+curve and summary.jsonl, by name, and both runs' stdout.
+
 Speed work must leave these unchanged; a change that alters the RNG stream
 on purpose updates them and says so in CHANGES.md.  To print the digests of
-the current code for every case:
+the current code for every case, the `analyze` case last:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -94,6 +100,11 @@ GOLDEN = {
     ),
 }
 
+ANALYZE = (
+    ("parity3-equidistant-n200", "keijzer6-equidistant-n50"),
+    "cfed88772ccbbc85540754fbed91a1f01cee853c180f36f35e8ce6524cc91eef",
+)
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -118,6 +129,26 @@ def run_digests(arguments: str, out: Path) -> tuple[str, str, str]:
     )
 
 
+def analyze_digest(out: Path) -> str:
+    """Run the `ANALYZE` cases into ``out`` and analyse them both ways;
+    sha256 of the analysis files, sorted by name, and of stdout."""
+    for case in ANALYZE[0]:
+        argv = ["run", *GOLDEN[case][0].split(), "--workers", "1", "--track-union-active"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out / "runs" / case)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for name, flags in (("final", []), ("union", ["--use-union-bitmap"])):
+            assert main(["analyze", str(out / "runs"), "--out", str(out / name), *flags]) == 0
+    files = sorted(
+        path
+        for pattern in ("histogram_*", "convergence_*", "summary.jsonl")
+        for path in out.glob(f"*/{pattern}")
+    )
+    data = b"".join(f"{p.parent.name}/{p.name}\n".encode() + p.read_bytes() for p in files)
+    return sha256(data + stdout.getvalue().encode())
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_run_output_digests(case, tmp_path):
     arguments, *expected = GOLDEN[case]
@@ -127,6 +158,10 @@ def test_run_output_digests(case, tmp_path):
     assert genomes == expected[2]
 
 
+def test_analyze_output_digest(tmp_path):
+    assert analyze_digest(tmp_path) == ANALYZE[1]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(GOLDEN):
@@ -134,3 +169,4 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(sys.stderr):
                 digests = run_digests(GOLDEN[case][0], Path(scratch) / case)
             print(case, *digests, sep="\n    ", flush=True)
+        print("analyze", analyze_digest(Path(scratch) / "analyze"), sep="\n    ")
