@@ -1,36 +1,25 @@
 """Aggregation of run results: positional-bias histograms, convergence
-curves, and per-variant summary statistics.
+curves, per-variant summary statistics, and the one CSV writer.
 
 Standard deviations are population deviations (divisor n), which is also
 noted in the emitted file headers.  Finite fitnesses give finite means and
-deviations, however large they are (see `mean_sd`).
+deviations, however large they are (see `mean_sd`).  Every CSV the harness
+writes, traces included, goes through `write_csv`: the effective config as
+sorted ``# key=value`` lines, free ``# `` notes, a header, and one line per
+row with every value spelled by ``repr``, so each float reads back exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .benchmarks import write_atomic
 from .errors import AggregationError
 from .evolution import ConvergenceTrace, RunResult
-
-
-@dataclass
-class PositionalBiasHistogram:
-    """Per-position probability of being active in the final solution."""
-
-    probabilities: list[float]
-    num_runs: int
-
-    def normalized_positions(self) -> list[float]:
-        n = len(self.probabilities)
-        if n == 1:
-            return [0.0]
-        return [i / (n - 1) for i in range(n)]
 
 
 @dataclass
@@ -48,9 +37,6 @@ class SummaryRow:
     mean_test_fitness: float | None
     config: dict
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     def format_line(self) -> str:
         test = (
             f"{self.mean_test_fitness:.6g}" if self.mean_test_fitness is not None else "-"
@@ -64,15 +50,9 @@ class SummaryRow:
         )
 
 
-@dataclass
-class ConvergenceCurve:
-    iterations: list[int]
-    mean_fitness: list[float]
-    sd_fitness: list[float]
-
-
-def active_distribution(results: Sequence[RunResult]) -> PositionalBiasHistogram:
-    """Position-wise mean of the final-solution active bitmaps."""
+def active_distribution(results: Sequence[RunResult]) -> list[float]:
+    """Position-wise mean of the final-solution active bitmaps: each
+    position's probability of being active."""
     if not results:
         raise AggregationError("no results to aggregate")
     width = len(results[0].active_bitmap)
@@ -84,7 +64,7 @@ def active_distribution(results: Sequence[RunResult]) -> PositionalBiasHistogram
             )
     bits = np.frombuffer("".join(r.active_bitmap for r in results).encode(), dtype=np.uint8)
     counts = (bits.reshape(len(results), width) - ord("0")).sum(axis=0)
-    return PositionalBiasHistogram((counts / len(results)).tolist(), len(results))
+    return (counts / len(results)).tolist()
 
 
 def mean_sd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +121,7 @@ def default_grid(traces: Sequence[ConvergenceTrace], points: int = 257) -> list[
 
 def convergence_mean(
     traces: Sequence[ConvergenceTrace], grid: Sequence[int]
-) -> ConvergenceCurve:
+) -> tuple[list[float], list[float]]:
     """Mean and population sd of best-so-far fitness at each grid iteration.
 
     Traces are step functions: between samples the previous value holds, and
@@ -155,34 +135,20 @@ def convergence_mean(
         last = np.searchsorted(iterations, grid, side="right") - 1
         values[t_idx] = np.asarray(fitnesses)[np.maximum(last, 0)]
     mean, sd = mean_sd(values)
-    return ConvergenceCurve(
-        iterations=list(grid), mean_fitness=mean.tolist(), sd_fitness=sd.tolist()
-    )
+    return mean.tolist(), sd.tolist()
 
 
-def config_comment_lines(config: dict) -> list[str]:
-    return [f"# {key}={config[key]}" for key in sorted(config)]
-
-
-def write_histogram_csv(path: str, hist: PositionalBiasHistogram, config: dict) -> None:
-    lines = config_comment_lines(config)
-    lines.append(f"# runs={hist.num_runs}")
-    lines.append("position,normalized_position,probability")
-    for pos, (norm, prob) in enumerate(
-        zip(hist.normalized_positions(), hist.probabilities)
-    ):
-        lines.append(f"{pos},{norm!r},{prob!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_convergence_csv(path: str, curve: ConvergenceCurve, config: dict) -> None:
-    lines = config_comment_lines(config)
-    lines.append("# sd is the population standard deviation over runs (divisor n)")
-    lines.append("iteration,mean_fitness,sd")
-    for it, mean, sd in zip(curve.iterations, curve.mean_fitness, curve.sd_fitness):
-        lines.append(f"{it},{mean!r},{sd!r}")
+def write_csv(
+    path: str, config: dict, notes: Sequence[str], header: str, rows: Iterable[Sequence]
+) -> None:
+    """Write ``config`` as sorted ``# key=value`` lines, each note as a
+    ``# `` line, ``header``, then each row's values spelled by ``repr``."""
+    lines = [f"# {key}={config[key]}" for key in sorted(config)]
+    lines += [f"# {note}" for note in notes]
+    lines.append(header)
+    lines += [",".join(map(repr, row)) for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_summary_jsonl(path: str, rows: Sequence[SummaryRow]) -> None:
-    write_atomic(path, "".join(row.to_json() + "\n" for row in rows))
+    write_atomic(path, "".join(json.dumps(asdict(row), sort_keys=True) + "\n" for row in rows))

@@ -32,12 +32,10 @@ import numpy as np
 from . import __version__
 from .analysis import (
     active_distribution,
-    config_comment_lines,
     convergence_mean,
     default_grid,
     summarize,
-    write_convergence_csv,
-    write_histogram_csv,
+    write_csv,
     write_summary_jsonl,
 )
 from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
@@ -45,7 +43,7 @@ from .errors import AggregationError, ConfigError, InvariantViolation
 from .evolution import OFFSPRING_PER_ITERATION, ConvergenceTrace, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
 from .genome import ARITY, GraphParams, random_genome, to_flat_text
-from .reorder import REORDER_KINDS, ReorderStrategy
+from .reorder import GATED_KINDS, REORDER_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -236,9 +234,14 @@ def finalize(settings: Settings) -> Settings:
         repeated = [v for v, n in Counter(getattr(resolved, name) or []).items() if n > 1]
         if repeated:
             raise ConfigError(f"{name} lists {repeated[0]} more than once")
-    # constructing the strategies validates the variant and its p_reorder
+    variant = resolved.variant
+    if variant not in REORDER_KINDS:
+        raise ConfigError(f"unknown reorder kind {variant!r}; expected one of {REORDER_KINDS}")
     for p in [resolved.p_reorder, *(resolved.p_grid or [])]:
-        ReorderStrategy(resolved.variant, p)
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"p_reorder must be in [0, 1], got {p}")
+        if variant not in GATED_KINDS and p != 1.0:
+            raise ConfigError(f"p_reorder is fixed to 1.0 for kind {variant!r}")
     return resolved
 
 
@@ -364,20 +367,6 @@ RECORD_FIELDS = (
 )
 
 
-def result_record(result: RunResult, config: dict) -> dict:
-    record = {name: getattr(result, name) for name in RECORD_FIELDS}
-    record["config"] = config
-    return record
-
-
-def write_trace_csv(path: str, trace: ConvergenceTrace, config: dict) -> None:
-    lines = config_comment_lines(config)
-    lines.append("iteration,best_fitness")
-    for iteration, fitness in trace.samples:
-        lines.append(f"{iteration},{fitness!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 def read_trace_csv(path: str) -> ConvergenceTrace:
     trace = ConvergenceTrace()
     with open(path) as fh:
@@ -407,11 +396,12 @@ def _write_run_outputs(
     seed, so that a complete batch has the bytes of an uninterrupted one."""
     config = effective_config(settings)
     trace = os.path.join(outdir, "traces", f"trace_seed{result.seed}.csv")
-    write_trace_csv(trace, result.trace, config)
+    write_csv(trace, config, [], "iteration,best_fitness", result.trace.samples)
     if settings.dump_genomes:
         genome = os.path.join(outdir, "genomes", f"genome_seed{result.seed}.txt")
         write_atomic(genome, to_flat_text(result.final_genome))
-    records[result.seed] = result_record(result, config)
+    record = {name: getattr(result, name) for name in RECORD_FIELDS}
+    records[result.seed] = record | {"config": config}
     write_atomic(
         os.path.join(outdir, "results.jsonl"),
         "".join(json.dumps(records[seed], sort_keys=True) + "\n" for seed in sorted(records)),
@@ -525,13 +515,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         benchmark, variant, nodes, p = key
         tag = f"{benchmark}_{variant}_N{nodes}_p{_format_p(p)}"
-        hist = active_distribution(results)
-        write_histogram_csv(os.path.join(out_dir, f"histogram_{tag}.csv"), hist, config)
+        probabilities = active_distribution(results)
+        # positions normalized over [0, 1]; a lone position reads 0.0
+        last = max(len(probabilities) - 1, 1)
+        write_csv(
+            os.path.join(out_dir, f"histogram_{tag}.csv"),
+            config,
+            [f"runs={len(results)}"],
+            "position,normalized_position,probability",
+            ((pos, pos / last, prob) for pos, prob in enumerate(probabilities)),
+        )
         traces = [r.trace for r in results if r.trace.samples]
         if traces:
-            curve = convergence_mean(traces, default_grid(traces))
-            write_convergence_csv(
-                os.path.join(out_dir, f"convergence_{tag}.csv"), curve, config
+            grid = default_grid(traces)
+            write_csv(
+                os.path.join(out_dir, f"convergence_{tag}.csv"),
+                config,
+                ["sd is the population standard deviation over runs (divisor n)"],
+                "iteration,mean_fitness,sd",
+                zip(grid, *convergence_mean(traces, grid)),
             )
         rows.append(summarize(results, config))
 

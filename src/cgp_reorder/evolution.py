@@ -1,10 +1,11 @@
 """(1 + 4) evolutionary strategy with optional genotype reordering.
 
-Each iteration reorders the surviving parent (subject to the strategy's
-gate probability), breeds four mutants, scores them, and keeps the best
-mutant whenever it is at least as fit as the parent; the equal-fitness
-replacement is what lets inactive genes drift.  Reordering never changes
-the parent's phenotype, so its fitness carries over without re-evaluation.
+Each iteration reorders the surviving parent (subject to the variant's
+gate probability, ``p_reorder``), breeds four mutants, scores them, and
+keeps the best mutant whenever it is at least as fit as the parent; the
+equal-fitness replacement is what lets inactive genes drift.  Reordering
+never changes the parent's phenotype, so its fitness carries over without
+re-evaluation.
 
 Only the first genome of a run is decoded and evaluated in full.  An active
 set is one list: for every node, the genes that read it.  A reorder carries
@@ -38,7 +39,7 @@ from .draws import DrawFeed
 from .errors import ConfigError
 from .genome import Genotype, decode_active, random_genome
 from .mutation import single_mutation
-from .reorder import ReorderStrategy, maybe_reorder
+from .reorder import maybe_reorder
 
 if TYPE_CHECKING:
     from .cli import Settings
@@ -104,7 +105,6 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
     leaves in the state that generator's own draws would have left it in.
     """
     draws = DrawFeed(run_rng(settings.master_seed, seed))
-    strategy = ReorderStrategy(settings.variant, settings.p_reorder)
 
     if isinstance(bench, BooleanBenchmark):
         maximize = True
@@ -131,7 +131,9 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
     while iteration < settings.max_iterations:
         iteration += 1
 
-        reordered = maybe_reorder(parent, strategy, draws, parent_active)
+        reordered = maybe_reorder(
+            parent, settings.variant, settings.p_reorder, draws, parent_active
+        )
         if reordered is not parent:
             parent = reordered
             parent_active = reordered.active

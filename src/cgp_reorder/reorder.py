@@ -38,12 +38,11 @@ the active set without building any targets.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import filterfalse
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import InvariantViolation
 from .genome import ActiveSet, Genotype, NodeGene, decode_active
 
 
@@ -423,39 +422,21 @@ REORDER_KINDS = ("none", *_OPERATORS)
 GATED_KINDS = ("negbias", "leftskew")
 
 
-@dataclass(frozen=True)
-class ReorderStrategy:
-    """Which operator to run, and how often (for the gated operators)."""
-
-    kind: str
-    p_reorder: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in REORDER_KINDS:
-            raise ConfigError(
-                f"unknown reorder kind {self.kind!r}; expected one of {REORDER_KINDS}"
-            )
-        if not 0.0 <= self.p_reorder <= 1.0:
-            raise ConfigError(f"p_reorder must be in [0, 1], got {self.p_reorder}")
-        if self.kind not in GATED_KINDS and self.p_reorder != 1.0:
-            raise ConfigError(
-                f"p_reorder is fixed to 1.0 for kind {self.kind!r}"
-            )
-
-
 def maybe_reorder(
     genome: Genotype,
-    strategy: ReorderStrategy,
+    kind: str,
+    p_reorder: float,
     rng: np.random.Generator,
     active: ActiveSet | None = None,
 ) -> Genotype:
-    """Apply the strategy's operator with probability ``p_reorder``.
+    """Apply the operator named ``kind`` (one of `REORDER_KINDS`), gated by
+    ``p_reorder`` when it is below 1; ``cli.finalize`` checks the pair.
 
     ``active`` is ``genome``'s active set, decoded here when not given.  A
     genome the operator built carries its own active set in ``.active``.
     """
-    if strategy.kind == "none":
+    if kind == "none":
         return genome
-    if strategy.p_reorder < 1.0 and rng.random() >= strategy.p_reorder:
+    if p_reorder < 1.0 and rng.random() >= p_reorder:
         return genome
-    return _OPERATORS[strategy.kind](genome, rng, active)
+    return _OPERATORS[kind](genome, rng, active)

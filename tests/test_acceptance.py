@@ -213,7 +213,7 @@ class TestCriterion5Keijzer6:
 class TestCriterion6PositionalBias:
     def test_standard_first_decile_dominates(self):
         results = batch("parity3", "none", 200, 1_000_000)
-        deciles = decile_means(active_distribution(results).probabilities)
+        deciles = decile_means(active_distribution(results))
         ok = deciles[0] > 0 and deciles[0] >= 2 * deciles[-1]
         report(
             "6a", ok,
@@ -223,9 +223,9 @@ class TestCriterion6PositionalBias:
 
     def test_equidistant_deciles_flat(self):
         results = batch("parity3", "equidistant", 200, 1_000_000)
-        hist = active_distribution(results)
-        deciles = decile_means(hist.probabilities)
-        global_mean = float(np.mean(hist.probabilities))
+        probabilities = active_distribution(results)
+        deciles = decile_means(probabilities)
+        global_mean = float(np.mean(probabilities))
         ok = all(0.5 * global_mean <= d <= 1.5 * global_mean for d in deciles)
         spread = max(abs(d - global_mean) / global_mean for d in deciles)
         report(

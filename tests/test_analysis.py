@@ -6,16 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cgp_reorder.analysis import (
-    ConvergenceCurve,
     active_distribution,
     convergence_mean,
     default_grid,
     mean_sd,
     summarize,
-    write_convergence_csv,
-    write_histogram_csv,
+    write_csv,
     write_summary_jsonl,
 )
+from cgp_reorder.cli import EXIT_OK, main
 from cgp_reorder.errors import AggregationError
 from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
@@ -45,15 +44,13 @@ def make_result(seed=0, bitmap="0000", iterations=10, converged=True,
 
 class TestActiveDistribution:
     def test_single_run_equals_its_bitmap(self):
-        hist = active_distribution([make_result(bitmap="0110")])
-        assert hist.probabilities == [0.0, 1.0, 1.0, 0.0]
-        assert hist.num_runs == 1
+        assert active_distribution([make_result(bitmap="0110")]) == [0.0, 1.0, 1.0, 0.0]
 
     def test_two_disjoint_runs_average_to_half(self):
-        hist = active_distribution(
+        probabilities = active_distribution(
             [make_result(bitmap="10"), make_result(seed=1, bitmap="01")]
         )
-        assert hist.probabilities == [0.5, 0.5]
+        assert probabilities == [0.5, 0.5]
 
     def test_mixed_node_counts_rejected(self):
         with pytest.raises(AggregationError):
@@ -63,13 +60,29 @@ class TestActiveDistribution:
         with pytest.raises(AggregationError):
             active_distribution([])
 
-    def test_normalized_positions(self):
-        hist = active_distribution([make_result(bitmap="0101")])
-        assert hist.normalized_positions() == [0.0, 1 / 3, 2 / 3, 1.0]
+    @staticmethod
+    def written_columns(tmp_path, nodes):
+        """The histogram `analyze` writes for one parity3 run of ``nodes``
+        nodes, as its position and normalized-position columns."""
+        runs, out = tmp_path / "runs", tmp_path / "analysis"
+        argv = ["--bench", "parity3", "--nodes", str(nodes), "--seeds", "0",
+                "--max-iterations", "5", "--workers", "1", "--out", str(runs)]
+        assert main(["run", *argv]) == EXIT_OK
+        assert main(["analyze", str(runs), "--out", str(out)]) == EXIT_OK
+        text = (out / f"histogram_parity3_none_N{nodes}_p1.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()[-nodes:]]
+        return [row[0] for row in rows], [row[1] for row in rows]
+
+    def test_normalized_positions(self, tmp_path):
+        positions, normalized = self.written_columns(tmp_path, 4)
+        assert positions == ["0", "1", "2", "3"]
+        assert normalized == [repr(v) for v in (0.0, 1 / 3, 2 / 3, 1.0)]
+
+    def test_a_lone_position_is_normalized_to_zero(self, tmp_path):
+        assert self.written_columns(tmp_path, 1) == (["0"], ["0.0"])
 
     def test_decile_means_cover_all_positions(self):
-        hist = active_distribution([make_result(bitmap="1" * 50)])
-        assert decile_means(hist.probabilities) == [1.0] * 10
+        assert decile_means(active_distribution([make_result(bitmap="1" * 50)])) == [1.0] * 10
 
 
 class TestSummarize:
@@ -104,9 +117,9 @@ def bitmaps(draw):
 
 @given(bitmaps())
 def test_active_distribution_equals_the_per_result_sum_byte_for_byte(maps):
-    hist = active_distribution([make_result(seed, bitmap) for seed, bitmap in enumerate(maps)])
+    probabilities = active_distribution([make_result(s, bitmap) for s, bitmap in enumerate(maps)])
     expected = reference_active_probabilities(maps)
-    assert np.asarray(hist.probabilities).tobytes() == np.asarray(expected).tobytes()
+    assert np.asarray(probabilities).tobytes() == np.asarray(expected).tobytes()
 
 
 @st.composite
@@ -122,10 +135,10 @@ def traces(draw):
     st.lists(st.integers(-10, 350), max_size=30).map(sorted),
 )
 def test_convergence_mean_equals_the_cursor_merge_byte_for_byte(runs, grid):
-    curve = convergence_mean(runs, grid)
-    mean, sd = reference_convergence_mean(runs, grid)
-    assert np.asarray(curve.mean_fitness).tobytes() == np.asarray(mean).tobytes()
-    assert np.asarray(curve.sd_fitness).tobytes() == np.asarray(sd).tobytes()
+    mean, sd = convergence_mean(runs, grid)
+    expected_mean, expected_sd = reference_convergence_mean(runs, grid)
+    assert np.asarray(mean).tobytes() == np.asarray(expected_mean).tobytes()
+    assert np.asarray(sd).tobytes() == np.asarray(expected_sd).tobytes()
 
 
 class TestMeanSd:
@@ -137,20 +150,20 @@ class TestMeanSd:
         b = ConvergenceTrace([(0, 3.96)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = convergence_mean([a, b], [0])
-        assert curve.mean_fitness == [pytest.approx(2.4341569313678394e303)]
-        assert curve.sd_fitness == [pytest.approx(2.4341569313678394e303)]
+            mean, sd = convergence_mean([a, b], [0])
+        assert mean == [pytest.approx(2.4341569313678394e303)]
+        assert sd == [pytest.approx(2.4341569313678394e303)]
 
     def test_values_too_large_to_sum(self):
         rows = [make_result(train=v, test=v) for v in (1.7e308, 1.6e308)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = summarize(rows, CONFIG)
-            curve = convergence_mean([r.trace for r in rows], [10])
+            mean, sd = convergence_mean([r.trace for r in rows], [10])
         assert summary.mean_train_fitness == pytest.approx(1.65e308)
         assert summary.mean_test_fitness == pytest.approx(1.65e308)
-        assert curve.mean_fitness == [pytest.approx(1.65e308)]
-        assert curve.sd_fitness == [pytest.approx(0.05e308)]
+        assert mean == [pytest.approx(1.65e308)]
+        assert sd == [pytest.approx(0.05e308)]
 
     def test_only_a_column_that_overflows_is_rescaled(self):
         values = np.array([[1e308, 0.1, 2.0], [1e308, 0.7, 2.0], [-5.0, 0.3, 2.0]])
@@ -173,29 +186,26 @@ class TestMeanSd:
 class TestConvergenceMean:
     def test_identical_traces_have_zero_sd(self):
         trace = ConvergenceTrace([(0, 1.0), (5, 0.5), (10, 0.1)])
-        curve = convergence_mean([trace, trace, trace], [0, 5, 10])
-        assert curve.sd_fitness == [0.0, 0.0, 0.0]
+        _, sd = convergence_mean([trace, trace, trace], [0, 5, 10])
+        assert sd == [0.0, 0.0, 0.0]
 
     def test_two_run_mean_and_sd(self):
         a = ConvergenceTrace([(0, 0.4)])
         b = ConvergenceTrace([(0, 0.6)])
-        curve = convergence_mean([a, b], [3])
-        assert curve.mean_fitness == [0.5]
-        assert curve.sd_fitness == [pytest.approx(0.1)]
+        mean, sd = convergence_mean([a, b], [3])
+        assert mean == [0.5]
+        assert sd == [pytest.approx(0.1)]
 
     def test_step_interpolation_holds_last_value(self):
         trace = ConvergenceTrace([(0, 1.0), (4, 0.25)])
-        curve = convergence_mean([trace], [0, 1, 4, 100])
-        assert curve.mean_fitness == [1.0, 1.0, 0.25, 0.25]
+        mean, _ = convergence_mean([trace], [0, 1, 4, 100])
+        assert mean == [1.0, 1.0, 0.25, 0.25]
 
     def test_order_invariant(self):
         a = ConvergenceTrace([(0, 0.9), (2, 0.3)])
         b = ConvergenceTrace([(0, 0.7), (5, 0.2)])
         grid = [0, 2, 5, 9]
-        fwd = convergence_mean([a, b], grid)
-        rev = convergence_mean([b, a], grid)
-        assert fwd.mean_fitness == rev.mean_fitness
-        assert fwd.sd_fitness == rev.sd_fitness
+        assert convergence_mean([a, b], grid) == convergence_mean([b, a], grid)
 
     def test_mean_of_monotone_traces_is_monotone(self):
         rng = np.random.default_rng(0)
@@ -205,8 +215,8 @@ class TestConvergenceMean:
             values = sorted(rng.random(5), reverse=True)
             traces.append(ConvergenceTrace([(0, 1.0)] + list(zip(points, values))))
         grid = default_grid(traces, 40)
-        curve = convergence_mean(traces, grid)
-        assert all(b <= a + 1e-12 for a, b in zip(curve.mean_fitness, curve.mean_fitness[1:]))
+        mean, _ = convergence_mean(traces, grid)
+        assert all(b <= a + 1e-12 for a, b in zip(mean, mean[1:]))
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
@@ -215,28 +225,29 @@ class TestConvergenceMean:
     def test_identical_infinities_have_zero_sd(self):
         # seeds whose error sum overflowed
         runs = [ConvergenceTrace([(0, float("inf"))]), ConvergenceTrace([(0, float("inf"))])]
-        curve = convergence_mean(runs, [0, 5])
-        assert curve.mean_fitness == [float("inf")] * 2
-        assert curve.sd_fitness == [0.0, 0.0]
+        mean, sd = convergence_mean(runs, [0, 5])
+        assert mean == [float("inf")] * 2
+        assert sd == [0.0, 0.0]
 
 
 class TestWriters:
     def test_histogram_csv_round_trip(self, tmp_path):
-        hist = active_distribution([make_result(bitmap="0110")])
+        probabilities = active_distribution([make_result(bitmap="0110")])
         path = tmp_path / "hist.csv"
-        write_histogram_csv(str(path), hist, {"benchmark": "parity3", "nodes": 4})
-        lines = path.read_text().strip().splitlines()
-        assert "# benchmark=parity3" in lines
-        assert lines[-5] == "position,normalized_position,probability"
-        assert lines[-4].startswith("0,0.0,0.0")
+        rows = ((pos, pos / 3, prob) for pos, prob in enumerate(probabilities))
+        header = "position,normalized_position,probability"
+        write_csv(str(path), {"nodes": 4, "benchmark": "parity3"}, ["runs=1"], header, rows)
+        assert path.read_text().splitlines() == [
+            "# benchmark=parity3", "# nodes=4", "# runs=1", header,
+            "0,0.0,0.0", "1,0.3333333333333333,1.0", "2,0.6666666666666666,1.0", "3,1.0,0.0",
+        ]
 
     def test_convergence_csv_format(self, tmp_path):
-        curve = ConvergenceCurve([0, 10], [0.5, 0.25], [0.1, 0.0])
         path = tmp_path / "conv.csv"
-        write_convergence_csv(str(path), curve, {"variant": "none"})
+        rows = zip([0, 10], [0.5, 0.25], [0.1, 0.0])
+        write_csv(str(path), {"variant": "none"}, [], "iteration,mean_fitness,sd", rows)
         lines = path.read_text().strip().splitlines()
-        assert "iteration,mean_fitness,sd" in lines
-        assert lines[-1] == "10,0.25,0.0"
+        assert lines == ["# variant=none", "iteration,mean_fitness,sd", "0,0.5,0.1", "10,0.25,0.0"]
 
     def test_summary_jsonl(self, tmp_path):
         import json

@@ -22,6 +22,7 @@ from cgp_reorder.cli import (
     write_atomic,
 )
 from cgp_reorder.errors import ConfigError
+from cgp_reorder.evolution import ConvergenceTrace, RunResult
 from cgp_reorder.genome import GraphParams, random_genome, to_flat_text
 
 from conftest import validate
@@ -175,6 +176,31 @@ class TestFinalize:
     def test_gate_probability_rejected_for_plain_variants(self):
         with pytest.raises(ConfigError):
             finalize(Settings(benchmark="parity3", variant="uniform", p_reorder=0.5, seeds=[0]))
+
+    @pytest.mark.parametrize(
+        "variant, p_reorder, p_grid, message",
+        [
+            ("sideways", 1.0, None, "unknown reorder kind 'sideways'; expected one of "
+             "('none', 'original', 'equidistant', 'uniform', 'negbias', 'leftskew')"),
+            ("negbias", 1.5, None, "p_reorder must be in [0, 1], got 1.5"),
+            ("leftskew", 0.5, [0.2, -0.1], "p_reorder must be in [0, 1], got -0.1"),
+            ("equidistant", 0.5, None, "p_reorder is fixed to 1.0 for kind 'equidistant'"),
+            ("none", 1.0, [1.0, 0.5], "p_reorder is fixed to 1.0 for kind 'none'"),
+        ],
+        ids=["unknown-kind", "p-range", "p-grid-range", "fixed-p", "fixed-p-grid"],
+    )
+    def test_variant_and_gate_messages(self, variant, p_reorder, p_grid, message):
+        settings = Settings(
+            benchmark="parity3", variant=variant, p_reorder=p_reorder, p_grid=p_grid, seeds=[0]
+        )
+        with pytest.raises(ConfigError) as caught:
+            finalize(settings)
+        assert str(caught.value) == message
+
+    def test_gated_variants_keep_their_probability(self):
+        for variant in ("negbias", "leftskew"):
+            settings = Settings(benchmark="parity3", variant=variant, p_reorder=0.5, seeds=[0])
+            assert finalize(settings).p_reorder == 0.5
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -386,6 +412,19 @@ class TestRunCommand:
             for name in RECORD_FIELDS:
                 assert getattr(read, name) == getattr(result, name), name
             assert (read.union_active_bitmap is not None) == union
+
+    def test_trace_reads_back_exactly(self, tmp_path):
+        samples = [(0, -0.0), (3, float("inf")), (7, 5e-324), (12, 0.1 + 0.2)]
+        result = RunResult(
+            seed=4, converged=False, iterations=12, evaluations=48,
+            final_train_fitness=0.1 + 0.2, final_test_fitness=None, active_count=0,
+            active_bitmap="0" * 10, trace=ConvergenceTrace(list(samples)),
+        )
+        settings = finalize(Settings(benchmark="parity3", nodes=10, seeds=[4]))
+        cli._write_run_outputs(str(tmp_path), settings, result, {})
+        read = cli.read_trace_csv(str(tmp_path / "traces" / "trace_seed4.csv"))
+        assert [(i, f.hex()) for i, f in read.samples] == [(i, f.hex()) for i, f in samples]
+        assert all(type(i) is int for i, _ in read.samples)
 
     def test_run_builds_its_benchmark_once(self, tmp_path, monkeypatch):
         calls = []
@@ -684,6 +723,8 @@ class TestAnalyzeCommand:
         assert "summary.jsonl" in files
         rows = _read_records(tmp_path / "analysis" / "summary.jsonl")
         assert rows[0]["runs"] == 3
+        histogram = (tmp_path / "analysis" / "histogram_parity3_none_N20_p1.csv").read_text()
+        assert "# runs=3\nposition,normalized_position,probability\n" in histogram
 
     def test_single_run_histogram_equals_bitmap(self, tmp_path):
         out = tmp_path / "runs"

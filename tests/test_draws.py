@@ -16,7 +16,6 @@ from cgp_reorder.draws import BLOCK, DrawFeed
 from cgp_reorder.genome import GraphParams, Genotype, decode_active, random_genome
 from cgp_reorder.mutation import single_mutation
 from cgp_reorder.reorder import (
-    ReorderStrategy,
     maybe_reorder,
     reorder_equidistant,
     reorder_leftskew,
@@ -103,8 +102,8 @@ DRAW_SITES = {
     "uniform": reorder_uniform,
     "negbias": reorder_negbias,
     "leftskew": reorder_leftskew,
-    "maybe_negbias": lambda g, rng: maybe_reorder(g, ReorderStrategy("negbias", 0.5), rng),
-    "maybe_leftskew": lambda g, rng: maybe_reorder(g, ReorderStrategy("leftskew", 0.5), rng),
+    "maybe_negbias": lambda g, rng: maybe_reorder(g, "negbias", 0.5, rng),
+    "maybe_leftskew": lambda g, rng: maybe_reorder(g, "leftskew", 0.5, rng),
     "repair": repaired,
 }
 

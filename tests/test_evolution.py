@@ -41,8 +41,8 @@ def check_every_reorder(monkeypatch, bench: BooleanBenchmark) -> None:
         copy = Genotype(genome.params, list(genome.computational), genome.output_connections)
         return boolean_fitness(copy, bench, decode_active(copy)), copy.values
 
-    def checking(genome, strategy, rng, active=None):
-        reordered = reorder(genome, strategy, rng, active)
+    def checking(genome, kind, p_reorder, rng, active=None):
+        reordered = reorder(genome, kind, p_reorder, rng, active)
         if reordered is genome:
             return reordered
         before, _ = fresh(genome)
@@ -140,8 +140,8 @@ class TestRunEs:
     def test_verify_reorder_rejects_a_wrong_carried_active_set(self, monkeypatch):
         reorder = evolution.maybe_reorder
 
-        def miscounting(genome, strategy, rng, active=None):
-            reordered = reorder(genome, strategy, rng, active)
+        def miscounting(genome, kind, p_reorder, rng, active=None):
+            reordered = reorder(genome, kind, p_reorder, rng, active)
             if reordered is not genome:
                 # one more reader of the first active node, which no gene is
                 readers = reordered.active.readers.copy()

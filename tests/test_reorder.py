@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import DrawFeed
-from cgp_reorder.errors import ConfigError, InvariantViolation
+from cgp_reorder.errors import InvariantViolation
 from cgp_reorder.genome import (
     GraphParams,
     Genotype,
@@ -22,7 +22,6 @@ from cgp_reorder.reorder import (
     _placement_order,
     _remap,
     _reorder,
-    ReorderStrategy,
     beta61_from_uniform,
     lin_space,
     maybe_reorder,
@@ -811,44 +810,26 @@ class TestMaybeReorder:
         g = fig1_genome()
         rng = np.random.default_rng(0)
         for kind in ("negbias", "leftskew"):
-            strategy = ReorderStrategy(kind, 0.0)
-            assert maybe_reorder(g, strategy, rng) is g
+            assert maybe_reorder(g, kind, 0.0, rng) is g
 
     def test_probability_one_always_reorders(self):
         params = GraphParams(3, 1, 30, "boolean")
         g = random_genome(params, np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        strategy = ReorderStrategy("equidistant", 1.0)
-        h = maybe_reorder(g, strategy, rng)
+        h = maybe_reorder(g, "equidistant", 1.0, rng)
         n = decode_active(g).count
         positions = [params.comp_start + i for i in decode_active(h).positions()]
         assert positions == lin_space(params.comp_start, params.comp_end, n)
 
     def test_kind_none_returns_same_genome(self):
         g = fig1_genome()
-        assert maybe_reorder(g, ReorderStrategy("none"), np.random.default_rng(0)) is g
+        assert maybe_reorder(g, "none", 1.0, np.random.default_rng(0)) is g
 
     def test_gate_rate_matches_probability(self):
         params = GraphParams(3, 1, 10, "boolean")
         g = random_genome(params, np.random.default_rng(3))
         rng = np.random.default_rng(4)
-        strategy = ReorderStrategy("negbias", 0.3)
         applied = sum(
-            1 for _ in range(2000) if maybe_reorder(g, strategy, rng) is not g
+            1 for _ in range(2000) if maybe_reorder(g, "negbias", 0.3, rng) is not g
         )
         assert applied == pytest.approx(600, abs=80)
-
-
-class TestStrategyValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            ReorderStrategy("sideways")
-
-    def test_probability_range_enforced(self):
-        with pytest.raises(ConfigError):
-            ReorderStrategy("negbias", 1.5)
-
-    def test_non_gated_kinds_fix_probability(self):
-        with pytest.raises(ConfigError):
-            ReorderStrategy("equidistant", 0.5)
-        assert ReorderStrategy("leftskew", 0.5).p_reorder == 0.5
