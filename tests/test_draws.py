@@ -9,7 +9,7 @@ changes how it draws fails them.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cgp_reorder.draws import BLOCK, DrawFeed
@@ -44,6 +44,17 @@ draws = st.one_of(
     buffered=st.booleans(),
     steps=st.lists(draws, max_size=60),
 )
+# a float taken while a half is buffered leaves that half next in line, for
+# the integer draws and the flush after it: buffered from the start, after
+# an integer draw, and with a flush or an array of floats between
+@example(seed=0, buffered=True, steps=[("float", None), ("integers", [5, 2**31 + 5, 3]), ("flush", None)])
+@example(seed=1, buffered=False, steps=[("integer", 9), ("float", None), ("integers", [5, 7]), ("flush", None)])
+@example(
+    seed=2,
+    buffered=False,
+    steps=[("integer", 9), ("flush", None), ("float", None), ("float", None), ("integer", 2), ("flush", None)],
+)
+@example(seed=3, buffered=False, steps=[("integer", 9), ("floats", 3), ("float", None), ("integers", [2, 2]), ("flush", None)])
 def test_interleavings_match_the_generator(seed, buffered, steps):
     expected = np.random.default_rng(seed)
     generator = np.random.default_rng(seed)
