@@ -275,9 +275,13 @@ def test_bound_of_one_draws_nothing(ahead):
 @pytest.mark.parametrize("left", [0, 1])
 def test_cursor_runs_off_the_converted_halves(left):
     genome = random_genome(GraphParams(3, 1, 40), np.random.default_rng(5))
+    # draw until all but ``left`` halves of the first converted chunk are
+    # served: the mutation's gene draw (left 0) or value draw (left 1)
+    # converts the next chunk
     probe = DrawFeed(np.random.default_rng(11))
-    count = 0
-    while probe.at == 1 or len(probe.halves) - probe.at != left:
+    probe.integers(2)
+    count = 1
+    while len(probe.halves) - probe.at != left:
         probe.integers(2)
         count += 1
     assert_matches_served_draws(genome, lambda: np.random.default_rng(11), drawing_halves(count))
