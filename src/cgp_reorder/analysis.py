@@ -1,12 +1,15 @@
-"""Aggregation of run results: positional-bias histograms, convergence
-curves, per-variant summary statistics, and the one CSV writer.
+"""Aggregation of `results.jsonl` records: positional-bias histograms,
+convergence curves, per-variant summary statistics, and the one CSV writer.
 
-Standard deviations are population deviations (divisor n), which is also
-noted in the emitted file headers.  Finite fitnesses give finite means and
-deviations, however large they are (see `mean_sd`).  Every CSV the harness
-writes, traces included, goes through `write_csv`: the effective config as
-sorted ``# key=value`` lines, free ``# `` notes, a header, and one line per
-row with every value spelled by ``repr``, so each float reads back exactly.
+Aggregation reads the records as they are on disk: one dict per seed, keyed
+by `cli.RECORD_FIELDS`, and each trace as its list of ``(iteration, best
+fitness)`` samples.  Standard deviations are population deviations
+(divisor n), which is also noted in the emitted file headers.  Finite
+fitnesses give finite means and deviations, however large they are (see
+`mean_sd`).  Every CSV the harness writes, traces included, goes through
+`write_csv`: the effective config as sorted ``# key=value`` lines, free
+``# `` notes, a header, and one line per row with every value spelled by
+``repr``, so each float reads back exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 
 from .benchmarks import write_atomic
 from .errors import AggregationError
-from .evolution import ConvergenceTrace, RunResult
 
 
 @dataclass
@@ -50,21 +52,22 @@ class SummaryRow:
         )
 
 
-def active_distribution(results: Sequence[RunResult]) -> list[float]:
-    """Position-wise mean of the final-solution active bitmaps: each
-    position's probability of being active."""
-    if not results:
+def active_distribution(records: Sequence[dict]) -> list[float]:
+    """Position-wise mean of the records' ``active_bitmap`` strings (the
+    final solutions' active nodes): each position's probability of being
+    active."""
+    if not records:
         raise AggregationError("no results to aggregate")
-    width = len(results[0].active_bitmap)
-    for r in results:
-        if len(r.active_bitmap) != width:
+    width = len(records[0]["active_bitmap"])
+    for r in records:
+        if len(r["active_bitmap"]) != width:
             raise AggregationError(
-                f"mixed node counts: seed {r.seed} has {len(r.active_bitmap)} "
+                f"mixed node counts: seed {r['seed']} has {len(r['active_bitmap'])} "
                 f"positions, expected {width}"
             )
-    bits = np.frombuffer("".join(r.active_bitmap for r in results).encode(), dtype=np.uint8)
-    counts = (bits.reshape(len(results), width) - ord("0")).sum(axis=0)
-    return (counts / len(results)).tolist()
+    bits = np.frombuffer("".join(r["active_bitmap"] for r in records).encode(), dtype=np.uint8)
+    counts = (bits.reshape(len(records), width) - ord("0")).sum(axis=0)
+    return (counts / len(records)).tolist()
 
 
 def mean_sd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,43 +89,45 @@ def mean_sd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where((values == values[0]).all(axis=0), 0.0, sd)
 
 
-def summarize(results: Sequence[RunResult], config: dict) -> SummaryRow:
-    """Descriptive statistics over one variant's run set; the row is named
-    by the benchmark, variant, nodes and p_reorder of its ``config``."""
-    if not results:
+def summarize(records: Sequence[dict], config: dict) -> SummaryRow:
+    """Descriptive statistics over one variant's `results.jsonl` records;
+    the row is named by the benchmark, variant, nodes and p_reorder of its
+    ``config``."""
+    if not records:
         raise AggregationError("no results to summarize")
     mean = lambda values: float(mean_sd(np.asarray(values, dtype=np.float64))[0])
     mean_iterations, sd_iterations = mean_sd(
-        np.asarray([r.iterations for r in results], dtype=np.float64)
+        np.asarray([r["iterations"] for r in records], dtype=np.float64)
     )
-    tests = [r.final_test_fitness for r in results]
+    tests = [r["final_test_fitness"] for r in records]
     mean_test = mean(tests) if all(t is not None for t in tests) else None
     return SummaryRow(
         variant=config["variant"],
         benchmark=config["benchmark"],
         nodes=config["nodes"],
         p_reorder=config["p_reorder"],
-        runs=len(results),
+        runs=len(records),
         mean_iterations=float(mean_iterations),
         sd_iterations=float(sd_iterations),
-        mean_active=float(np.mean([r.active_count for r in results])),
-        success_rate=sum(1 for r in results if r.converged) / len(results),
-        mean_train_fitness=mean([r.final_train_fitness for r in results]),
+        mean_active=float(np.mean([r["active_count"] for r in records])),
+        success_rate=sum(1 for r in records if r["converged"]) / len(records),
+        mean_train_fitness=mean([r["final_train_fitness"] for r in records]),
         mean_test_fitness=mean_test,
         config=config,
     )
 
 
-def default_grid(traces: Sequence[ConvergenceTrace], points: int = 257) -> list[int]:
+def default_grid(traces: Sequence[list[tuple[int, float]]], points: int = 257) -> list[int]:
     """Evenly spaced iteration grid covering the longest trace."""
-    last = max((t.samples[-1][0] for t in traces if t.samples), default=0)
+    last = max((t[-1][0] for t in traces if t), default=0)
     return sorted({int(round(v)) for v in np.linspace(0, last, points)})
 
 
 def convergence_mean(
-    traces: Sequence[ConvergenceTrace], grid: Sequence[int]
+    traces: Sequence[list[tuple[int, float]]], grid: Sequence[int]
 ) -> tuple[list[float], list[float]]:
-    """Mean and population sd of best-so-far fitness at each grid iteration.
+    """Mean and population sd of best-so-far fitness at each grid iteration,
+    over traces of ascending ``(iteration, fitness)`` samples.
 
     Traces are step functions: between samples the previous value holds, and
     a run that stopped early keeps contributing its final value.
@@ -131,7 +136,7 @@ def convergence_mean(
         raise AggregationError("no traces to aggregate")
     values = np.empty((len(traces), len(grid)))
     for t_idx, trace in enumerate(traces):
-        iterations, fitnesses = zip(*trace.samples)
+        iterations, fitnesses = zip(*trace)
         last = np.searchsorted(iterations, grid, side="right") - 1
         values[t_idx] = np.asarray(fitnesses)[np.maximum(last, 0)]
     mean, sd = mean_sd(values)

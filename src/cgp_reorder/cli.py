@@ -40,7 +40,7 @@ from .analysis import (
 )
 from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
 from .errors import AggregationError, ConfigError, InvariantViolation
-from .evolution import OFFSPRING_PER_ITERATION, ConvergenceTrace, RunResult, run_es
+from .evolution import OFFSPRING_PER_ITERATION, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
 from .genome import ARITY, GraphParams, random_genome, to_flat_text
 from .reorder import GATED_KINDS, REORDER_KINDS
@@ -314,10 +314,11 @@ def _recorded(cell_dir: str, cell: Settings) -> dict[int, dict]:
     return {r["seed"]: r for r in _load_records(path)} if os.path.exists(path) else {}
 
 
-def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[RunResult]]:
+def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[dict]]:
     """Run each seed that a cell (cell directory -> finalized settings) has
     not recorded yet, all on one pool of the first cell's worker count, and
-    return each cell's results, read from its records, in seed order.
+    return each cell's `results.jsonl` records, config included, in seed
+    order.
 
     Every cell is checked (`_recorded`) before any file is written, and each
     seed writes its outputs as it finishes, so a rerun of a killed batch runs
@@ -351,10 +352,7 @@ def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[RunResult]
             # a failed seed ends the batch: no queued seed starts after it
             pool.shutdown(cancel_futures=True)
     _write_meta(out, started, workers)
-    return {
-        cell_dir: [record_to_result(cell_records[seed]) for seed in sorted(cell_records)]
-        for cell_dir, cell_records in records.items()
-    }
+    return {cell_dir: [runs[seed] for seed in sorted(runs)] for cell_dir, runs in records.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +365,21 @@ RECORD_FIELDS = (
 )
 
 
-def read_trace_csv(path: str) -> ConvergenceTrace:
-    trace = ConvergenceTrace()
+def read_trace_csv(path: str) -> list[tuple[int, float]]:
+    """A trace file's ``(iteration, best fitness)`` samples; an
+    AggregationError names the line of a row that does not read as one."""
+    trace = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("iteration"):
                 continue
-            iteration, fitness = line.split(",")
-            trace.record(int(iteration), float(fitness))
+            try:
+                iteration, fitness = line.split(",")
+                trace.append((int(iteration), float(fitness)))
+            except ValueError:
+                raise AggregationError(f"{path}:{line_no}: bad trace row {line!r}") from None
     return trace
-
-
-def record_to_result(record: dict, trace: ConvergenceTrace | None = None) -> RunResult:
-    *required, union = RECORD_FIELDS
-    return RunResult(
-        **{name: record[name] for name in required},
-        trace=trace or ConvergenceTrace(),
-        union_active_bitmap=record.get(union),
-    )
 
 
 def _write_run_outputs(
@@ -396,7 +390,7 @@ def _write_run_outputs(
     seed, so that a complete batch has the bytes of an uninterrupted one."""
     config = effective_config(settings)
     trace = os.path.join(outdir, "traces", f"trace_seed{result.seed}.csv")
-    write_csv(trace, config, [], "iteration,best_fitness", result.trace.samples)
+    write_csv(trace, config, [], "iteration,best_fitness", result.trace)
     if settings.dump_genomes:
         genome = os.path.join(outdir, "genomes", f"genome_seed{result.seed}.txt")
         write_atomic(genome, to_flat_text(result.final_genome))
@@ -467,8 +461,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _load_records(path: str) -> list[dict]:
+    """A results.jsonl file's records; an AggregationError names the line of
+    one that is not JSON or lacks a `RECORD_FIELDS` key or its config."""
+    records = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise AggregationError(f"{path}:{line_no}: {exc}") from None
+            keys = record.keys() if isinstance(record, dict) else set()
+            missing = sorted({*RECORD_FIELDS, "config"} - keys)
+            if missing:
+                raise AggregationError(f"{path}:{line_no}: record lacks {', '.join(missing)}")
+            records.append(record)
+    return records
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -480,52 +489,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not jsonl_files:
         raise ConfigError(f"no results.jsonl files under {results_dir!r}")
 
-    # every record is checked before any file is written
+    # every record and trace is read and checked before any file is written
     use_union = getattr(args, "use_union_bitmap", False)
-    # (benchmark, variant, nodes, p) -> (config, first file, {seed: (record, file)})
+    # (benchmark, variant, nodes, p) -> (config, first file, {seed: (record, file, trace)})
     groups: dict[tuple, tuple[dict, str, dict]] = {}
     for path in jsonl_files:
         for record in _load_records(path):
             cfg, seed = record["config"], record["seed"]
-            if use_union and record.get("union_active_bitmap") is None:
-                raise AggregationError(
-                    f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
-                )
+            if use_union:
+                if record["union_active_bitmap"] is None:
+                    raise AggregationError(
+                        f"{path}: seed {seed} has no union bitmap; "
+                        "re-run with --track-union-active"
+                    )
+                record = record | {"active_bitmap": record["union_active_bitmap"]}
             key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
             config, first, runs = groups.setdefault(key, (cfg, path, {}))
             if cfg != config:
                 raise AggregationError(f"{first} and {path} ran {key} under different configs")
             if seed in runs:
                 raise AggregationError(f"{runs[seed][1]} and {path} both ran seed {seed} of {key}")
-            runs[seed] = (record, path)
+            trace = os.path.join(os.path.dirname(path), "traces", f"trace_seed{seed}.csv")
+            runs[seed] = (record, path, read_trace_csv(trace) if os.path.exists(trace) else [])
 
     rows = []
     for key in sorted(groups):
         config, _, runs = groups[key]
-        results = []
-        for record, path in runs.values():
-            trace_path = os.path.join(
-                os.path.dirname(path), "traces", f"trace_seed{record['seed']}.csv"
-            )
-            trace = read_trace_csv(trace_path) if os.path.exists(trace_path) else None
-            result = record_to_result(record, trace)
-            if use_union:
-                result.active_bitmap = result.union_active_bitmap
-            results.append(result)
-
+        records = [record for record, _, _ in runs.values()]
         benchmark, variant, nodes, p = key
         tag = f"{benchmark}_{variant}_N{nodes}_p{_format_p(p)}"
-        probabilities = active_distribution(results)
+        probabilities = active_distribution(records)
         # positions normalized over [0, 1]; a lone position reads 0.0
         last = max(len(probabilities) - 1, 1)
         write_csv(
             os.path.join(out_dir, f"histogram_{tag}.csv"),
             config,
-            [f"runs={len(results)}"],
+            [f"runs={len(records)}"],
             "position,normalized_position,probability",
             ((pos, pos / last, prob) for pos, prob in enumerate(probabilities)),
         )
-        traces = [r.trace for r in results if r.trace.samples]
+        traces = [trace for _, _, trace in runs.values() if trace]
         if traces:
             grid = default_grid(traces)
             write_csv(
@@ -535,7 +538,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "iteration,mean_fitness,sd",
                 zip(grid, *convergence_mean(traces, grid)),
             )
-        rows.append(summarize(results, config))
+        rows.append(summarize(records, config))
 
     write_summary_jsonl(os.path.join(out_dir, "summary.jsonl"), rows)
     for row in rows:
@@ -544,12 +547,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_genome(args: argparse.Namespace) -> int:
-    _check_non_negative(seed=args.seed, dataset_seed=args.dataset_seed)
+    _check_non_negative(seed=args.seed)
     if args.bench:
-        bench = build_benchmark(
-            args.bench, dataset_rng=_dataset_rng(args.dataset_seed, args.bench)
-        )
-        params = graph_params(bench, args.nodes)
+        params = graph_params(_build_bench(Settings(benchmark=args.bench), None), args.nodes)
     else:
         if args.inputs is None or args.outputs is None:
             raise ConfigError("dump-genome needs --bench or both --inputs and --outputs")
@@ -607,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--function-set", dest="function_set", default="boolean")
     p_dump.add_argument("--nodes", type=int, default=10)
     p_dump.add_argument("--seed", type=int, default=0)
-    p_dump.add_argument("--dataset-seed", dest="dataset_seed", type=int, default=1)
     p_dump.set_defaults(func=cmd_dump_genome)
 
     return parser

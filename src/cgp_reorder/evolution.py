@@ -23,7 +23,7 @@ fitness evaluations are spent per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,19 +48,6 @@ OFFSPRING_PER_ITERATION = 4
 
 
 @dataclass
-class ConvergenceTrace:
-    """Sparse (iteration, best fitness so far) samples; monotone under elitism."""
-
-    samples: list[tuple[int, float]] = field(default_factory=list)
-
-    def record(self, iteration: int, fitness: float) -> None:
-        if self.samples and self.samples[-1][0] == iteration:
-            self.samples[-1] = (iteration, fitness)
-        else:
-            self.samples.append((iteration, fitness))
-
-
-@dataclass
 class RunResult:
     seed: int
     converged: bool
@@ -70,7 +57,8 @@ class RunResult:
     final_test_fitness: float | None
     active_count: int
     active_bitmap: str
-    trace: ConvergenceTrace
+    # sparse (iteration, best fitness so far) samples; monotone under elitism
+    trace: list[tuple[int, float]]
     final_genome: Genotype | None = None
     # positions active at any point during the run (tracked on request only)
     union_active_bitmap: str | None = None
@@ -122,8 +110,7 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
     parent_active = decode_active(parent)
     parent_fitness = fitness(parent, parent_active)
 
-    trace = ConvergenceTrace()
-    trace.record(0, parent_fitness)
+    trace = [(0, parent_fitness)]
     union_active = parent_active.bitmap if settings.track_union_active else None
 
     converged = False
@@ -164,9 +151,11 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
             converged = True
             break
         if improved or settings.trace_full or iteration % 100 == 0:
-            trace.record(iteration, parent_fitness)
+            trace.append((iteration, parent_fitness))
 
-    trace.record(iteration, parent_fitness)
+    # the loop's sample at this iteration, if any, holds this fitness
+    if trace[-1][0] != iteration:
+        trace.append((iteration, parent_fitness))
 
     test_fitness = None
     if isinstance(bench, RegressionBenchmark) and bench.test is not None:

@@ -456,8 +456,7 @@ def reference_convergence_mean(traces, grid) -> tuple[list[float], list[float]]:
     """A cursor merge of each trace against the grid, then numpy's plain mean
     and population sd per grid point, zero where the values span nothing."""
     values = np.empty((len(traces), len(grid)))
-    for t_idx, trace in enumerate(traces):
-        samples = trace.samples
+    for t_idx, samples in enumerate(traces):
         cursor = 0
         current = samples[0][1]
         for g_idx, point in enumerate(grid):

@@ -60,11 +60,14 @@ def _batch_dir() -> tempfile.TemporaryDirectory:
     return tempfile.TemporaryDirectory(prefix="cgp-acceptance-")
 
 
-def with_traces(cell_dir: str, results: list) -> list:
-    """``results`` of one `run_batch` cell, each with the trace it wrote."""
-    for r in results:
-        r.trace = read_trace_csv(os.path.join(cell_dir, "traces", f"trace_seed{r.seed}.csv"))
-    return results
+def with_traces(cell_dir: str, records: list[dict]) -> list[dict]:
+    """The ``records`` of one `run_batch` cell, each with the trace it wrote
+    under the key ``trace``."""
+    traces = os.path.join(cell_dir, "traces")
+    return [
+        r | {"trace": read_trace_csv(os.path.join(traces, f"trace_seed{r['seed']}.csv"))}
+        for r in records
+    ]
 
 
 def batch(benchmark: str, variant: str, nodes: int, budget: int, p: float = 1.0):
@@ -176,14 +179,14 @@ class TestCriterion3BetaSampler:
 class TestCriterion4ParityDeskScale:
     def test_standard_band(self):
         results = batch("parity3", "none", 200, 1_000_000)
-        mean = float(np.mean([r.iterations for r in results]))
+        mean = float(np.mean([r["iterations"] for r in results]))
         ok = 200 <= mean <= 900
         report("4a", ok, f"parity3 standard N=200, 75 seeds: mean I2S {mean:.1f} in [200, 900]")
         assert ok
 
     def test_original_reorder_band(self):
         results = batch("parity3", "original", 600, 1_000_000)
-        mean = float(np.mean([r.iterations for r in results]))
+        mean = float(np.mean([r["iterations"] for r in results]))
         ok = 170 <= mean <= 800
         report("4b", ok, f"parity3 original N=600, 75 seeds: mean I2S {mean:.1f} in [170, 800]")
         assert ok
@@ -192,8 +195,8 @@ class TestCriterion4ParityDeskScale:
 class TestCriterion5Keijzer6:
     def test_equidistant_speed_and_success(self):
         results = batch("keijzer6", "equidistant", 50, REGRESSION_DESK_BUDGET)
-        mean = float(np.mean([r.iterations for r in results]))
-        sr = sum(r.converged for r in results) / len(results)
+        mean = float(np.mean([r["iterations"] for r in results]))
+        sr = sum(r["converged"] for r in results) / len(results)
         ok = sr >= 0.9 and mean <= 200
         report(
             "5a", ok,
@@ -204,7 +207,7 @@ class TestCriterion5Keijzer6:
 
     def test_standard_is_slower(self):
         results = batch("keijzer6", "none", 150, REGRESSION_DESK_BUDGET)
-        mean = float(np.mean([r.iterations for r in results]))
+        mean = float(np.mean([r["iterations"] for r in results]))
         ok = mean >= 100
         report("5b", ok, f"keijzer6 standard N=150, 75 seeds: mean I2S {mean:.1f} (need >= 100)")
         assert ok
@@ -261,7 +264,7 @@ class TestCriterion7MultiplyLongRun:
         }
         results = run_batch(cells, str(tmp_path))
         means = {
-            label: float(np.mean([r.iterations for r in results[str(tmp_path / label)]]))
+            label: float(np.mean([r["iterations"] for r in results[str(tmp_path / label)]]))
             for label in configs
         }
         ok = means["negbias"] < means["none"]
@@ -288,14 +291,14 @@ class TestCriterion8ElitismDeterminism:
         for kind, results in self._all_batches():
             for r in results:
                 total += 1
-                fitness = [f for _, f in r.trace.samples]
+                fitness = [f for _, f in r["trace"]]
                 pairs = zip(fitness, fitness[1:])
                 if kind == "boolean":
                     monotone = all(b >= a for a, b in pairs)
                 else:
                     monotone = all(b <= a for a, b in pairs)
                 bad_traces += 0 if monotone else 1
-                bad_budget += 0 if r.evaluations == 4 * r.iterations else 1
+                bad_budget += 0 if r["evaluations"] == 4 * r["iterations"] else 1
         ok = bad_traces == 0 and bad_budget == 0
         report(
             "8a", ok,

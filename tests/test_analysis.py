@@ -16,7 +16,6 @@ from cgp_reorder.analysis import (
 )
 from cgp_reorder.cli import EXIT_OK, main
 from cgp_reorder.errors import AggregationError
-from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
 from conftest import (
     decile_means,
@@ -27,34 +26,35 @@ from conftest import (
 CONFIG = {"benchmark": "parity3", "variant": "none", "nodes": 4, "p_reorder": 1.0}
 
 
-def make_result(seed=0, bitmap="0000", iterations=10, converged=True,
-                train=1.0, test=None, trace=None):
-    return RunResult(
-        seed=seed,
-        converged=converged,
-        iterations=iterations,
-        evaluations=4 * iterations,
-        final_train_fitness=train,
-        final_test_fitness=test,
-        active_count=bitmap.count("1"),
-        active_bitmap=bitmap,
-        trace=trace or ConvergenceTrace([(0, 0.5), (iterations, train)]),
-    )
+def make_record(seed=0, bitmap="0000", iterations=10, converged=True, train=1.0, test=None):
+    """A results.jsonl record as `run` writes it."""
+    return {
+        "seed": seed,
+        "converged": converged,
+        "iterations": iterations,
+        "evaluations": 4 * iterations,
+        "final_train_fitness": train,
+        "final_test_fitness": test,
+        "active_count": bitmap.count("1"),
+        "active_bitmap": bitmap,
+        "union_active_bitmap": None,
+        "config": CONFIG,
+    }
 
 
 class TestActiveDistribution:
     def test_single_run_equals_its_bitmap(self):
-        assert active_distribution([make_result(bitmap="0110")]) == [0.0, 1.0, 1.0, 0.0]
+        assert active_distribution([make_record(bitmap="0110")]) == [0.0, 1.0, 1.0, 0.0]
 
     def test_two_disjoint_runs_average_to_half(self):
         probabilities = active_distribution(
-            [make_result(bitmap="10"), make_result(seed=1, bitmap="01")]
+            [make_record(bitmap="10"), make_record(seed=1, bitmap="01")]
         )
         assert probabilities == [0.5, 0.5]
 
     def test_mixed_node_counts_rejected(self):
         with pytest.raises(AggregationError):
-            active_distribution([make_result(bitmap="10"), make_result(bitmap="100")])
+            active_distribution([make_record(bitmap="10"), make_record(bitmap="100")])
 
     def test_empty_input_rejected(self):
         with pytest.raises(AggregationError):
@@ -82,25 +82,25 @@ class TestActiveDistribution:
         assert self.written_columns(tmp_path, 1) == (["0"], ["0.0"])
 
     def test_decile_means_cover_all_positions(self):
-        assert decile_means(active_distribution([make_result(bitmap="1" * 50)])) == [1.0] * 10
+        assert decile_means(active_distribution([make_record(bitmap="1" * 50)])) == [1.0] * 10
 
 
 class TestSummarize:
     def test_success_rate_all_converged(self):
-        rows = [make_result(seed=s) for s in range(4)]
+        rows = [make_record(seed=s) for s in range(4)]
         summary = summarize(rows, CONFIG)
         assert summary.success_rate == 1.0
 
     def test_mean_and_population_sd(self):
-        rows = [make_result(seed=s, iterations=i) for s, i in enumerate((10, 20, 30))]
+        rows = [make_record(seed=s, iterations=i) for s, i in enumerate((10, 20, 30))]
         summary = summarize(rows, CONFIG)
         assert summary.mean_iterations == 20.0
         assert summary.sd_iterations == pytest.approx(np.sqrt(200 / 3))
 
     def test_mean_test_fitness_only_when_all_runs_have_it(self):
-        with_test = [make_result(seed=s, test=0.5) for s in range(2)]
+        with_test = [make_record(seed=s, test=0.5) for s in range(2)]
         assert summarize(with_test, CONFIG).mean_test_fitness == 0.5
-        mixed = [make_result(seed=0, test=0.5), make_result(seed=1)]
+        mixed = [make_record(seed=0, test=0.5), make_record(seed=1)]
         assert summarize(mixed, CONFIG).mean_test_fitness is None
 
     def test_empty_rejected(self):
@@ -117,7 +117,7 @@ def bitmaps(draw):
 
 @given(bitmaps())
 def test_active_distribution_equals_the_per_result_sum_byte_for_byte(maps):
-    probabilities = active_distribution([make_result(s, bitmap) for s, bitmap in enumerate(maps)])
+    probabilities = active_distribution([make_record(s, bitmap) for s, bitmap in enumerate(maps)])
     expected = reference_active_probabilities(maps)
     assert np.asarray(probabilities).tobytes() == np.asarray(expected).tobytes()
 
@@ -127,7 +127,7 @@ def traces(draw):
     """A trace of strictly ascending iterations with finite fitnesses."""
     iterations = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=10)))
     fitness = st.floats(-1e6, 1e6, allow_nan=False)
-    return ConvergenceTrace([(i, draw(fitness)) for i in iterations])
+    return [(i, draw(fitness)) for i in iterations]
 
 
 @given(
@@ -146,8 +146,8 @@ class TestMeanSd:
 
     def test_deviations_too_large_to_square(self):
         # the iteration-0 fitnesses of two keijzer6 seeds
-        a = ConvergenceTrace([(0, 4.868313862735679e303)])
-        b = ConvergenceTrace([(0, 3.96)])
+        a = [(0, 4.868313862735679e303)]
+        b = [(0, 3.96)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean, sd = convergence_mean([a, b], [0])
@@ -155,11 +155,12 @@ class TestMeanSd:
         assert sd == [pytest.approx(2.4341569313678394e303)]
 
     def test_values_too_large_to_sum(self):
-        rows = [make_result(train=v, test=v) for v in (1.7e308, 1.6e308)]
+        rows = [make_record(train=v, test=v) for v in (1.7e308, 1.6e308)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = summarize(rows, CONFIG)
-            mean, sd = convergence_mean([r.trace for r in rows], [10])
+            traces = [[(0, 0.5), (r["iterations"], r["final_train_fitness"])] for r in rows]
+            mean, sd = convergence_mean(traces, [10])
         assert summary.mean_train_fitness == pytest.approx(1.65e308)
         assert summary.mean_test_fitness == pytest.approx(1.65e308)
         assert mean == [pytest.approx(1.65e308)]
@@ -185,25 +186,25 @@ class TestMeanSd:
 
 class TestConvergenceMean:
     def test_identical_traces_have_zero_sd(self):
-        trace = ConvergenceTrace([(0, 1.0), (5, 0.5), (10, 0.1)])
+        trace = [(0, 1.0), (5, 0.5), (10, 0.1)]
         _, sd = convergence_mean([trace, trace, trace], [0, 5, 10])
         assert sd == [0.0, 0.0, 0.0]
 
     def test_two_run_mean_and_sd(self):
-        a = ConvergenceTrace([(0, 0.4)])
-        b = ConvergenceTrace([(0, 0.6)])
+        a = [(0, 0.4)]
+        b = [(0, 0.6)]
         mean, sd = convergence_mean([a, b], [3])
         assert mean == [0.5]
         assert sd == [pytest.approx(0.1)]
 
     def test_step_interpolation_holds_last_value(self):
-        trace = ConvergenceTrace([(0, 1.0), (4, 0.25)])
+        trace = [(0, 1.0), (4, 0.25)]
         mean, _ = convergence_mean([trace], [0, 1, 4, 100])
         assert mean == [1.0, 1.0, 0.25, 0.25]
 
     def test_order_invariant(self):
-        a = ConvergenceTrace([(0, 0.9), (2, 0.3)])
-        b = ConvergenceTrace([(0, 0.7), (5, 0.2)])
+        a = [(0, 0.9), (2, 0.3)]
+        b = [(0, 0.7), (5, 0.2)]
         grid = [0, 2, 5, 9]
         assert convergence_mean([a, b], grid) == convergence_mean([b, a], grid)
 
@@ -213,7 +214,7 @@ class TestConvergenceMean:
         for _ in range(10):
             points = sorted(rng.integers(1, 100, 5))
             values = sorted(rng.random(5), reverse=True)
-            traces.append(ConvergenceTrace([(0, 1.0)] + list(zip(points, values))))
+            traces.append([(0, 1.0)] + list(zip(points, values)))
         grid = default_grid(traces, 40)
         mean, _ = convergence_mean(traces, grid)
         assert all(b <= a + 1e-12 for a, b in zip(mean, mean[1:]))
@@ -224,7 +225,7 @@ class TestConvergenceMean:
 
     def test_identical_infinities_have_zero_sd(self):
         # seeds whose error sum overflowed
-        runs = [ConvergenceTrace([(0, float("inf"))]), ConvergenceTrace([(0, float("inf"))])]
+        runs = [[(0, float("inf"))], [(0, float("inf"))]]
         mean, sd = convergence_mean(runs, [0, 5])
         assert mean == [float("inf")] * 2
         assert sd == [0.0, 0.0]
@@ -232,7 +233,7 @@ class TestConvergenceMean:
 
 class TestWriters:
     def test_histogram_csv_round_trip(self, tmp_path):
-        probabilities = active_distribution([make_result(bitmap="0110")])
+        probabilities = active_distribution([make_record(bitmap="0110")])
         path = tmp_path / "hist.csv"
         rows = ((pos, pos / 3, prob) for pos, prob in enumerate(probabilities))
         header = "position,normalized_position,probability"
@@ -252,7 +253,7 @@ class TestWriters:
     def test_summary_jsonl(self, tmp_path):
         import json
 
-        rows = [summarize([make_result()], CONFIG)]
+        rows = [summarize([make_record()], CONFIG)]
         path = tmp_path / "summary.jsonl"
         write_summary_jsonl(str(path), rows)
         record = json.loads(path.read_text().strip())

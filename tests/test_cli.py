@@ -18,11 +18,10 @@ from cgp_reorder.cli import (
     main,
     parse_config_file,
     parse_seed_spec,
-    record_to_result,
     write_atomic,
 )
 from cgp_reorder.errors import ConfigError
-from cgp_reorder.evolution import ConvergenceTrace, RunResult
+from cgp_reorder.evolution import RunResult
 from cgp_reorder.genome import GraphParams, random_genome, to_flat_text
 
 from conftest import validate
@@ -408,23 +407,23 @@ class TestRunCommand:
         bench = cli._build_bench(settings, None)
         runs = [cli.run_es(settings, bench, seed) for seed in settings.seeds]
         for line, result in zip(lines, runs, strict=True):
-            read = record_to_result(json.loads(line))
-            for name in RECORD_FIELDS:
-                assert getattr(read, name) == getattr(result, name), name
-            assert (read.union_active_bitmap is not None) == union
+            read = json.loads(line)
+            assert read.pop("config") == cli.effective_config(settings)
+            assert read == {name: getattr(result, name) for name in RECORD_FIELDS}
+            assert (read["union_active_bitmap"] is not None) == union
 
     def test_trace_reads_back_exactly(self, tmp_path):
         samples = [(0, -0.0), (3, float("inf")), (7, 5e-324), (12, 0.1 + 0.2)]
         result = RunResult(
             seed=4, converged=False, iterations=12, evaluations=48,
             final_train_fitness=0.1 + 0.2, final_test_fitness=None, active_count=0,
-            active_bitmap="0" * 10, trace=ConvergenceTrace(list(samples)),
+            active_bitmap="0" * 10, trace=list(samples),
         )
         settings = finalize(Settings(benchmark="parity3", nodes=10, seeds=[4]))
         cli._write_run_outputs(str(tmp_path), settings, result, {})
         read = cli.read_trace_csv(str(tmp_path / "traces" / "trace_seed4.csv"))
-        assert [(i, f.hex()) for i, f in read.samples] == [(i, f.hex()) for i, f in samples]
-        assert all(type(i) is int for i, _ in read.samples)
+        assert [(i, f.hex()) for i, f in read] == [(i, f.hex()) for i, f in samples]
+        assert all(type(i) is int for i, _ in read)
 
     def test_run_builds_its_benchmark_once(self, tmp_path, monkeypatch):
         calls = []
@@ -843,6 +842,48 @@ class TestAnalyzeCommand:
         rows = _read_records(tmp_path / "analysis" / "summary.jsonl")
         assert [r["runs"] for r in rows] == [3]
 
+    @staticmethod
+    def _later_group(tmp_path):
+        """Seed 0 of parity3 at N=12 and at N=16, under ``tmp_path/runs``;
+        the N=16 group sorts, and would be written, after the N=12 one."""
+        for nodes in (12, 16):
+            assert run_cli(
+                "run", "--bench", "parity3", "--nodes", str(nodes), "--seeds", "0",
+                "--max-iterations", "30", "--workers", "1",
+                "--out", str(tmp_path / "runs" / f"n{nodes}"),
+            ) == EXIT_OK
+        return tmp_path / "runs" / "n16"
+
+    @staticmethod
+    def _fails_at(tmp_path, capsys, where) -> str:
+        """Analyze's error message, after checking that it names ``where``
+        and that no output file was written."""
+        code = run_cli("analyze", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"aggregation error: {where}: ")
+        assert not (tmp_path / "analysis").exists()
+        return err
+
+    def test_a_record_that_is_not_json_names_its_line(self, tmp_path, capsys):
+        results = self._later_group(tmp_path) / "results.jsonl"
+        results.write_text(results.read_text() + '{"seed": 0\n')
+        self._fails_at(tmp_path, capsys, f"{results}:2")
+
+    @pytest.mark.parametrize("key", ["active_count", "union_active_bitmap", "config"])
+    def test_a_record_that_lacks_a_key_names_its_line(self, tmp_path, capsys, key):
+        results = self._later_group(tmp_path) / "results.jsonl"
+        [record] = _read_records(results)
+        del record[key]
+        results.write_text(json.dumps(record) + "\n")
+        assert key in self._fails_at(tmp_path, capsys, f"{results}:1")
+
+    def test_a_bad_trace_row_names_its_line(self, tmp_path, capsys):
+        trace = self._later_group(tmp_path) / "traces" / "trace_seed0.csv"
+        text = trace.read_text()
+        trace.write_text(text + "1,abc\n")
+        self._fails_at(tmp_path, capsys, f"{trace}:{len(text.splitlines()) + 1}")
+
     def test_analyze_multi_node_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid"
         code = run_cli(
@@ -861,11 +902,19 @@ class TestAnalyzeCommand:
 
 
 class TestDumpGenomeCommand:
-    def test_stdout_is_the_seeded_genome(self, capsys):
-        code = run_cli("dump-genome", "--bench", "multiply3", "--nodes", "15", "--seed", "3")
+    @pytest.mark.parametrize(
+        "bench, shape",
+        # multiply3 multiplies two 3-bit numbers into a 6-bit product;
+        # pagie1 maps (x, y) to one value
+        [("multiply3", (6, 6, "boolean")), ("pagie1", (2, 1, "regression"))],
+        ids=["multiply3", "pagie1"],
+    )
+    def test_stdout_is_the_seeded_genome(self, bench, shape, capsys):
+        code = run_cli("dump-genome", "--bench", bench, "--nodes", "15", "--seed", "3")
         assert code == EXIT_OK
-        # multiply3 multiplies two 3-bit numbers into a 6-bit product
-        genome = random_genome(GraphParams(6, 6, 15, "boolean"), np.random.default_rng(3))
+        inputs, outputs, function_set = shape
+        params = GraphParams(inputs, outputs, 15, function_set)
+        genome = random_genome(params, np.random.default_rng(3))
         assert capsys.readouterr().out == to_flat_text(genome)
         assert validate(genome) == []
 
@@ -889,9 +938,8 @@ class TestDumpGenomeCommand:
         "argv,message",
         [
             (["--seed", "-1"], "seed must be >= 0, got -1"),
-            (["--dataset-seed", "-1"], "dataset_seed must be >= 0, got -1"),
         ],
-        ids=["seed", "dataset-seed"],
+        ids=["seed"],
     )
     def test_negative_seed_is_config_error(self, argv, message, capsys):
         assert run_cli("dump-genome", "--bench", "pagie1", *argv) == EXIT_CONFIG

@@ -105,7 +105,7 @@ class TestRunEs:
         result = run_es(make_settings(), constant_zero_bench(), 0)
         assert result.converged
         assert result.iterations >= 1
-        fitness = [f for _, f in result.trace.samples]
+        fitness = [f for _, f in result.trace]
         assert all(b >= a for a, b in zip(fitness, fitness[1:]))
 
     def test_deterministic_under_fixed_seed(self):
@@ -161,7 +161,7 @@ class TestRunEs:
         bench = build_boolean("parity3")
         cfg = make_settings(nodes=80, max_iterations=3000)
         result = run_es(cfg, bench, 2)
-        fitness = [f for _, f in result.trace.samples]
+        fitness = [f for _, f in result.trace]
         assert all(b >= a for a, b in zip(fitness, fitness[1:]))
 
     def test_active_bitmap_matches_count(self):
@@ -188,7 +188,7 @@ class TestRunEs:
         cfg = make_settings(benchmark="keijzer6", nodes=30, max_iterations=200, threshold=0.01)
         result = run_es(cfg, bench, 4)
         assert result.final_test_fitness is not None
-        fitness = [f for _, f in result.trace.samples]
+        fitness = [f for _, f in result.trace]
         assert all(b <= a for a, b in zip(fitness, fitness[1:]))
 
     def test_regression_without_test_split_reports_none(self):
@@ -201,7 +201,25 @@ class TestRunEs:
         bench = build_boolean("multiply3")
         cfg = make_settings(nodes=30, max_iterations=40, trace_full=True)
         result = run_es(cfg, bench, 0)
-        assert [it for it, _ in result.trace.samples] == list(range(41))
+        assert [it for it, _ in result.trace] == list(range(41))
+
+    @pytest.mark.parametrize(
+        "bench, overrides, converged",
+        [
+            # parity3 cannot reach 2.0, and 200 is an every-100th sample point
+            (build_boolean("parity3"), dict(max_iterations=200, threshold=2.0), False),
+            (constant_zero_bench(), {}, True),
+        ],
+        ids=["budget-ends-on-a-sample-point", "converged"],
+    )
+    def test_trace_ends_with_one_sample_at_the_final_iteration(self, bench, overrides, converged):
+        result = run_es(make_settings(**overrides), bench, 0)
+        assert result.converged == converged
+        assert result.iterations == overrides.get("max_iterations", result.iterations)
+        iterations = [it for it, _ in result.trace]
+        assert all(a < b for a, b in zip(iterations, iterations[1:]))
+        assert iterations.count(result.iterations) == 1
+        assert result.trace[-1] == (result.iterations, result.final_train_fitness)
 
 
 class GeneratorThatCannotDraw:

@@ -10,7 +10,6 @@ import pytest
 
 from cgp_reorder import cli
 from cgp_reorder.errors import ConfigError
-from cgp_reorder.evolution import ConvergenceTrace, RunResult
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,14 +24,19 @@ def load(name: str):
 @pytest.fixture
 def recorded(monkeypatch):
     """The `(cells, out)` of every `run_batch` call and the argv of every
-    `main` call; each cell's batch gives one converged run per seed."""
+    `main` call; each cell's batch gives one converged run's record per seed."""
     calls = {"run_batch": [], "main": []}
 
     def run_batch(cells, out):
         calls["run_batch"].append((cells, out))
         return {
             cell_dir: [
-                RunResult(seed, True, 10, 40, 1.0, None, 1, "1", ConvergenceTrace())
+                {
+                    "seed": seed, "converged": True, "iterations": 10, "evaluations": 40,
+                    "final_train_fitness": 1.0, "final_test_fitness": None,
+                    "active_count": 1, "active_bitmap": "1", "union_active_bitmap": None,
+                    "config": cli.effective_config(cell),
+                }
                 for seed in cell.seeds
             ]
             for cell_dir, cell in cells.items()
