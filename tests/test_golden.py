@@ -8,8 +8,10 @@ end of perfbench/README.md); the others cover the equidistant and uniform
 operators, the unused second gene of unary regression nodes, which repair
 resamples, regression children evaluated from their parents' key vectors
 with no reorder in between, and mutation on a 750-node list with no reorder
-(acceptance criterion 7's `none` cell).  The genome digest matters because
-repair rewrites inactive genes that `results.jsonl` never shows.
+(acceptance criterion 7's `none` cell), and the four benchmarks the cases
+above leave out: the encoder and decoder tables, and nguyen7 and koza3, the
+two datasets sampled from `--dataset-seed`.  The genome digest matters
+because repair rewrites inactive genes that `results.jsonl` never shows.
 
 `ANALYZE` pins what `analyze` writes: two of those cases run into one
 directory, both recording the union bitmap, then `analyze` and `analyze
@@ -97,6 +99,34 @@ GOLDEN = {
         "74604674e7295e69055412c6d75a04078f76e63cd81afceb4cf0e187f5b9226a",
         "0795a0367b95675bed64b57053558d87035f3b456b20088e3f635f525f69570f",
         "078696e40f68cde375e4b8fed6924295481ed17eecd9d0196481d0eb93af0275",
+    ),
+    "encode16_4-negbias-n300": (
+        "--bench encode16_4 --variant negbias --nodes 300 --seeds 0,1 "
+        "--max-iterations 1000 --threshold 2.0 --p-reorder 0.5",
+        "3010a5c3e39aaaacc43c7b159c2d33e06b12e67c768b63f7ce88297500fadf56",
+        "3c53769880696f1295359b6fe21ed214b1557f598f953b9a1124a6fed102bcaa",
+        "df03f776f8a30e69539f084aaa1245f853f427ccd9a485317dd28d2d966bafa4",
+    ),
+    "decode4_16-uniform-n300": (
+        "--bench decode4_16 --variant uniform --nodes 300 --seeds 0,1 "
+        "--max-iterations 800 --threshold 2.0",
+        "00a7ba52b77900543346fbe1083d4602a512ec7d07f2c87aba95ac2127132ea4",
+        "1af1c9204718c36746c8b384719e2cac1cbbbda0196d7e4a3bb093de0949c25a",
+        "f9412ba8da3e4617e33f79a28aa6a194ce20c35707d04d7bc0a95c1f3046690f",
+    ),
+    "nguyen7-original-n100": (
+        "--bench nguyen7 --variant original --nodes 100 --seeds 0,1 "
+        "--max-iterations 600 --threshold 0.0 --dataset-seed 3",
+        "3c649f34731b416cea14860de302089d312ec6e6356b387186e320238e62c765",
+        "978b947d7806e4d46d9b1cb3b9856b2ca21ec0d9408716804a2caef139de29a0",
+        "32929319a11b87bad58728b2d2935df0a9bf66ea3effbf70a698b074e8e99a33",
+    ),
+    "koza3-leftskew-n100": (
+        "--bench koza3 --variant leftskew --nodes 100 --seeds 0,1 "
+        "--max-iterations 600 --threshold 0.0 --p-reorder 0.9 --dataset-seed 5",
+        "addeaef0612d542f77ee62c0b7dcb28b32f099996dd363591e2c8af4c728b8d2",
+        "47c2bba91c203839c436128e567441278eee66ce764e29d79f0b29b676f0d474",
+        "80a305a582ba9ff5b66aae48398f30e07577d5823ff98f73acb1e05d19a010e3",
     ),
 }
 
