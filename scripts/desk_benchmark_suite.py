@@ -15,7 +15,7 @@ import sys
 
 from cgp_reorder import cli
 from cgp_reorder.analysis import summarize
-from cgp_reorder.benchmarks import benchmark_kind
+from cgp_reorder.benchmarks import RegressionBenchmark, benchmark_kind
 from cgp_reorder.errors import ConfigError
 
 # desk-scale node counts per benchmark (kept small on purpose)
@@ -36,7 +36,8 @@ VARIANTS = ("none", "original", "equidistant", "uniform", "negbias", "leftskew")
 def run(benchmark: str = "parity3", outdir: str | None = None, seeds: str = "0..24") -> int:
     outdir = outdir or f"runs/suite_{benchmark}"
     try:
-        budget = ["--max-iterations", "20000"] if benchmark_kind(benchmark) == "regression" else []
+        regression = benchmark_kind(benchmark) is RegressionBenchmark
+        budget = ["--max-iterations", "20000"] if regression else []
         cells = {}
         for variant in VARIANTS:
             gate = ["--p-reorder", "0.5"] if variant in ("negbias", "leftskew") else []

@@ -54,17 +54,11 @@ class SummaryRow:
 
 def active_distribution(records: Sequence[dict]) -> list[float]:
     """Position-wise mean of the records' ``active_bitmap`` strings (the
-    final solutions' active nodes): each position's probability of being
-    active."""
+    final solutions' active nodes), all as wide as the first: each
+    position's probability of being active."""
     if not records:
         raise AggregationError("no results to aggregate")
     width = len(records[0]["active_bitmap"])
-    for r in records:
-        if len(r["active_bitmap"]) != width:
-            raise AggregationError(
-                f"mixed node counts: seed {r['seed']} has {len(r['active_bitmap'])} "
-                f"positions, expected {width}"
-            )
     bits = np.frombuffer("".join(r["active_bitmap"] for r in records).encode(), dtype=np.uint8)
     counts = (bits.reshape(len(records), width) - ord("0")).sum(axis=0)
     return (counts / len(records)).tolist()

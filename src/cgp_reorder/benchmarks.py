@@ -1,5 +1,10 @@
 """Benchmark construction and fitness functions.
 
+A benchmark's class is its kind, and the one owner of what the kind
+implies: the function set its genomes draw from, whether fitness is
+maximised, and the default iteration budget and convergence threshold of a
+run.  `benchmark_kind` maps a name to its class.
+
 Boolean benchmarks are truth tables; fitness is the fraction of rows whose
 entire output vector is reproduced.  The tables are stored row-wise and also
 packed column-wise into integer bitmasks so a genome can be scored against
@@ -33,6 +38,12 @@ REGRESSION_NAMES = ("nguyen7", "koza3", "pagie1", "keijzer6")
 @dataclass
 class BooleanBenchmark:
     function_set = "boolean"
+    maximize = True
+    # Boolean benchmarks nominally run on an unlimited budget; this safety cap
+    # marks a runaway run as non-converged instead of hanging forever.
+    budget = 10_000_000
+    # a run converges once it reproduces every row
+    threshold = 1.0
 
     name: str
     num_inputs: int
@@ -68,6 +79,10 @@ class DataSplit:
 @dataclass
 class RegressionBenchmark:
     function_set = "regression"
+    maximize = False
+    budget = 500_000
+    # a run converges once its mean absolute error falls below this
+    threshold = 0.01
     num_outputs = 1
 
     name: str
@@ -141,21 +156,21 @@ def build_regression(name: str, rng: np.random.Generator) -> RegressionBenchmark
     )
 
 
-def benchmark_kind(name: str) -> str:
+def benchmark_kind(name: str) -> type[BooleanBenchmark] | type[RegressionBenchmark]:
+    """The class of the benchmark called ``name``."""
     if name in BOOLEAN_NAMES:
-        return "boolean"
+        return BooleanBenchmark
     if name in REGRESSION_NAMES:
-        return "regression"
+        return RegressionBenchmark
     raise ConfigError(
         f"unknown benchmark {name!r}; expected one of {BOOLEAN_NAMES + REGRESSION_NAMES}"
     )
 
 
-def build_benchmark(name: str, dataset_rng: np.random.Generator | None = None):
-    if benchmark_kind(name) == "boolean":
+def build_benchmark(name: str, dataset_rng: np.random.Generator):
+    """The benchmark called ``name``; a sampled dataset draws from ``dataset_rng``."""
+    if benchmark_kind(name) is BooleanBenchmark:
         return build_boolean(name)
-    if dataset_rng is None:
-        raise ConfigError(f"regression benchmark {name!r} needs a dataset rng")
     return build_regression(name, dataset_rng)
 
 

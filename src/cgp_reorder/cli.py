@@ -5,10 +5,12 @@ Configs are flat ``key = value`` text files; command-line flags override
 file values, and the effective configuration is echoed into every output
 file.  Result records carry no timestamps (those live in run_meta.json), so
 re-running a command with the same config and seeds reproduces the result
-files byte for byte.  `run` and `grid` share one batch path, `run_batch`:
-`run` is its one-cell case.  Each seed's outputs are written as it finishes,
-and a rerun under the echo in a cell's batch.json reads its recorded seeds
-back and runs only the rest.
+files byte for byte.  The budget and threshold a config leaves unset are
+the defaults of its benchmark's class (`benchmarks.benchmark_kind`).
+`run` and `grid` share one batch path, `run_batch`: `run` is its one-cell
+case.  Each seed's outputs are written as it finishes, and a rerun under
+the echo in a cell's batch.json reads its recorded seeds back and runs only
+the rest.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 internal
 invariant violation.
@@ -38,24 +40,19 @@ from .analysis import (
     write_csv,
     write_summary_jsonl,
 )
-from .benchmarks import benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
+from .benchmarks import (
+    RegressionBenchmark, benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
+)
 from .errors import AggregationError, ConfigError, InvariantViolation
 from .evolution import OFFSPRING_PER_ITERATION, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
-from .genome import ARITY, GraphParams, random_genome, to_flat_text
+from .genome import ARITY, random_genome, to_flat_text
 from .reorder import GATED_KINDS, REORDER_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
-
-# Boolean benchmarks nominally run on an unlimited budget; this safety cap
-# marks a runaway run as non-converged instead of hanging forever.
-DEFAULT_BOOLEAN_CAP = 10_000_000
-DEFAULT_REGRESSION_BUDGET = 500_000
-BOOLEAN_THRESHOLD = 1.0
-REGRESSION_THRESHOLD = 0.01
 
 
 def parse_seed_spec(spec: str) -> list[int]:
@@ -207,13 +204,9 @@ def finalize(settings: Settings) -> Settings:
     kind = benchmark_kind(settings.benchmark)
     resolved = replace(settings)
     if resolved.max_iterations is None:
-        resolved.max_iterations = (
-            DEFAULT_BOOLEAN_CAP if kind == "boolean" else DEFAULT_REGRESSION_BUDGET
-        )
+        resolved.max_iterations = kind.budget
     if resolved.threshold is None:
-        resolved.threshold = (
-            BOOLEAN_THRESHOLD if kind == "boolean" else REGRESSION_THRESHOLD
-        )
+        resolved.threshold = kind.threshold
     if resolved.out is None:
         resolved.out = os.path.join("runs", f"{resolved.benchmark}_{resolved.variant}")
     if not resolved.seeds:
@@ -247,14 +240,13 @@ def finalize(settings: Settings) -> Settings:
 
 def effective_config(settings: Settings) -> dict:
     """The provenance block embedded into every output file."""
-    kind = benchmark_kind(settings.benchmark)
     return {
         "benchmark": settings.benchmark,
         "variant": settings.variant,
         "p_reorder": settings.p_reorder,
         "nodes": settings.nodes,
         "arity": ARITY,
-        "function_set": kind,
+        "function_set": benchmark_kind(settings.benchmark).function_set,
         "mu": 1,
         "lambda": OFFSPRING_PER_ITERATION,
         "max_iterations": settings.max_iterations,
@@ -289,7 +281,7 @@ def _build_bench(settings: Settings, dataset_dir: str | None):
     bench = build_benchmark(
         settings.benchmark, _dataset_rng(settings.dataset_seed, settings.benchmark)
     )
-    if dataset_dir is not None and bench.function_set == "regression":
+    if dataset_dir is not None and type(bench) is RegressionBenchmark:
         write_dataset(bench, dataset_dir, f"{settings.benchmark}_s{settings.dataset_seed}")
     return bench
 
@@ -363,6 +355,11 @@ RECORD_FIELDS = (
     "seed", "converged", "iterations", "evaluations", "final_train_fitness",
     "final_test_fitness", "active_count", "active_bitmap", "union_active_bitmap",
 )
+# the types that aggregation reads these fields as; a bool is no count
+RECORD_TYPES = {
+    "seed": (int,), "iterations": (int,), "evaluations": (int,), "active_count": (int,),
+    "converged": (bool,), "active_bitmap": (str,), "union_active_bitmap": (str, type(None)),
+}
 
 
 def read_trace_csv(path: str) -> list[tuple[int, float]]:
@@ -449,7 +446,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     cells = _grid_cells(settings)
     results = run_batch(cells, settings.out)
     rows = [summarize(results[c], effective_config(cell)) for c, cell in cells.items()]
-    if benchmark_kind(settings.benchmark) == "boolean":
+    # Boolean cells that solve their table all score 1.0, so they rank by
+    # iterations; regression cells rank by their error
+    if benchmark_kind(settings.benchmark).maximize:
         rows.sort(key=lambda row: row.mean_iterations)
     else:
         rows.sort(key=lambda row: row.mean_train_fitness
@@ -462,7 +461,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def _load_records(path: str) -> list[dict]:
     """A results.jsonl file's records; an AggregationError names the line of
-    one that is not JSON or lacks a `RECORD_FIELDS` key or its config."""
+    one that is not JSON, lacks a `RECORD_FIELDS` key or its config, or holds
+    a value of another type than `RECORD_TYPES` gives."""
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -476,6 +476,9 @@ def _load_records(path: str) -> list[dict]:
             missing = sorted({*RECORD_FIELDS, "config"} - keys)
             if missing:
                 raise AggregationError(f"{path}:{line_no}: record lacks {', '.join(missing)}")
+            wrong = [k for k, types in RECORD_TYPES.items() if type(record[k]) not in types]
+            if wrong:
+                raise AggregationError(f"{path}:{line_no}: bad type of {', '.join(wrong)}")
             records.append(record)
     return records
 
@@ -496,12 +499,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for path in jsonl_files:
         for record in _load_records(path):
             cfg, seed = record["config"], record["seed"]
-            if use_union:
-                if record["union_active_bitmap"] is None:
+            if use_union and record["union_active_bitmap"] is None:
+                raise AggregationError(
+                    f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
+                )
+            for name in ["active_bitmap"] + ["union_active_bitmap"] * use_union:
+                if len(record[name]) != cfg["nodes"]:
                     raise AggregationError(
-                        f"{path}: seed {seed} has no union bitmap; "
-                        "re-run with --track-union-active"
+                        f"{path}: seed {seed} has {len(record[name])} positions in its "
+                        f"{name}, expected {cfg['nodes']}"
                     )
+            if use_union:
                 record = record | {"active_bitmap": record["union_active_bitmap"]}
             key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
             config, first, runs = groups.setdefault(key, (cfg, path, {}))
@@ -548,17 +556,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_dump_genome(args: argparse.Namespace) -> int:
     _check_non_negative(seed=args.seed)
-    if args.bench:
-        params = graph_params(_build_bench(Settings(benchmark=args.bench), None), args.nodes)
-    else:
-        if args.inputs is None or args.outputs is None:
-            raise ConfigError("dump-genome needs --bench or both --inputs and --outputs")
-        params = GraphParams(
-            num_inputs=args.inputs,
-            num_outputs=args.outputs,
-            num_computational=args.nodes,
-            function_set=args.function_set,
-        )
+    params = graph_params(_build_bench(Settings(benchmark=args.bench), None), args.nodes)
     genome = random_genome(params, np.random.default_rng(args.seed))
     sys.stdout.write(to_flat_text(genome))
     return EXIT_OK
@@ -601,10 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_dump = sub.add_parser("dump-genome", help="print a random genome in flat form")
-    p_dump.add_argument("--bench", help="take the shape from a benchmark")
-    p_dump.add_argument("--inputs", type=int)
-    p_dump.add_argument("--outputs", type=int)
-    p_dump.add_argument("--function-set", dest="function_set", default="boolean")
+    p_dump.add_argument("--bench", required=True, help="take the shape from a benchmark")
     p_dump.add_argument("--nodes", type=int, default=10)
     p_dump.add_argument("--seed", type=int, default=0)
     p_dump.set_defaults(func=cmd_dump_genome)

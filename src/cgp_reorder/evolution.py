@@ -28,15 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .benchmarks import (
-    BooleanBenchmark,
-    RegressionBenchmark,
-    boolean_fitness,
-    graph_params,
-    mae_fitness,
-)
+from .benchmarks import boolean_fitness, graph_params, mae_fitness
 from .draws import DrawFeed
-from .errors import ConfigError
 from .genome import Genotype, decode_active, random_genome
 from .mutation import single_mutation
 from .reorder import maybe_reorder
@@ -94,16 +87,13 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
     """
     draws = DrawFeed(run_rng(settings.master_seed, seed))
 
-    if isinstance(bench, BooleanBenchmark):
-        maximize = True
+    maximize = bench.maximize
+    if maximize:
         fitness = lambda g, a, p=None: boolean_fitness(g, bench, a, p)
         is_converged = lambda f: f >= settings.threshold
-    elif isinstance(bench, RegressionBenchmark):
-        maximize = False
+    else:
         fitness = lambda g, a, p=None: mae_fitness(g, bench.train, a, p)
         is_converged = lambda f: f < settings.threshold
-    else:
-        raise ConfigError(f"unsupported benchmark type {type(bench).__name__}")
 
     params = graph_params(bench, settings.nodes)
     parent = random_genome(params, draws)
@@ -158,7 +148,7 @@ def run_es(settings: Settings, bench, seed: int) -> RunResult:
         trace.append((iteration, parent_fitness))
 
     test_fitness = None
-    if isinstance(bench, RegressionBenchmark) and bench.test is not None:
+    if not maximize and bench.test is not None:
         test_fitness = mae_fitness(parent, bench.test, parent_active)
     # a kept vector, or a carried active set, would hold an entry per
     # position in every result, and workers would send those back

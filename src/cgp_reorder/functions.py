@@ -23,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-
 PROTECTED_EPS = 1e-9
 EXP_CLAMP = 700.0
 # overflow clamp: finite inputs always yield finite outputs
@@ -129,7 +127,7 @@ class FunctionSet:
 
     @property
     def is_boolean(self) -> bool:
-        return self.id == "boolean"
+        return self.id == BOOLEAN_SET.id
 
     @cached_property
     def arities(self) -> tuple[int, ...]:
@@ -172,12 +170,3 @@ PROTECTED_CONVENTIONS = {
     "ln": f"0.0 when |x| < {PROTECTED_EPS:g}, else ln(|x|)",
     "exp": f"exp(min(x, {EXP_CLAMP:g}))",
 }
-
-
-def get_function_set(set_id: str) -> FunctionSet:
-    try:
-        return FUNCTION_SETS[set_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown function set {set_id!r}; expected one of {sorted(FUNCTION_SETS)}"
-        ) from None

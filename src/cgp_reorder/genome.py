@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functions import FUNCTION_SETS, FunctionSet, get_function_set, read_only
+from .functions import FUNCTION_SETS, FunctionSet, read_only
 
 # connection genes per computational node: no function consumes more
 ARITY = 2
@@ -52,7 +52,6 @@ class GraphParams:
         for name in ("num_inputs", "num_outputs", "num_computational"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        get_function_set(self.function_set)
 
     @property
     def comp_start(self) -> int:
@@ -70,7 +69,7 @@ class GraphParams:
         return self.num_inputs + self.num_computational
 
     def functions(self) -> FunctionSet:
-        """The function set, checked to exist on construction."""
+        """The function set named by ``function_set``."""
         return FUNCTION_SETS[self.function_set]
 
 

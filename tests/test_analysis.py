@@ -52,10 +52,6 @@ class TestActiveDistribution:
         )
         assert probabilities == [0.5, 0.5]
 
-    def test_mixed_node_counts_rejected(self):
-        with pytest.raises(AggregationError):
-            active_distribution([make_record(bitmap="10"), make_record(bitmap="100")])
-
     def test_empty_input_rejected(self):
         with pytest.raises(AggregationError):
             active_distribution([])

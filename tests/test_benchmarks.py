@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cgp_reorder.benchmarks import (
+    BOOLEAN_NAMES,
     REGRESSION_NAMES,
+    BooleanBenchmark,
     DataSplit,
     RegressionBenchmark,
     benchmark_kind,
@@ -262,8 +264,8 @@ class TestMaeFitness:
 
 class TestHelpers:
     def test_benchmark_kind(self):
-        assert benchmark_kind("parity3") == "boolean"
-        assert benchmark_kind("pagie1") == "regression"
+        assert all(benchmark_kind(name) is BooleanBenchmark for name in BOOLEAN_NAMES)
+        assert all(benchmark_kind(name) is RegressionBenchmark for name in REGRESSION_NAMES)
         with pytest.raises(ConfigError):
             benchmark_kind("tictactoe")
 

@@ -878,6 +878,51 @@ class TestAnalyzeCommand:
         results.write_text(json.dumps(record) + "\n")
         assert key in self._fails_at(tmp_path, capsys, f"{results}:1")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        # a string count used to be summarised as the number it spells
+        [("iterations", "30"), ("seed", True), ("evaluations", 120.0), ("active_count", None),
+         ("converged", 1), ("active_bitmap", 101), ("union_active_bitmap", 0)],
+    )
+    def test_a_field_of_another_type_names_its_line(self, tmp_path, capsys, key, value):
+        results = self._later_group(tmp_path) / "results.jsonl"
+        [record] = _read_records(results)
+        results.write_text(json.dumps(record | {key: value}) + "\n")
+        assert key in self._fails_at(tmp_path, capsys, f"{results}:1")
+
+    @pytest.mark.parametrize("union", [False, True], ids=["final", "union"])
+    def test_a_bitmap_wider_than_its_nodes_fails_before_any_file_is_written(
+        self, tmp_path, capsys, union
+    ):
+        out = tmp_path / "runs" / "n16"
+        assert run_cli(
+            "run", "--bench", "parity3", "--nodes", "16", "--seeds", "0",
+            "--max-iterations", "30", "--workers", "1", "--track-union-active",
+            "--out", str(out),
+        ) == EXIT_OK
+        results = out / "results.jsonl"
+        [record] = _read_records(results)
+        key = "union_active_bitmap" if union else "active_bitmap"
+        results.write_text(json.dumps(record | {key: record[key] + "0"}) + "\n")
+        code = run_cli(
+            "analyze", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis"),
+            *(["--use-union-bitmap"] if union else []),
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"aggregation error: {results}: seed 0 has 17 positions")
+        assert key in err
+        assert not (tmp_path / "analysis").exists()
+
+    def test_a_group_of_mixed_widths_fails_before_any_file_is_written(self, tmp_path, capsys):
+        # the valid N=12 group sorts, and would be written, before this one
+        results = self._later_group(tmp_path) / "results.jsonl"
+        [record] = _read_records(results)
+        narrow = record | {"seed": 1, "active_bitmap": record["active_bitmap"][:-1]}
+        results.write_text(json.dumps(record) + "\n" + json.dumps(narrow) + "\n")
+        err = self._fails_at(tmp_path, capsys, results)
+        assert "seed 1 has 15 positions" in err
+
     def test_a_bad_trace_row_names_its_line(self, tmp_path, capsys):
         trace = self._later_group(tmp_path) / "traces" / "trace_seed0.csv"
         text = trace.read_text()
@@ -918,15 +963,13 @@ class TestDumpGenomeCommand:
         assert capsys.readouterr().out == to_flat_text(genome)
         assert validate(genome) == []
 
-    def test_explicit_shape(self, capsys):
-        code = run_cli(
-            "dump-genome", "--inputs", "2", "--outputs", "3", "--nodes", "7",
-            "--function-set", "regression", "--seed", "0",
-        )
-        assert code == EXIT_OK
-        genome = random_genome(GraphParams(2, 3, 7, "regression"), np.random.default_rng(0))
-        assert capsys.readouterr().out == to_flat_text(genome)
-        assert validate(genome) == []
+    def test_bench_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("dump-genome", "--nodes", "7", "--seed", "0")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--bench" in captured.err
 
     def test_deterministic_output(self, capsys):
         run_cli("dump-genome", "--bench", "parity3", "--seed", "9")

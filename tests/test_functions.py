@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cgp_reorder.benchmarks import DataSplit, mae_fitness
-from cgp_reorder.errors import ConfigError
 from cgp_reorder.functions import (
     BOOLEAN_SET,
+    FUNCTION_SETS,
     REGRESSION_SET,
     VALUE_LIMIT,
     _finite,
-    get_function_set,
 )
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene, decode_active, evaluate_batch
 
@@ -99,10 +98,7 @@ def test_regression_functions_finite_for_finite_args(a, b):
 
 
 def test_function_set_registry():
-    assert get_function_set("boolean") is BOOLEAN_SET
-    assert get_function_set("regression") is REGRESSION_SET
-    with pytest.raises(ConfigError):
-        get_function_set("polynomial")
+    assert FUNCTION_SETS == {"boolean": BOOLEAN_SET, "regression": REGRESSION_SET}
 
 
 def test_set_compositions():

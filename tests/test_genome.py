@@ -39,10 +39,6 @@ class TestGraphParams:
         with pytest.raises(ConfigError):
             GraphParams(2, 1, 0)
 
-    def test_rejects_unknown_function_set(self):
-        with pytest.raises(ConfigError):
-            GraphParams(2, 1, 3, function_set="unknown")
-
     def test_position_helpers(self):
         p = GraphParams(2, 1, 3)
         assert p.comp_start == 2
