@@ -355,10 +355,11 @@ RECORD_FIELDS = (
     "seed", "converged", "iterations", "evaluations", "final_train_fitness",
     "final_test_fitness", "active_count", "active_bitmap", "union_active_bitmap",
 )
-# the types that aggregation reads these fields as; a bool is no count
+# the types that aggregation reads a record's values as; a bool is no count
 RECORD_TYPES = {
     "seed": (int,), "iterations": (int,), "evaluations": (int,), "active_count": (int,),
     "converged": (bool,), "active_bitmap": (str,), "union_active_bitmap": (str, type(None)),
+    "final_train_fitness": (float,), "final_test_fitness": (float, type(None)), "config": (dict,),
 }
 
 
@@ -504,10 +505,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
                 )
             for name in ["active_bitmap"] + ["union_active_bitmap"] * use_union:
-                if len(record[name]) != cfg["nodes"]:
+                if len(record[name]) != cfg["nodes"] or set(record[name]) - {"0", "1"}:
                     raise AggregationError(
-                        f"{path}: seed {seed} has {len(record[name])} positions in its "
-                        f"{name}, expected {cfg['nodes']}"
+                        f"{path}: seed {seed}'s {name} is not {cfg['nodes']} positions "
+                        f"of 0 or 1 (it has {len(record[name])})"
                     )
             if use_union:
                 record = record | {"active_bitmap": record["union_active_bitmap"]}

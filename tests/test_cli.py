@@ -882,7 +882,8 @@ class TestAnalyzeCommand:
         "key, value",
         # a string count used to be summarised as the number it spells
         [("iterations", "30"), ("seed", True), ("evaluations", 120.0), ("active_count", None),
-         ("converged", 1), ("active_bitmap", 101), ("union_active_bitmap", 0)],
+         ("converged", 1), ("active_bitmap", 101), ("union_active_bitmap", 0),
+         ("final_train_fitness", "0.5"), ("final_test_fitness", 1), ("config", 5)],
     )
     def test_a_field_of_another_type_names_its_line(self, tmp_path, capsys, key, value):
         results = self._later_group(tmp_path) / "results.jsonl"
@@ -891,8 +892,9 @@ class TestAnalyzeCommand:
         assert key in self._fails_at(tmp_path, capsys, f"{results}:1")
 
     @pytest.mark.parametrize("union", [False, True], ids=["final", "union"])
-    def test_a_bitmap_wider_than_its_nodes_fails_before_any_file_is_written(
-        self, tmp_path, capsys, union
+    @pytest.mark.parametrize("edit", ["wider", "not_binary"])
+    def test_a_bitmap_unlike_its_nodes_fails_before_any_file_is_written(
+        self, tmp_path, capsys, union, edit
     ):
         out = tmp_path / "runs" / "n16"
         assert run_cli(
@@ -903,15 +905,19 @@ class TestAnalyzeCommand:
         results = out / "results.jsonl"
         [record] = _read_records(results)
         key = "union_active_bitmap" if union else "active_bitmap"
-        results.write_text(json.dumps(record | {key: record[key] + "0"}) + "\n")
+        bitmap = record[key] + "0" if edit == "wider" else "2" + record[key][1:]
+        results.write_text(json.dumps(record | {key: bitmap}) + "\n")
         code = run_cli(
             "analyze", str(tmp_path / "runs"), "--out", str(tmp_path / "analysis"),
             *(["--use-union-bitmap"] if union else []),
         )
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"aggregation error: {results}: seed 0 has 17 positions")
-        assert key in err
+        width = 17 if edit == "wider" else 16
+        assert err == (
+            f"aggregation error: {results}: seed 0's {key} is not 16 positions "
+            f"of 0 or 1 (it has {width})\n"
+        )
         assert not (tmp_path / "analysis").exists()
 
     def test_a_group_of_mixed_widths_fails_before_any_file_is_written(self, tmp_path, capsys):
@@ -921,7 +927,7 @@ class TestAnalyzeCommand:
         narrow = record | {"seed": 1, "active_bitmap": record["active_bitmap"][:-1]}
         results.write_text(json.dumps(record) + "\n" + json.dumps(narrow) + "\n")
         err = self._fails_at(tmp_path, capsys, results)
-        assert "seed 1 has 15 positions" in err
+        assert "seed 1's active_bitmap is not 16 positions of 0 or 1 (it has 15)" in err
 
     def test_a_bad_trace_row_names_its_line(self, tmp_path, capsys):
         trace = self._later_group(tmp_path) / "traces" / "trace_seed0.csv"
