@@ -18,9 +18,17 @@ directory, both recording the union bitmap, then `analyze` and `analyze
 --use-union-bitmap` over it; one digest covers every histogram, convergence
 curve and summary.jsonl, by name, and both runs' stdout.
 
+`GRID` pins what `run` and `grid` write besides the per-seed files above:
+three grids (keijzer6, whose dataset has a test split; nguyen7 on a
+dataset sampled from `--dataset-seed 3`; a Boolean grid) and one `run`,
+each into its own directory.  One digest covers every file they write but
+run_meta.json, which holds timestamps: grid_summary.jsonl, each batch.json,
+results.jsonl and trace, and the dataset records, by relative path; and
+every command's stdout.
+
 Speed work must leave these unchanged; a change that alters the RNG stream
 on purpose updates them and says so in CHANGES.md.  To print the digests of
-the current code for every case, the `analyze` case last:
+the current code for every case, the `analyze` and `grid` cases last:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -135,6 +143,20 @@ ANALYZE = (
     "cfed88772ccbbc85540754fbed91a1f01cee853c180f36f35e8ce6524cc91eef",
 )
 
+GRID = (
+    (
+        "grid --bench keijzer6 --variant leftskew --nodes-grid 10,20 --p-grid 0.5 "
+        "--seeds-per-cell 2 --max-iterations 100 --threshold 0.0",
+        "grid --bench nguyen7 --variant uniform --nodes 20 --seeds-per-cell 2 "
+        "--max-iterations 100 --threshold 0.0 --dataset-seed 3",
+        "grid --bench parity3 --variant negbias --nodes-grid 20 --p-grid 0.5,1 "
+        "--seeds-per-cell 2 --max-iterations 200",
+        "run --bench pagie1 --variant equidistant --nodes 30 --seeds 0,1 "
+        "--max-iterations 50 --threshold 0.0 --track-union-active",
+    ),
+    "9f24e8bb51bcfc0376b56606d0f95d5934b60b4909b199733b49824511f1c35c",
+)
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -179,6 +201,19 @@ def analyze_digest(out: Path) -> str:
     return sha256(data + stdout.getvalue().encode())
 
 
+def grid_digest(out: Path) -> str:
+    """Run the `GRID` commands into ``out``; sha256 of every file they
+    write but run_meta.json, sorted by relative path, and of their stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for index, arguments in enumerate(GRID[0]):
+            argv = [*arguments.split(), "--workers", "1", "--out", str(out / str(index))]
+            assert main(argv) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run_meta.json")
+    data = b"".join(f"{p.relative_to(out)}\n".encode() + p.read_bytes() for p in files)
+    return sha256(data + stdout.getvalue().encode())
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_run_output_digests(case, tmp_path):
     arguments, *expected = GOLDEN[case]
@@ -192,6 +227,10 @@ def test_analyze_output_digest(tmp_path):
     assert analyze_digest(tmp_path) == ANALYZE[1]
 
 
+def test_grid_output_digest(tmp_path):
+    assert grid_digest(tmp_path) == GRID[1]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(GOLDEN):
@@ -200,3 +239,4 @@ if __name__ == "__main__":
                 digests = run_digests(GOLDEN[case][0], Path(scratch) / case)
             print(case, *digests, sep="\n    ", flush=True)
         print("analyze", analyze_digest(Path(scratch) / "analyze"), sep="\n    ")
+        print("grid", grid_digest(Path(scratch) / "grid"), sep="\n    ")
