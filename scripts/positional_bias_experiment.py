@@ -13,7 +13,7 @@ Usage: python scripts/positional_bias_experiment.py [outdir] [seed_spec]
 import sys
 
 from cgp_reorder import cli
-from cgp_reorder.analysis import summarize
+from cgp_reorder.analysis import summarize, summary_line
 from cgp_reorder.errors import ConfigError
 
 
@@ -35,8 +35,8 @@ def run(outdir: str = "runs/positional_bias", seeds: str = "0..74") -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return cli.EXIT_CONFIG
-    for cell_dir, cell in cells.items():
-        print(summarize(results[cell_dir], cli.effective_config(cell)).format_line())
+    for cell_dir in cells:
+        print(summary_line(summarize(results[cell_dir])))
     return cli.main(["analyze", outdir, "--out", f"{outdir}/analysis"])
 
 

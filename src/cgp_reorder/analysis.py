@@ -1,56 +1,32 @@
 """Aggregation of `results.jsonl` records: positional-bias histograms,
-convergence curves, per-variant summary statistics, and the one CSV writer.
+convergence curves, per-variant summary rows, and the harness's writers.
 
 Aggregation reads the records as they are on disk: one dict per seed, keyed
-by `cli.RECORD_FIELDS`, and each trace as its list of ``(iteration, best
-fitness)`` samples.  Standard deviations are population deviations
-(divisor n), which is also noted in the emitted file headers.  Finite
-fitnesses give finite means and deviations, however large they are (see
-`mean_sd`).  Every CSV the harness writes, traces included, goes through
-`write_csv`: the effective config as sorted ``# key=value`` lines, free
-``# `` notes, a header, and one line per row with every value spelled by
-``repr``, so each float reads back exactly.
+by `cli.RECORD_TYPES` and its config, and each trace as its list of
+``(iteration, best fitness)`` samples.  A summary row is the dict that
+summary.jsonl and grid_summary.jsonl hold, and `summarize` makes it from
+records alone, named by the config they share.  Standard deviations are
+population deviations (divisor n), which is also noted in the emitted file
+headers.  Finite fitnesses give finite means and deviations, however large
+they are (see `mean_sd`).
+
+Every file the harness writes goes through `write_atomic`.  Every CSV,
+traces and dataset records included, goes through `write_csv`: the
+effective config as sorted ``# key=value`` lines, free ``# `` notes, a
+header, and one line per row with every value spelled by ``repr``, so each
+float reads back exactly.  Every JSON-lines file goes through
+`write_jsonl`: one object per line, keys sorted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import write_atomic
 from .errors import AggregationError
-
-
-@dataclass
-class SummaryRow:
-    variant: str
-    benchmark: str
-    nodes: int
-    p_reorder: float
-    runs: int
-    mean_iterations: float
-    sd_iterations: float
-    mean_active: float
-    success_rate: float
-    mean_train_fitness: float
-    mean_test_fitness: float | None
-    config: dict
-
-    def format_line(self) -> str:
-        test = (
-            f"{self.mean_test_fitness:.6g}" if self.mean_test_fitness is not None else "-"
-        )
-        return (
-            f"{self.benchmark:<12} {self.variant:<12} N={self.nodes:<5} "
-            f"p={self.p_reorder:<4g} runs={self.runs:<3} SR={self.success_rate:.3f} "
-            f"mean_I2S={self.mean_iterations:.1f} sd_I2S={self.sd_iterations:.1f} "
-            f"active={self.mean_active:.1f} train={self.mean_train_fitness:.6g} "
-            f"test={test}"
-        )
-
 
 def active_distribution(records: Sequence[dict]) -> list[float]:
     """Position-wise mean of the records' ``active_bitmap`` strings (the
@@ -83,32 +59,42 @@ def mean_sd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where((values == values[0]).all(axis=0), 0.0, sd)
 
 
-def summarize(records: Sequence[dict], config: dict) -> SummaryRow:
-    """Descriptive statistics over one variant's `results.jsonl` records;
-    the row is named by the benchmark, variant, nodes and p_reorder of its
-    ``config``."""
+def summarize(records: Sequence[dict]) -> dict:
+    """Descriptive statistics over one variant's `results.jsonl` records,
+    which share one config; the row is named by its benchmark, variant,
+    nodes and p_reorder, and holds it whole."""
     if not records:
         raise AggregationError("no results to summarize")
+    config = records[0]["config"]
     mean = lambda values: float(mean_sd(np.asarray(values, dtype=np.float64))[0])
     mean_iterations, sd_iterations = mean_sd(
         np.asarray([r["iterations"] for r in records], dtype=np.float64)
     )
     tests = [r["final_test_fitness"] for r in records]
-    mean_test = mean(tests) if all(t is not None for t in tests) else None
-    return SummaryRow(
-        variant=config["variant"],
-        benchmark=config["benchmark"],
-        nodes=config["nodes"],
-        p_reorder=config["p_reorder"],
-        runs=len(records),
-        mean_iterations=float(mean_iterations),
-        sd_iterations=float(sd_iterations),
-        mean_active=float(np.mean([r["active_count"] for r in records])),
-        success_rate=sum(1 for r in records if r["converged"]) / len(records),
-        mean_train_fitness=mean([r["final_train_fitness"] for r in records]),
-        mean_test_fitness=mean_test,
-        config=config,
-    )
+    return {
+        "variant": config["variant"],
+        "benchmark": config["benchmark"],
+        "nodes": config["nodes"],
+        "p_reorder": config["p_reorder"],
+        "runs": len(records),
+        "mean_iterations": float(mean_iterations),
+        "sd_iterations": float(sd_iterations),
+        "mean_active": float(np.mean([r["active_count"] for r in records])),
+        "success_rate": sum(1 for r in records if r["converged"]) / len(records),
+        "mean_train_fitness": mean([r["final_train_fitness"] for r in records]),
+        "mean_test_fitness": mean(tests) if all(t is not None for t in tests) else None,
+        "config": config,
+    }
+
+
+def summary_line(row: dict) -> str:
+    """A summary row as one line of text."""
+    test = row["mean_test_fitness"]
+    return (
+        "{benchmark:<12} {variant:<12} N={nodes:<5} p={p_reorder:<4g} runs={runs:<3} "
+        "SR={success_rate:.3f} mean_I2S={mean_iterations:.1f} sd_I2S={sd_iterations:.1f} "
+        "active={mean_active:.1f} train={mean_train_fitness:.6g} test={test}"
+    ).format(**row, test="-" if test is None else f"{test:.6g}")
 
 
 def default_grid(traces: Sequence[list[tuple[int, float]]], points: int = 257) -> list[int]:
@@ -137,6 +123,21 @@ def convergence_mean(
     return mean.tolist(), sd.tolist()
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then move it over ``path``,
+    so a killed run leaves either the old file or the new one, never a
+    truncated one.  Missing parent directories are made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(
     path: str, config: dict, notes: Sequence[str], header: str, rows: Iterable[Sequence]
 ) -> None:
@@ -149,5 +150,6 @@ def write_csv(
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_summary_jsonl(path: str, rows: Sequence[SummaryRow]) -> None:
-    write_atomic(path, "".join(json.dumps(asdict(row), sort_keys=True) + "\n" for row in rows))
+def write_jsonl(path: str, rows: Iterable[dict]) -> None:
+    """Write each row as one line of JSON, its keys sorted."""
+    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

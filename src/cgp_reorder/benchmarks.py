@@ -13,8 +13,9 @@ every row with a handful of bitwise operations.
 Regression benchmarks are sampled or gridded datasets; fitness is the mean
 absolute error over a split.  A dataset is a function of the benchmark and
 the generator it is built with alone: nguyen7 and koza3 are sampled from
-it, pagie1 and keijzer6 are grids that ignore it.  `write_dataset` writes a
-CSV record of a dataset; nothing reads one back.
+it, pagie1 and keijzer6 are grids that ignore it.  This module holds the
+data and the fitness functions only; the harness writes a dataset's record
+(`cli._build_bench`).
 
 Bit conventions: the encoder/decoder index is binary least-significant-bit
 first, while the multiplier reads its operand and product bit vectors
@@ -23,7 +24,6 @@ most-significant-bit first (so the row (1,0,1, 0,1,1) means 5 x 3).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,30 +232,3 @@ def mae_fitness(
     with np.errstate(over="ignore"):
         return float(np.add.reduce(errors) / len(errors))
 
-
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a sibling temporary file, then move it over ``path``,
-    so a killed run leaves either the old file or the new one, never a
-    truncated one.  Missing parent directories are made first."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def write_dataset(bench: RegressionBenchmark, directory: str, key: str) -> None:
-    """Write each split of ``bench`` to ``<directory>/<key>_<split>.csv``: a
-    header ``x0[,x1],y``, then one row per point, every value spelled by
-    ``repr`` so that a reader recovers it exactly."""
-    for split_name, split in (("train", bench.train), ("test", bench.test)):
-        if split is None:
-            continue
-        lines = [",".join([f"x{i}" for i in range(split.xs.shape[1])] + ["y"])]
-        for row, y in zip(split.xs, split.ys):
-            lines.append(",".join([repr(float(v)) for v in row] + [repr(float(y))]))
-        write_atomic(os.path.join(directory, f"{key}_{split_name}.csv"), "\n".join(lines) + "\n")

@@ -37,12 +37,12 @@ from .analysis import (
     convergence_mean,
     default_grid,
     summarize,
+    summary_line,
+    write_atomic,
     write_csv,
-    write_summary_jsonl,
+    write_jsonl,
 )
-from .benchmarks import (
-    RegressionBenchmark, benchmark_kind, build_benchmark, graph_params, write_atomic, write_dataset
-)
+from .benchmarks import RegressionBenchmark, benchmark_kind, build_benchmark, graph_params
 from .errors import AggregationError, ConfigError, InvariantViolation
 from .evolution import OFFSPRING_PER_ITERATION, RunResult, run_es
 from .functions import PROTECTED_CONVENTIONS
@@ -274,15 +274,21 @@ def _dataset_rng(dataset_seed: int, name: str) -> np.random.Generator:
 def _build_bench(settings: Settings, dataset_dir: str | None):
     """The batch's benchmark, a function of its name and dataset seed alone.
 
-    When ``dataset_dir`` is given, a regression dataset is also written there
-    as ``<bench>_s<dataset_seed>_{train,test}.csv``, a record of what the
-    batch ran on that nothing reads back.
+    When ``dataset_dir`` is given, each split of a regression dataset is also
+    written there as ``<bench>_s<dataset_seed>_<split>.csv``: a header
+    ``x0[,x1],y``, then one row per point.  It is a record of what the batch
+    ran on that nothing reads back.
     """
     bench = build_benchmark(
         settings.benchmark, _dataset_rng(settings.dataset_seed, settings.benchmark)
     )
     if dataset_dir is not None and type(bench) is RegressionBenchmark:
-        write_dataset(bench, dataset_dir, f"{settings.benchmark}_s{settings.dataset_seed}")
+        stem = os.path.join(dataset_dir, f"{settings.benchmark}_s{settings.dataset_seed}")
+        header = ",".join([f"x{i}" for i in range(bench.num_inputs)] + ["y"])
+        for name, split in (("train", bench.train), ("test", bench.test)):
+            if split is not None:
+                rows = ([*x, y] for x, y in zip(split.xs.tolist(), split.ys.tolist()))
+                write_csv(f"{stem}_{name}.csv", {}, [], header, rows)
     return bench
 
 
@@ -321,8 +327,7 @@ def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[dict]]:
     records = {cell_dir: _recorded(cell_dir, cell) for cell_dir, cell in cells.items()}
     benches, tasks = {}, []
     for cell_dir, cell in cells.items():
-        text = json.dumps(_echo(cell), sort_keys=True) + "\n"
-        write_atomic(os.path.join(cell_dir, "batch.json"), text)
+        write_jsonl(os.path.join(cell_dir, "batch.json"), [_echo(cell)])
         key = (cell.benchmark, cell.dataset_seed)
         if key not in benches:
             benches[key] = _build_bench(cell, os.path.join(out, "datasets"))
@@ -350,17 +355,16 @@ def run_batch(cells: dict[str, Settings], out: str) -> dict[str, list[dict]]:
 # ---------------------------------------------------------------------------
 # result files
 
-# the `RunResult` fields a results.jsonl record holds, next to its config
-RECORD_FIELDS = (
-    "seed", "converged", "iterations", "evaluations", "final_train_fitness",
-    "final_test_fitness", "active_count", "active_bitmap", "union_active_bitmap",
-)
-# the types that aggregation reads a record's values as; a bool is no count
+# the `RunResult` fields a results.jsonl record holds next to its config, by
+# the types that aggregation reads them as; a bool is no count
 RECORD_TYPES = {
     "seed": (int,), "iterations": (int,), "evaluations": (int,), "active_count": (int,),
     "converged": (bool,), "active_bitmap": (str,), "union_active_bitmap": (str, type(None)),
-    "final_train_fitness": (float,), "final_test_fitness": (float, type(None)), "config": (dict,),
+    "final_train_fitness": (float,), "final_test_fitness": (float, type(None)),
 }
+RECORD_FIELDS = tuple(RECORD_TYPES)
+# the config keys that name a record's summary row
+CONFIG_TYPES = {"benchmark": (str,), "variant": (str,), "nodes": (int,), "p_reorder": (float,)}
 
 
 def read_trace_csv(path: str) -> list[tuple[int, float]]:
@@ -394,10 +398,7 @@ def _write_run_outputs(
         write_atomic(genome, to_flat_text(result.final_genome))
     record = {name: getattr(result, name) for name in RECORD_FIELDS}
     records[result.seed] = record | {"config": config}
-    write_atomic(
-        os.path.join(outdir, "results.jsonl"),
-        "".join(json.dumps(records[seed], sort_keys=True) + "\n" for seed in sorted(records)),
-    )
+    write_jsonl(os.path.join(outdir, "results.jsonl"), (records[s] for s in sorted(records)))
 
 
 def _write_meta(outdir: str, started: float, workers: int) -> None:
@@ -421,7 +422,7 @@ def _write_meta(outdir: str, started: float, workers: int) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
     [results] = run_batch({settings.out: settings}, settings.out).values()
-    print(summarize(results, effective_config(settings)).format_line())
+    print(summary_line(summarize(results)))
     return EXIT_OK
 
 
@@ -445,25 +446,37 @@ def _format_p(p: float) -> str:
 def cmd_grid(args: argparse.Namespace) -> int:
     settings = finalize(build_settings(args))
     cells = _grid_cells(settings)
-    results = run_batch(cells, settings.out)
-    rows = [summarize(results[c], effective_config(cell)) for c, cell in cells.items()]
+    rows = [summarize(records) for records in run_batch(cells, settings.out).values()]
     # Boolean cells that solve their table all score 1.0, so they rank by
     # iterations; regression cells rank by their error
     if benchmark_kind(settings.benchmark).maximize:
-        rows.sort(key=lambda row: row.mean_iterations)
+        rows.sort(key=lambda row: row["mean_iterations"])
     else:
-        rows.sort(key=lambda row: row.mean_train_fitness
-                  if row.mean_test_fitness is None else row.mean_test_fitness)
-    write_summary_jsonl(os.path.join(settings.out, "grid_summary.jsonl"), rows)
+        rows.sort(key=lambda row: row["mean_train_fitness"]
+                  if row["mean_test_fitness"] is None else row["mean_test_fitness"])
+    write_jsonl(os.path.join(settings.out, "grid_summary.jsonl"), rows)
     for row in rows:
-        print(row.format_line())
+        print(summary_line(row))
     return EXIT_OK
+
+
+def _field_error(value, types: dict, prefix: str = "") -> str | None:
+    """Why ``value`` is no dict holding every key of ``types`` as a value of
+    one of its types, naming each key after ``prefix``; None when it is."""
+    keys = value.keys() if isinstance(value, dict) else set()
+    missing = sorted(types.keys() - keys)
+    if missing:
+        return "record lacks " + ", ".join(prefix + key for key in missing)
+    wrong = [prefix + key for key, allowed in types.items() if type(value[key]) not in allowed]
+    return "bad type of " + ", ".join(wrong) if wrong else None
 
 
 def _load_records(path: str) -> list[dict]:
     """A results.jsonl file's records; an AggregationError names the line of
-    one that is not JSON, lacks a `RECORD_FIELDS` key or its config, or holds
-    a value of another type than `RECORD_TYPES` gives."""
+    one that is not JSON, lacks a `RECORD_TYPES` key, its config or a
+    `CONFIG_TYPES` key of that, or holds a value of another type than they
+    give, and names the seed of a record whose bitmap, or union bitmap when
+    not null, is not ``nodes`` positions of 0 or 1."""
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -473,13 +486,19 @@ def _load_records(path: str) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise AggregationError(f"{path}:{line_no}: {exc}") from None
-            keys = record.keys() if isinstance(record, dict) else set()
-            missing = sorted({*RECORD_FIELDS, "config"} - keys)
-            if missing:
-                raise AggregationError(f"{path}:{line_no}: record lacks {', '.join(missing)}")
-            wrong = [k for k, types in RECORD_TYPES.items() if type(record[k]) not in types]
-            if wrong:
-                raise AggregationError(f"{path}:{line_no}: bad type of {', '.join(wrong)}")
+            error = _field_error(record, RECORD_TYPES | {"config": (dict,)}) or _field_error(
+                record["config"], CONFIG_TYPES, "config."
+            )
+            if error:
+                raise AggregationError(f"{path}:{line_no}: {error}")
+            nodes = record["config"]["nodes"]
+            for name in ("active_bitmap", "union_active_bitmap"):
+                bitmap = record[name]
+                if bitmap is not None and (len(bitmap) != nodes or set(bitmap) - {"0", "1"}):
+                    raise AggregationError(
+                        f"{path}: seed {record['seed']}'s {name} is not {nodes} positions "
+                        f"of 0 or 1 (it has {len(bitmap)})"
+                    )
             records.append(record)
     return records
 
@@ -500,17 +519,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for path in jsonl_files:
         for record in _load_records(path):
             cfg, seed = record["config"], record["seed"]
-            if use_union and record["union_active_bitmap"] is None:
-                raise AggregationError(
-                    f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
-                )
-            for name in ["active_bitmap"] + ["union_active_bitmap"] * use_union:
-                if len(record[name]) != cfg["nodes"] or set(record[name]) - {"0", "1"}:
-                    raise AggregationError(
-                        f"{path}: seed {seed}'s {name} is not {cfg['nodes']} positions "
-                        f"of 0 or 1 (it has {len(record[name])})"
-                    )
             if use_union:
+                if record["union_active_bitmap"] is None:
+                    raise AggregationError(
+                        f"{path}: seed {seed} has no union bitmap; re-run with --track-union-active"
+                    )
                 record = record | {"active_bitmap": record["union_active_bitmap"]}
             key = (cfg["benchmark"], cfg["variant"], cfg["nodes"], cfg["p_reorder"])
             config, first, runs = groups.setdefault(key, (cfg, path, {}))
@@ -547,11 +560,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "iteration,mean_fitness,sd",
                 zip(grid, *convergence_mean(traces, grid)),
             )
-        rows.append(summarize(records, config))
+        rows.append(summarize(records))
 
-    write_summary_jsonl(os.path.join(out_dir, "summary.jsonl"), rows)
+    write_jsonl(os.path.join(out_dir, "summary.jsonl"), rows)
     for row in rows:
-        print(row.format_line())
+        print(summary_line(row))
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ from cgp_reorder.analysis import (
     default_grid,
     mean_sd,
     summarize,
+    summary_line,
     write_csv,
-    write_summary_jsonl,
+    write_jsonl,
 )
 from cgp_reorder.cli import EXIT_OK, main
 from cgp_reorder.errors import AggregationError
@@ -84,24 +85,35 @@ class TestActiveDistribution:
 class TestSummarize:
     def test_success_rate_all_converged(self):
         rows = [make_record(seed=s) for s in range(4)]
-        summary = summarize(rows, CONFIG)
-        assert summary.success_rate == 1.0
+        summary = summarize(rows)
+        assert summary["success_rate"] == 1.0
 
     def test_mean_and_population_sd(self):
         rows = [make_record(seed=s, iterations=i) for s, i in enumerate((10, 20, 30))]
-        summary = summarize(rows, CONFIG)
-        assert summary.mean_iterations == 20.0
-        assert summary.sd_iterations == pytest.approx(np.sqrt(200 / 3))
+        summary = summarize(rows)
+        assert summary["mean_iterations"] == 20.0
+        assert summary["sd_iterations"] == pytest.approx(np.sqrt(200 / 3))
 
     def test_mean_test_fitness_only_when_all_runs_have_it(self):
         with_test = [make_record(seed=s, test=0.5) for s in range(2)]
-        assert summarize(with_test, CONFIG).mean_test_fitness == 0.5
+        assert summarize(with_test)["mean_test_fitness"] == 0.5
         mixed = [make_record(seed=0, test=0.5), make_record(seed=1)]
-        assert summarize(mixed, CONFIG).mean_test_fitness is None
+        assert summarize(mixed)["mean_test_fitness"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            summarize([], CONFIG)
+            summarize([])
+
+    @pytest.mark.parametrize("first_test, shown", [(0.25, "0.375"), (None, "-")])
+    def test_summary_line(self, first_test, shown):
+        rows = [
+            make_record(seed=0, bitmap="0100", iterations=10, train=0.5, test=first_test),
+            make_record(seed=1, bitmap="0100", iterations=30, converged=False, test=0.5),
+        ]
+        assert summary_line(summarize(rows)) == (
+            "parity3      none         N=4     p=1    runs=2   SR=0.500 mean_I2S=20.0 "
+            f"sd_I2S=10.0 active=1.0 train=0.75 test={shown}"
+        )
 
 
 @st.composite
@@ -154,11 +166,11 @@ class TestMeanSd:
         rows = [make_record(train=v, test=v) for v in (1.7e308, 1.6e308)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            summary = summarize(rows, CONFIG)
+            summary = summarize(rows)
             traces = [[(0, 0.5), (r["iterations"], r["final_train_fitness"])] for r in rows]
             mean, sd = convergence_mean(traces, [10])
-        assert summary.mean_train_fitness == pytest.approx(1.65e308)
-        assert summary.mean_test_fitness == pytest.approx(1.65e308)
+        assert summary["mean_train_fitness"] == pytest.approx(1.65e308)
+        assert summary["mean_test_fitness"] == pytest.approx(1.65e308)
         assert mean == [pytest.approx(1.65e308)]
         assert sd == [pytest.approx(0.05e308)]
 
@@ -249,9 +261,9 @@ class TestWriters:
     def test_summary_jsonl(self, tmp_path):
         import json
 
-        rows = [summarize([make_record()], CONFIG)]
+        rows = [summarize([make_record()])]
         path = tmp_path / "summary.jsonl"
-        write_summary_jsonl(str(path), rows)
+        write_jsonl(str(path), rows)
         record = json.loads(path.read_text().strip())
         assert record["variant"] == "none"
         assert (record["benchmark"], record["nodes"], record["p_reorder"]) == ("parity3", 4, 1.0)

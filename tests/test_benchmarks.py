@@ -15,8 +15,8 @@ from cgp_reorder.benchmarks import (
     build_regression,
     graph_params,
     mae_fitness,
-    write_dataset,
 )
+from cgp_reorder.cli import Settings, _build_bench
 from cgp_reorder.errors import ConfigError
 from cgp_reorder.genome import GraphParams, Genotype, NodeGene, decode_active
 
@@ -202,9 +202,8 @@ class TestRegressionDatasets:
             build_regression("vladislavleva4", rng)
 
     @pytest.mark.parametrize("name", REGRESSION_NAMES)
-    def test_record_round_trip_bit_identical(self, name, rng, tmp_path):
-        bench = build_regression(name, rng)
-        write_dataset(bench, str(tmp_path), f"{name}_s1")
+    def test_record_round_trip_bit_identical(self, name, tmp_path):
+        bench = _build_bench(Settings(benchmark=name, dataset_seed=1), str(tmp_path))
         for split_name, split in (("train", bench.train), ("test", bench.test)):
             path = tmp_path / f"{name}_s1_{split_name}.csv"
             if split is None:
@@ -214,9 +213,9 @@ class TestRegressionDatasets:
             assert xs.shape == split.xs.shape and xs.tobytes() == split.xs.tobytes()
             assert ys.shape == split.ys.shape and ys.tobytes() == split.ys.tobytes()
 
-    def test_keijzer6_record_includes_test_split(self, rng, tmp_path):
-        write_dataset(build_regression("keijzer6", rng), str(tmp_path), "k6")
-        xs, _ = read_dataset_csv(tmp_path / "k6_test.csv")
+    def test_keijzer6_record_includes_test_split(self, tmp_path):
+        _build_bench(Settings(benchmark="keijzer6", dataset_seed=2), str(tmp_path))
+        xs, _ = read_dataset_csv(tmp_path / "keijzer6_s2_test.csv")
         assert xs.shape == (120, 1)
         np.testing.assert_array_equal(xs[:, 0], np.arange(1, 121))
 

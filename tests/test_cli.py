@@ -706,6 +706,31 @@ class TestBatchResume:
         assert seeds == []
         assert files() == before
 
+    def test_a_recorded_bitmap_unlike_its_nodes_is_refused_before_any_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        args = [
+            "run", "--bench", "parity3", "--nodes", "16", "--seeds", "0..1",
+            "--max-iterations", "30", "--workers", "1", "--out", str(tmp_path),
+        ]
+        assert run_cli(*args) == EXIT_OK
+        # seed 1 is lost, and seed 0's bitmap is a position too wide
+        results = tmp_path / "results.jsonl"
+        record = _read_records(results)[0]
+        wider = record | {"active_bitmap": record["active_bitmap"] + "0"}
+        results.write_text(json.dumps(wider) + "\n")
+        before = results.read_bytes()
+        run_es, seeds = cli.run_es, []
+        monkeypatch.setattr(cli, "run_es", lambda *args: seeds.append(args[2]) or run_es(*args))
+        capsys.readouterr()
+        assert run_cli(*args) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"aggregation error: {results}: seed 0's active_bitmap is not 16 positions "
+            "of 0 or 1 (it has 17)\n"
+        )
+        assert seeds == []
+        assert results.read_bytes() == before
+
 
 class TestAnalyzeCommand:
     def test_analyze_produces_histogram_convergence_summary(self, tmp_path, capsys):
@@ -890,6 +915,24 @@ class TestAnalyzeCommand:
         [record] = _read_records(results)
         results.write_text(json.dumps(record | {key: value}) + "\n")
         assert key in self._fails_at(tmp_path, capsys, f"{results}:1")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        # None deletes the key; a string count, or an int probability, is no
+        # value that names a group
+        [("benchmark", None), ("variant", None), ("nodes", None), ("p_reorder", None),
+         ("nodes", "16"), ("p_reorder", 1)],
+    )
+    def test_a_config_key_missing_or_of_another_type_names_its_line(
+        self, tmp_path, capsys, key, value
+    ):
+        results = self._later_group(tmp_path) / "results.jsonl"
+        [record] = _read_records(results)
+        config = {k: v for k, v in record["config"].items() if k != key}
+        if value is not None:
+            config[key] = value
+        results.write_text(json.dumps(record | {"config": config}) + "\n")
+        assert f"config.{key}" in self._fails_at(tmp_path, capsys, f"{results}:1")
 
     @pytest.mark.parametrize("union", [False, True], ids=["final", "union"])
     @pytest.mark.parametrize("edit", ["wider", "not_binary"])
